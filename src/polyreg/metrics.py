@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from .model import make_batch
+from .model import encode, make_batch
 from .objective import sigma_from_rho
 from .records import ParseFailure, parse_quantity
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
@@ -181,15 +181,13 @@ def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
     n = len(instances)
     model = trained.model
     preds_norm = np.zeros((n, N_HEADS))
-    dummy = np.zeros((1, N_HEADS))
     for start in range(0, n, batch_size):
         chunk = instances[start : start + batch_size]
         batch = make_batch(
-            [i.text for i in chunk],
+            encode([i.text for i in chunk], model.cfg.vocab_size),
             np.zeros((len(chunk), N_HEADS)),
             np.zeros((len(chunk), N_HEADS), dtype=bool),
             np.zeros((len(chunk), N_HEADS)),
-            model.cfg.vocab_size,
         )
         p, _ = model.forward(batch)
         preds_norm[start : start + len(chunk)] = p

@@ -5,14 +5,14 @@ and exact analytic gradients for every trainable tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import encoder as enc
 from . import regressor as reg
 from .registry import N_HEADS
-from .datasets import PromptInstance
 
 
 @dataclass
@@ -54,22 +54,32 @@ class Batch:
     weights: np.ndarray  # (B, 22) KDE weights, 0 where missing
 
 
+class RowGrad(NamedTuple):
+    """Gradient of a table that is zero outside a few rows."""
+
+    rows: np.ndarray  # (k,) sorted unique row ids
+    values: np.ndarray  # (k, dim) summed gradient of each row
+
+
+def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
+    """Bucket ids of each text's tokens."""
+    return [enc.bucket_ids(enc.tokenize(t), vocab_size) for t in texts]
+
+
 def make_batch(
-    texts: list[str],
+    id_lists: list[np.ndarray],
     targets: np.ndarray,
     label_mask: np.ndarray,
     weights: np.ndarray,
-    vocab_size: int,
 ) -> Batch:
-    token_lists = [enc.tokenize(t) for t in texts]
-    T = max(1, max(len(t) for t in token_lists))
-    B = len(token_lists)
+    """Pad encoded prompts (see ``encode``) into one mini-batch."""
+    T = max(1, max(len(ids) for ids in id_lists))
+    B = len(id_lists)
     ids = np.zeros((B, T), dtype=np.int64)
     mask = np.zeros((B, T), dtype=bool)
-    for i, tokens in enumerate(token_lists):
-        if tokens:
-            ids[i, : len(tokens)] = enc.bucket_ids(tokens, vocab_size)
-            mask[i, : len(tokens)] = True
+    for i, row in enumerate(id_lists):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = True
     targets = np.where(label_mask, targets, 0.0)
     weights = np.where(label_mask, weights, 0.0)
     return Batch(ids, mask, targets.astype(np.float64), label_mask.astype(bool), weights)
@@ -78,13 +88,21 @@ def make_batch(
 class PropertyModel:
     """Parameter container with deterministic forward/backward passes."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, params: dict[str, np.ndarray] | None = None):
+        """A seeded random initialization, or the given tensors as they are."""
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, np.ndarray] = {}
-        self.params.update(enc.init_encoder_params(cfg.encoder_config(), rng))
-        self.params.update(reg.init_trunk_params(cfg.trunk_config(), rng))
-        self.params["rho"] = np.zeros(N_HEADS)
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {}
+            params.update(enc.init_encoder_params(cfg.encoder_config(), rng))
+            params.update(reg.init_trunk_params(cfg.trunk_config(), rng))
+            params["rho"] = np.zeros(N_HEADS)
+        elif params["embed"].shape != (cfg.vocab_size, cfg.dim):
+            raise ValueError(
+                f"embedding table {params['embed'].shape} does not match "
+                f"vocab_size={cfg.vocab_size}, dim={cfg.dim}"
+            )
+        self.params: dict[str, np.ndarray] = params
 
     FROZEN_ALWAYS = ("w0",)
 
@@ -152,7 +170,8 @@ class PropertyModel:
         return total, task_losses, present
 
     def backward(self, batch: Batch, cache: dict):
-        """Exact gradients of the total objective for every tensor."""
+        """Exact gradients of the total objective for every tensor; the
+        embedding's is a ``RowGrad`` over the batch's unmasked tokens."""
         ecfg = self.cfg.encoder_config()
         tcfg = self.cfg.trunk_config()
         preds = cache["preds"]
@@ -181,10 +200,11 @@ class PropertyModel:
         grads["lora_a"] = dA
         grads["lora_b"] = dB
 
-        dembed = np.zeros_like(self.params["embed"])
         valid = batch.token_mask
-        np.add.at(dembed, batch.ids[valid], dH[valid])
-        grads["embed"] = dembed
+        rows, inverse = np.unique(batch.ids[valid], return_inverse=True)
+        dembed = np.zeros((rows.size, self.cfg.dim))
+        np.add.at(dembed, inverse, dH[valid])
+        grads["embed"] = RowGrad(rows, dembed)
         return grads
 
     def objective(self, batch: Batch) -> float:

@@ -14,6 +14,7 @@ SILVERMAN_FLOOR = 1e-3
 EPS_PERCENTILE = 5.0
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_KDE_CHUNK_ELEMENTS = 1 << 17
 
 
 class DegenerateHead(Exception):
@@ -79,9 +80,15 @@ def kde_density(train: np.ndarray, h: float, y) -> np.ndarray:
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    u = (y[:, None] - train[None, :]) / h
-    phi = np.exp(-0.5 * u * u) / _SQRT_2PI
-    return phi.sum(axis=1) / (train.size * h)
+    # query rows in chunks of about 1 MiB of temporaries; each row's sum is
+    # the same as over the whole (len(y), n) matrix at once
+    step = max(1, _KDE_CHUNK_ELEMENTS // train.size)
+    sums = np.empty(y.size)
+    for start in range(0, y.size, step):
+        u = (y[start : start + step, None] - train[None, :]) / h
+        phi = np.exp(-0.5 * u * u) / _SQRT_2PI
+        sums[start : start + step] = phi.sum(axis=1)
+    return sums / (train.size * h)
 
 
 def density_weights(densities, eps: float) -> np.ndarray:

@@ -9,6 +9,7 @@ separated by semicolons.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -81,12 +82,20 @@ def _unit_tail(tail: str) -> str | None:
     return tail or None
 
 
+def _number(num: str, text: str) -> float:
+    value = float(num)
+    if not math.isfinite(value):
+        raise ParseFailure(f"non-finite number {num!r} in {text!r}")
+    return value
+
+
 def parse_quantity(text: str) -> Quantity:
     """Parse a measurement span into a point, range or inequality limit.
 
     Recognizes decimal/scientific numbers, dash/"to" ranges, ± tolerances
     (the tolerance is dropped) and >/≥/</≤ limits, each with an optional
-    trailing unit token.  Raises ParseFailure otherwise.
+    trailing unit token.  Raises ParseFailure otherwise, and on a number
+    too large to be finite (``1e999``).
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseFailure("empty span")
@@ -94,22 +103,22 @@ def parse_quantity(text: str) -> Quantity:
     if m:
         op, num, tail = m.groups()
         direction = "greater" if op in (">", ">=", "≥") else "less"
-        return Quantity(kind="limit", bound=float(num), direction=direction, unit=_unit_tail(tail))
+        return Quantity(kind="limit", bound=_number(num, text), direction=direction, unit=_unit_tail(tail))
     m = _TOL_RE.match(text)
     if m:
         num, _tol, tail = m.groups()
-        return Quantity(kind="point", value=float(num), unit=_unit_tail(tail))
+        return Quantity(kind="point", value=_number(num, text), unit=_unit_tail(tail))
     m = _RANGE_RE.match(text)
     if m:
         lo, hi, tail = m.groups()
-        lo, hi = float(lo), float(hi)
+        lo, hi = _number(lo, text), _number(hi, text)
         if not lo < hi:
             raise ParseFailure(f"range requires lo < hi in {text!r}")
         return Quantity(kind="range", lo=lo, hi=hi, unit=_unit_tail(tail))
     m = _POINT_RE.match(text)
     if m:
         num, tail = m.groups()
-        return Quantity(kind="point", value=float(num), unit=_unit_tail(tail))
+        return Quantity(kind="point", value=_number(num, text), unit=_unit_tail(tail))
     raise ParseFailure(f"no number found in {text!r}")
 
 

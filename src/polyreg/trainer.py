@@ -14,7 +14,7 @@ import numpy as np
 from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import PromptInstance
-from .model import Batch, ModelConfig, PropertyModel, make_batch
+from .model import ModelConfig, PropertyModel, RowGrad, encode, make_batch
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 
@@ -111,8 +111,10 @@ def fit_label_stats(
 ):
     """Fit per-head transforms and density models on a training set.
 
-    Heads with fewer than 2 usable labels or zero variance fall back to an
-    identity-scale transform and unit weights instead of failing the run.
+    Non-finite labels, and non-positive ones on log-space heads, are
+    dropped from the returned masks.  Heads with fewer than 2 usable labels
+    or zero variance fall back to an identity-scale transform and unit
+    weights instead of failing the run.
     Returns (transforms, density_models, normalized_targets, masks, weights).
     """
     registry = registry or default_registry()
@@ -130,14 +132,15 @@ def fit_label_stats(
         if idx.size == 0:
             continue
         vals = labels[idx, t]
+        bad = ~np.isfinite(vals)
         if log_space:
-            bad = vals <= 0
-            if bad.any():
-                masks[idx[bad], t] = False
-                idx = idx[~bad]
-                vals = vals[~bad]
-            if idx.size == 0:
-                continue
+            bad |= vals <= 0
+        if bad.any():
+            masks[idx[bad], t] = False
+            idx = idx[~bad]
+            vals = vals[~bad]
+        if idx.size == 0:
+            continue
         try:
             tr = obj.fit_transform(vals, log_space)
         except obj.DegenerateHead:
@@ -164,6 +167,29 @@ def _adam_update(param, grad, state, lr, beta1, beta2, eps, step):
     param -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def _adam_update_rows(param, grad: RowGrad, touched, state, lr, beta1, beta2, eps, step):
+    """Adam on the rows of ``param`` that any step so far has touched.
+
+    Exact: a row no step has touched has zero moments and zero gradient,
+    so the dense update leaves it bit for bit as it is.  A row touched
+    earlier but absent from ``grad`` still takes its momentum step, which
+    is where this differs from lazy/sparse Adam variants.
+    """
+    touched[grad.rows] = True
+    rows = np.flatnonzero(touched)
+    dense = np.zeros((rows.size, param.shape[1]))
+    dense[np.searchsorted(rows, grad.rows)] = grad.values
+    m, v = state
+    sub = (param[rows], m[rows], v[rows])
+    _adam_update(sub[0], dense, sub[1:], lr, beta1, beta2, eps, step)
+    param[rows], m[rows], v[rows] = sub
+
+
+def _squared_norm(grad) -> float:
+    values = grad.values if isinstance(grad, RowGrad) else grad
+    return float((values**2).sum())
+
+
 def train(
     cfg: TrainConfig,
     instances: list[PromptInstance],
@@ -173,13 +199,14 @@ def train(
     registry = registry or default_registry()
     model = PropertyModel(cfg.model_config(), seed=cfg.seed)
     transforms, density, targets, masks, weights = fit_label_stats(instances, registry)
-    texts = [inst.text for inst in instances]
+    encoded = encode([inst.text for inst in instances], cfg.vocab_size)
     n = len(instances)
     trainable = model.trainable_names()
     adam_state = {
         name: (np.zeros_like(model.params[name]), np.zeros_like(model.params[name]))
         for name in trainable
     }
+    touched = np.zeros(cfg.vocab_size, dtype=bool)  # embedding rows any batch has used
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
     step = 0
@@ -188,13 +215,7 @@ def train(
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            batch = make_batch(
-                [texts[i] for i in sel],
-                targets[sel],
-                masks[sel],
-                weights[sel],
-                cfg.vocab_size,
-            )
+            batch = make_batch([encoded[i] for i in sel], targets[sel], masks[sel], weights[sel])
             if not batch.label_mask.any():
                 continue
             preds, cache = model.forward(batch)
@@ -202,21 +223,18 @@ def train(
             if not np.isfinite(total):
                 raise NonFiniteLoss(f"non-finite loss at step {step}")
             grads = model.backward(batch, cache)
-            gnorm = np.sqrt(sum(float((grads[k] ** 2).sum()) for k in trainable))
+            gnorm = np.sqrt(sum(_squared_norm(grads[k]) for k in trainable))
             clip = min(1.0, cfg.grad_clip / gnorm) if gnorm > 0 else 1.0
             step += 1
             for name in trainable:
                 lr = cfg.rho_lr if name == "rho" else cfg.lr
-                _adam_update(
-                    model.params[name],
-                    grads[name] * clip,
-                    adam_state[name],
-                    lr,
-                    cfg.beta1,
-                    cfg.beta2,
-                    cfg.adam_eps,
-                    step,
-                )
+                hyper = (lr, cfg.beta1, cfg.beta2, cfg.adam_eps, step)
+                grad = grads[name]
+                if isinstance(grad, RowGrad):
+                    clipped = RowGrad(grad.rows, grad.values * clip)
+                    _adam_update_rows(model.params[name], clipped, touched, adam_state[name], *hyper)
+                else:
+                    _adam_update(model.params[name], grad * clip, adam_state[name], *hyper)
             batch_losses.append(total)
         if batch_losses:
             trace.append(float(np.mean(batch_losses)))
@@ -255,9 +273,13 @@ def save_trained(trained: TrainedModel, path) -> None:
 def load_trained(path) -> TrainedModel:
     tensors, metadata = load_checkpoint(path)
     cfg = TrainConfig(**metadata["config"])
-    model = PropertyModel(cfg.model_config(), seed=cfg.seed)
-    for name in model.params:
-        model.params[name] = tensors.pop(name)
+    # the model's tensors come first, in the order the model holds them
+    params = {
+        name: tensors.pop(name)
+        for name in list(tensors)
+        if not name.startswith(("transform_", "density_"))
+    }
+    model = PropertyModel(cfg.model_config(), params=params)
     transforms: list = [None] * N_HEADS
     valid = tensors.pop("transform_valid")
     mu = tensors.pop("transform_mu")

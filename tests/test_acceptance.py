@@ -93,6 +93,10 @@ def test_acceptance_full_model_gradient_check():
 
         preds, cache = model.forward(batch)
         grads = model.backward(batch, cache)
+        # the embedding gradient comes row-sparse; probe it as a dense table
+        dembed = np.zeros_like(model.params["embed"])
+        dembed[grads["embed"].rows] = grads["embed"].values
+        grads["embed"] = dembed
         names = model.trainable_names()
         eps = 1e-5
         for _ in range(200):

@@ -111,6 +111,20 @@ def test_kde_matches_brute_force_oracle():
         assert fast[i] == pytest.approx(acc / (train.size * h), rel=0, abs=1e-12)
 
 
+def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
+    # 1000 labels give chunks of 131 query rows; 1000 queries leave a
+    # partial last chunk
+    rng = np.random.default_rng(2)
+    train = rng.normal(size=1000)
+    query = rng.normal(size=1000)
+    h = silverman_bandwidth(train)
+    u = (query[:, None] - train[None, :]) / h
+    phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    one_shot = phi.sum(axis=1) / (train.size * h)
+    assert query.size % ((1 << 17) // train.size) != 0
+    assert np.array_equal(kde_density(train, h, query), one_shot)
+
+
 def test_kde_validation():
     with pytest.raises(ValueError):
         kde_density(np.array([]), 1.0, [0.0])

@@ -66,6 +66,21 @@ def test_parse_failures():
             parse_quantity(bad)
 
 
+def test_parse_rejects_non_finite_numbers():
+    # float("1e999") is inf; it must fail here, not later in training
+    for bad in ("1e999 MPa", "-1e999", "> 1e999 K", "1 - 1e999 MPa", "1e999 ± 2 GPa"):
+        with pytest.raises(ParseFailure):
+            parse_quantity(bad)
+
+
+def test_non_finite_value_counted_as_parse_failure():
+    doc = "== SAMPLE s1 ==\nSample: resin.\ntensile strength = 1e999 MPa\n"
+    counters = ExtractionCounters()
+    samples = extract_document(doc, counters=counters)
+    assert samples[0].observations == []
+    assert counters.parse_failures == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=60))
 def test_parse_quantity_never_panics(text):
@@ -74,6 +89,8 @@ def test_parse_quantity_never_panics(text):
     except ParseFailure:
         return
     assert q.kind in ("point", "range", "limit")
+    numbers = [x for x in (q.value, q.lo, q.hi, q.bound) if x is not None]
+    assert all(math.isfinite(x) for x in numbers)
 
 
 # ---- to_canonical ---------------------------------------------------------

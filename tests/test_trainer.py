@@ -7,12 +7,14 @@ from polyreg.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from polyreg import encoder as enc
 from polyreg.datasets import PromptInstance
-from polyreg.model import PropertyModel
+from polyreg.model import PropertyModel, make_batch
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.trainer import (
     NonFiniteLoss,
     TrainConfig,
+    _adam_update,
     fit_label_stats,
     load_config,
     load_trained,
@@ -90,7 +92,107 @@ def test_fit_label_stats_drops_nonpositive_log_labels():
     assert not masks[-1, TS]
 
 
+def test_fit_label_stats_drops_non_finite_labels():
+    instances = _toy_dataset()[:4]
+    bad = [
+        _instance("inf", "[Sample]\ninf", {TG: np.inf, TS: np.inf}),
+        _instance("nan", "[Sample]\nnan", {TG: np.nan}),
+    ]
+    transforms, density, targets, masks, weights = fit_label_stats(instances + bad)
+    assert not masks[-2:, [TG, TS]].any()
+    assert np.all(weights[-2:] == 0) and np.all(targets[-2:] == 0)
+    clean = fit_label_stats(instances)
+    assert (transforms[TG].mu, transforms[TG].sigma) == (clean[0][TG].mu, clean[0][TG].sigma)
+    assert np.isfinite(weights).all() and np.isfinite(targets).all()
+
+
 # ---- training loop --------------------------------------------------------
+
+
+def _dense_reference(cfg, instances, monkeypatch):
+    """The training loop with a dense embedding gradient built by np.add.at
+    and a dense Adam step over the whole table, each prompt re-encoded in
+    every batch.  Returns the model and, per step, the batch's embedding
+    rows and a copy of the table after the step."""
+    captured = {}
+    lora_backward = enc.lora_project_backward
+
+    def spy(*args, **kwargs):
+        out = lora_backward(*args, **kwargs)
+        captured["dH"] = out[0]
+        return out
+
+    monkeypatch.setattr(enc, "lora_project_backward", spy)
+    model = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    _, _, targets, masks, weights = fit_label_stats(instances)
+    trainable = model.trainable_names()
+    state = {k: (np.zeros_like(model.params[k]), np.zeros_like(model.params[k])) for k in trainable}
+    rng = np.random.default_rng(cfg.seed)
+    steps = []
+    step = 0
+    for _epoch in range(cfg.epochs):
+        perm = rng.permutation(len(instances))
+        for start in range(0, len(instances), cfg.batch_size):
+            sel = perm[start : start + cfg.batch_size]
+            ids = [enc.bucket_ids(enc.tokenize(instances[i].text), cfg.vocab_size) for i in sel]
+            batch = make_batch(ids, targets[sel], masks[sel], weights[sel])
+            if not batch.label_mask.any():
+                continue
+            preds, cache = model.forward(batch)
+            grads = model.backward(batch, cache)
+            dembed = np.zeros_like(model.params["embed"])
+            valid = batch.token_mask
+            np.add.at(dembed, batch.ids[valid], captured["dH"][valid])
+            grads["embed"] = dembed
+            gnorm = np.sqrt(sum(float((grads[k] ** 2).sum()) for k in trainable))
+            clip = min(1.0, cfg.grad_clip / gnorm) if gnorm > 0 else 1.0
+            step += 1
+            for k in trainable:
+                lr = cfg.rho_lr if k == "rho" else cfg.lr
+                _adam_update(
+                    model.params[k], grads[k] * clip, state[k], lr,
+                    cfg.beta1, cfg.beta2, cfg.adam_eps, step,
+                )
+            steps.append((set(batch.ids[valid].tolist()), model.params["embed"].copy()))
+    monkeypatch.undo()
+    return model, steps
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+def test_row_sparse_training_equals_dense_reference_bitwise(pooling_mode, monkeypatch):
+    # with clipping off, the only summation the sparse path reorders (the
+    # embedding's grad-norm term) never reaches the parameters
+    cfg = _small_cfg(epochs=3, grad_clip=1e12, pooling_mode=pooling_mode)
+    data = _toy_dataset()
+    reference, _ = _dense_reference(cfg, data, monkeypatch)
+    trained = train(cfg, data)
+    for name in reference.params:
+        assert np.array_equal(trained.model.params[name], reference.params[name]), name
+
+
+def test_row_touched_only_in_first_step_keeps_its_momentum_step(monkeypatch):
+    instances = [
+        _instance("a", "[Sample]\nalpha resin", {TG: 60.0}),
+        _instance("b", "[Sample]\nbeta resin", {TG: 100.0}),
+    ]
+    cfg = _small_cfg(epochs=1, batch_size=1, grad_clip=1e12)
+    reference, steps = _dense_reference(cfg, instances, monkeypatch)
+    (rows1, after1), (rows2, after2) = steps
+    only_first = sorted(rows1 - rows2)
+    assert only_first
+    init = PropertyModel(cfg.model_config(), seed=cfg.seed).params["embed"]
+    assert not np.array_equal(after1[only_first], init[only_first])
+    assert not np.array_equal(after2[only_first], after1[only_first])
+    trained = train(cfg, instances)
+    assert np.array_equal(trained.model.params["embed"], after2)
+
+
+def test_frozen_embeddings_stay_at_init():
+    cfg = _small_cfg(epochs=2, freeze_embeddings=True)
+    trained = train(cfg, _toy_dataset())
+    fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    assert np.array_equal(trained.model.params["embed"], fresh.params["embed"])
+    assert not np.array_equal(trained.model.params["lora_a"], fresh.params["lora_a"])
 
 
 def test_zero_epochs_leaves_parameters_at_init():
