@@ -9,62 +9,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import corpus as corpus_mod
 from .audit import audit as run_audit
 from .audit import read_records
+from .config import read_config
 from .datasets import build_dataset, load_dataset, save_dataset, scan_dataset_for_leaks
 from .harness import run_ablation, run_uncertainty_report, split_samples
 from .metrics import evaluate
 from .records import extract_corpus, load_extracted, save_extracted
 from .registry import default_registry
-from .trainer import TrainConfig, load_config, load_trained, save_trained, train
+from .trainer import TrainConfig, load_trained, save_trained, train
 
 
-def _parse_synth_config(path, seed=None) -> corpus_mod.SynthConfig:
-    """Read a key-value synthesis config; keys may carry a synth. prefix."""
-    values: dict = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line or "=" not in line:
-                    continue
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key.startswith("synth."):
-                    key = key[len("synth."):]
-                if key == "seed":
-                    values["seed"] = int(raw)
-                elif key == "n_docs":
-                    values["n_docs"] = int(raw)
-                elif key == "heads":
-                    values["heads"] = tuple(int(x) for x in raw.split(",") if x.strip())
-                elif key == "eta":
-                    if ":" in raw:
-                        values["eta"] = {
-                            int(k): float(v)
-                            for k, v in (pair.split(":") for pair in raw.split(","))
-                        }
-                    else:
-                        values["eta"] = float(raw)
-                elif key == "gamma":
-                    values["gamma"] = float(raw)
-                elif key == "tail_skew":
-                    values["tail_skew"] = float(raw)
-                elif key == "obs_prob":
-                    values["obs_prob"] = float(raw)
-    cfg = corpus_mod.SynthConfig(**values)
+# one config file serves every subcommand: SynthConfig keys (optionally
+# synth.-prefixed) configure the corpus, TrainConfig keys the trainer
+CONFIG_SECTIONS = {"synth": corpus_mod.SynthConfig, "train": TrainConfig}
+
+
+def _load_configs(path, seed=None) -> tuple[corpus_mod.SynthConfig, TrainConfig]:
+    """The corpus and trainer configs of a config file; ``--seed`` sets both."""
+    values = read_config(path, CONFIG_SECTIONS) if path else {name: {} for name in CONFIG_SECTIONS}
     if seed is not None:
-        cfg.seed = seed
-    return cfg
-
-
-def _load_train_config(path, seed=None) -> TrainConfig:
-    cfg = load_config(path) if path else TrainConfig()
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+        for section in values.values():
+            section["seed"] = seed
+    return corpus_mod.SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
 def _footer(fh, digest: str) -> None:
@@ -72,7 +41,7 @@ def _footer(fh, digest: str) -> None:
 
 
 def cmd_gen_corpus(args) -> int:
-    cfg = _parse_synth_config(args.config, args.seed)
+    cfg, _ = _load_configs(args.config, args.seed)
     corpus = corpus_mod.gen_corpus(cfg)
     corpus_mod.write_corpus(corpus, args.output)
     print(f"wrote {len(corpus.documents)} documents to {args.output}")
@@ -106,7 +75,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_train_config(args.config, args.seed)
+    _, cfg = _load_configs(args.config, args.seed)
     instances = load_dataset(args.dataset)
     trained = train(cfg, instances)
     save_trained(trained, args.output)
@@ -130,8 +99,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_cfg = _load_train_config(args.config, args.seed)
-    synth_cfg = _parse_synth_config(args.config, args.seed)
+    synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report.to_table())

@@ -1,0 +1,77 @@
+"""Plain ``key = value`` config files, read into dataclass fields.
+
+One file may configure several dataclasses at once (the CLI reads the
+corpus's ``SynthConfig`` and the trainer's ``TrainConfig`` from one
+file).  Each key is routed by field name; a key can also name its
+section, as in ``synth.n_docs``.  A key that no section has is an error
+that names the key and the file, so a misspelled key never falls back
+silently to a default.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+_TRUE = ("1", "true", "yes")
+_FALSE = ("0", "false", "no")
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _TRUE + _FALSE:
+        raise ValueError(raw)
+    return raw.lower() in _TRUE
+
+
+def _parse_int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+def _parse_float_or_map(raw: str) -> float | dict[int, float]:
+    """``0.1``, or per-key values as ``5:0.1,6:0.2``."""
+    if ":" not in raw:
+        return float(raw)
+    pairs = (pair.split(":") for pair in raw.split(","))
+    return {int(k): float(v) for k, v in pairs}
+
+
+# value parser by field annotation (the config modules postpone annotations)
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _parse_int_tuple,
+    "float | dict[int, float]": _parse_float_or_map,
+}
+
+
+def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
+    """Keyword arguments for each dataclass in ``sections`` (name -> class).
+
+    A plain key goes to every section whose dataclass has a field of that
+    name, so a shared field such as ``seed`` reaches them all;
+    ``<section>.<key>`` goes to that section alone.  Text after ``#`` is a
+    comment.  Unknown keys, lines without ``=`` and unparsable values raise
+    ``ValueError`` naming the file.
+    """
+    known = {name: {f.name: f.type for f in fields(cls)} for name, cls in sections.items()}
+    values: dict[str, dict] = {name: {} for name in sections}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            section, _, name = key.rpartition(".")
+            targets = [section] if section else list(sections)
+            hits = [s for s in targets if name in known.get(s, {})]
+            if not hits:
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            for s in hits:
+                try:
+                    values[s][name] = _PARSERS[known[s][name]](raw)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
+    return values

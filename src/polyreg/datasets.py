@@ -91,7 +91,9 @@ def scan_dataset_for_leaks(
 
 
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return (
+        text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+    )
 
 
 def _unescape(text: str) -> str:
@@ -100,7 +102,7 @@ def _unescape(text: str) -> str:
         c = text[i]
         if c == "\\" and i + 1 < len(text):
             nxt = text[i + 1]
-            out.append({"n": "\n", "t": "\t", "\\": "\\"}.get(nxt, "\\" + nxt))
+            out.append({"n": "\n", "t": "\t", "r": "\r", "\\": "\\"}.get(nxt, "\\" + nxt))
             i += 2
         else:
             out.append(c)
@@ -109,6 +111,12 @@ def _unescape(text: str) -> str:
 
 
 def save_dataset(instances: list[PromptInstance], path) -> None:
+    """Write instances as TSV; ids and variants must be free of tabs and
+    newlines, which the format does not escape outside the prompt text."""
+    for inst in instances:
+        for name, value in (("sample_id", inst.sample_id), ("variant", inst.variant)):
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise ValueError(f"{path}: {name} {value!r} contains a tab or a newline")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         heads = "\t".join(f"label_{i}" for i in range(N_HEADS))
         fh.write(f"sample_id\tvariant\ttext\t{heads}\n")

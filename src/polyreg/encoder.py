@@ -1,15 +1,22 @@
-"""Text encoder: hashed-token embeddings, frozen base projection with a
-trainable low-rank adapter, and mean/attention pooling.
+"""Text encoder: hashed-token embeddings, mean/attention pooling, and a
+frozen base projection with a trainable low-rank adapter.
 
 This is a compact stand-in exercising the pooling and adapter interfaces;
 there are no transformer layers or subword vocabularies.  The token hash
 is a fixed FNV-1a 64-bit so bucket assignment is stable across platforms.
+
+The projection is linear, so it commutes with pooling: the encoder pools
+the raw embedding rows and projects the pooled (B, d) vectors.  Attention
+scores of the projected rows, q . (W_eff h), are those of the raw rows
+under the projected query W_eff^T q.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +35,9 @@ _TOKEN_RE = re.compile(
 POOLING_MODES = ("mean", "attention")
 
 
+@lru_cache(maxsize=1 << 15)  # token vocabularies repeat heavily
 def fnv1a64(text: str) -> int:
-    """Stable 64-bit FNV-1a hash over UTF-8 bytes."""
+    """Stable 64-bit FNV-1a hash over UTF-8 bytes, memoized per token."""
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
@@ -81,6 +89,13 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
     }
 
 
+class RowGrad(NamedTuple):
+    """Gradient of a table that is zero outside a few rows."""
+
+    rows: np.ndarray  # (k,) sorted unique row ids
+    values: np.ndarray  # (k, dim) summed gradient of each row
+
+
 def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Look up embedding rows; an empty id list yields one all-zero row."""
     if ids.size == 0:
@@ -88,65 +103,86 @@ def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[ids]
 
 
-def lora_project(H: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
+def lora_project(X: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
     """x -> W0 x + (alpha/r) B (A x), applied row-wise."""
     scale = cfg.alpha / cfg.rank
-    return H @ params["w0"].T + scale * (H @ params["lora_a"].T) @ params["lora_b"].T
+    return X @ params["w0"].T + scale * (X @ params["lora_a"].T) @ params["lora_b"].T
+
+
+def lora_transpose(dY: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
+    """y -> W_eff^T y with W_eff = W0 + (alpha/r) B A, applied row-wise."""
+    scale = cfg.alpha / cfg.rank
+    return dY @ params["w0"] + scale * (dY @ params["lora_b"]) @ params["lora_a"]
 
 
 def lora_project_backward(
-    dH2: np.ndarray, H: np.ndarray, params: dict, cfg: EncoderConfig
+    dY: np.ndarray, X: np.ndarray, params: dict, cfg: EncoderConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dH, dA, dB) of the low-rank projection; w0 is frozen."""
+    """Gradients (dX, dA, dB) of the low-rank projection; w0 is frozen."""
     scale = cfg.alpha / cfg.rank
     A, B = params["lora_a"], params["lora_b"]
-    d = H.shape[-1]
-    H_flat = H.reshape(-1, d)
-    dH2_flat = dH2.reshape(-1, d)
-    HA = H_flat @ A.T  # (N, r)
-    dB = scale * dH2_flat.T @ HA
-    dHA = dH2_flat @ B  # (N, r)
-    dA = scale * dHA.T @ H_flat
-    dH = (dH2_flat @ params["w0"] + scale * dHA @ A).reshape(H.shape)
-    return dH, dA, dB
+    d = X.shape[-1]
+    X_flat = X.reshape(-1, d)
+    dY_flat = dY.reshape(-1, d)
+    dB = scale * dY_flat.T @ (X_flat @ A.T)
+    dA = scale * (dY_flat @ B).T @ X_flat
+    return lora_transpose(dY, params, cfg), dA, dB
 
 
 def pool(
     H: np.ndarray, mask: np.ndarray, params: dict, cfg: EncoderConfig
 ) -> tuple[np.ndarray, dict]:
-    """Pool (B, T, d) rows into (B, d) vectors over unmasked positions.
+    """Pool (B, T, d) embedding rows into (B, d) vectors over unmasked positions.
 
-    Mean mode averages unmasked rows; attention mode softmaxes q·h_t over
-    unmasked rows.  Rows with no unmasked positions pool to zero.
+    Mean mode averages unmasked rows.  Attention mode softmaxes, over
+    unmasked rows, the scores the projected rows would get,
+    q . (W_eff h_t) = (W_eff^T q) . h_t.  Rows with no unmasked positions
+    pool to zero.
     """
     mask = mask.astype(bool)
     counts = mask.sum(axis=-1)  # (B,)
     safe = np.maximum(counts, 1)
+    cache = {"mask": mask}
     if cfg.pooling_mode == "mean":
         weights = mask / safe[:, None]
     else:
-        scores = H @ params["attn_q"]  # (B, T)
+        query = lora_transpose(params["attn_q"], params, cfg)
+        scores = H @ query  # (B, T)
         scores = np.where(mask, scores, -np.inf)
         shifted = scores - np.where(counts > 0, scores.max(axis=-1, initial=-np.inf), 0.0)[:, None]
         expv = np.where(mask, np.exp(shifted), 0.0)
         denom = expv.sum(axis=-1)
         weights = expv / np.where(denom > 0, denom, 1.0)[:, None]
+        cache["query"] = query
     pooled = np.einsum("bt,btd->bd", weights, H)
     pooled = np.where((counts > 0)[:, None], pooled, 0.0)
-    return pooled, {"weights": weights, "mask": mask}
+    cache["weights"] = weights
+    return pooled, cache
 
 
 def pool_backward(
-    dpooled: np.ndarray, H: np.ndarray, cache: dict, params: dict, cfg: EncoderConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dH, dq) of the pooling step."""
+    dpooled: np.ndarray, H: np.ndarray, ids: np.ndarray, cache: dict, cfg: EncoderConfig
+) -> tuple[RowGrad, np.ndarray]:
+    """Gradients of the pooling step: the embedding table's, as a ``RowGrad``
+    over the unmasked entries of the (B, T) ``ids``, and the projected
+    query's (zero in mean mode).
+
+    Position (b, t) gets w_bt dpooled_b, plus ds_bt W_eff^T q from the
+    attention scores.  Summed per table row r that is C @ dpooled with
+    C[r, b] = sum_t w_bt [id_bt = r], so no (B, T, d) gradient is formed.
+    """
     weights, mask = cache["weights"], cache["mask"]
-    dH = weights[:, :, None] * dpooled[:, None, :]
-    dq = np.zeros_like(params["attn_q"])
+    n = weights.shape[0]
+    rows, inverse = np.unique(ids[mask], return_inverse=True)
+    batch_row = np.nonzero(mask)[0]
+    C = np.bincount(inverse * n + batch_row, weights=weights[mask], minlength=rows.size * n)
+    values = C.reshape(rows.size, n) @ dpooled
+    dquery = np.zeros(H.shape[-1])
     if cfg.pooling_mode == "attention":
         dw = np.einsum("bd,btd->bt", dpooled, H)  # dL/dweights
         inner = (dw * weights).sum(axis=-1, keepdims=True)
         ds = weights * (dw - inner)  # softmax backward, zero at masked slots
-        dq = np.einsum("bt,btd->d", ds, H)
-        dH = dH + ds[:, :, None] * params["attn_q"][None, None, :]
-    return dH, dq
+        dquery = np.einsum("bt,btd->d", ds, H)
+        score_rows = np.bincount(inverse, weights=ds[mask], minlength=rows.size)
+        values += score_rows[:, None] * cache["query"]
+    return RowGrad(rows, values), dquery

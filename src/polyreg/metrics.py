@@ -206,6 +206,8 @@ def evaluate(
     min_head_n: int = 2,
 ) -> EvalReport:
     """Score a trained model on held-out prompt instances."""
+    if not instances:
+        raise ValueError("evaluate: the instance list is empty")
     registry = registry or default_registry()
     preds = predict(trained, instances)
     labels = np.stack([i.labels for i in instances])

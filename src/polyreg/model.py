@@ -1,12 +1,12 @@
-"""Full network: hashed-embedding encoder -> LoRA projection -> pooling ->
-residual trunk -> 22 heads, with the KDE-weighted homoscedastic objective
-and exact analytic gradients for every trainable tensor.
+"""Full network: hashed-embedding encoder -> pooling -> LoRA projection of
+the pooled vector -> residual trunk -> 22 heads, with the KDE-weighted
+homoscedastic objective and exact analytic gradients for every trainable
+tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +52,6 @@ class Batch:
     targets: np.ndarray  # (B, 22) normalized labels, 0 where missing
     label_mask: np.ndarray  # (B, 22) bool
     weights: np.ndarray  # (B, 22) KDE weights, 0 where missing
-
-
-class RowGrad(NamedTuple):
-    """Gradient of a table that is zero outside a few rows."""
-
-    rows: np.ndarray  # (k,) sorted unique row ids
-    values: np.ndarray  # (k, dim) summed gradient of each row
 
 
 def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
@@ -137,13 +130,15 @@ class PropertyModel:
         H = enc.embed(batch.ids.reshape(-1), self.params["embed"]).reshape(
             batch.ids.shape + (self.cfg.dim,)
         )
-        H2 = enc.lora_project(H, self.params, ecfg)
-        pooled, pool_cache = enc.pool(H2, batch.token_mask, self.params, ecfg)
-        z, trunk_cache = reg.trunk_forward(pooled, self.params, tcfg)
+        # the projection is linear: projecting the pooled rows equals pooling
+        # the projected rows, up to rounding
+        pooled, pool_cache = enc.pool(H, batch.token_mask, self.params, ecfg)
+        projected = enc.lora_project(pooled, self.params, ecfg)
+        z, trunk_cache = reg.trunk_forward(projected, self.params, tcfg)
         preds = reg.heads_forward(z, self.params)
         cache = {
             "H": H,
-            "H2": H2,
+            "pooled": pooled,
             "pool": pool_cache,
             "trunk": trunk_cache,
             "z": z,
@@ -192,19 +187,23 @@ class PropertyModel:
 
         dz, head_grads = reg.heads_backward(dpred, cache["z"], self.params)
         grads.update(head_grads)
-        dpooled, trunk_grads = reg.trunk_backward(dz, cache["trunk"], self.params, tcfg)
+        dprojected, trunk_grads = reg.trunk_backward(dz, cache["trunk"], self.params, tcfg)
         grads.update(trunk_grads)
-        dH2, dq = enc.pool_backward(dpooled, cache["H2"], cache["pool"], self.params, ecfg)
-        grads["attn_q"] = dq
-        dH, dA, dB = enc.lora_project_backward(dH2, cache["H"], self.params, ecfg)
+        dpooled, dA, dB = enc.lora_project_backward(dprojected, cache["pooled"], self.params, ecfg)
+        grads["embed"], dquery = enc.pool_backward(
+            dpooled, cache["H"], batch.ids, cache["pool"], ecfg
+        )
+        q = self.params["attn_q"]
+        if ecfg.pooling_mode == "attention":
+            # the scores use W_eff^T q: its gradient dquery reaches q as
+            # W_eff dquery, and A and B as one more projected row
+            _, dA_q, dB_q = enc.lora_project_backward(q, dquery, self.params, ecfg)
+            dA, dB = dA + dA_q, dB + dB_q
+            grads["attn_q"] = enc.lora_project(dquery, self.params, ecfg)
+        else:
+            grads["attn_q"] = np.zeros_like(q)
         grads["lora_a"] = dA
         grads["lora_b"] = dB
-
-        valid = batch.token_mask
-        rows, inverse = np.unique(batch.ids[valid], return_inverse=True)
-        dembed = np.zeros((rows.size, self.cfg.dim))
-        np.add.at(dembed, inverse, dH[valid])
-        grads["embed"] = RowGrad(rows, dembed)
         return grads
 
     def objective(self, batch: Batch) -> float:

@@ -13,8 +13,10 @@ import numpy as np
 
 from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import read_config
 from .datasets import PromptInstance
-from .model import ModelConfig, PropertyModel, RowGrad, encode, make_batch
+from .encoder import RowGrad
+from .model import ModelConfig, PropertyModel, encode, make_batch
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 
@@ -72,28 +74,8 @@ def save_config(cfg: TrainConfig, path) -> None:
 
 
 def load_config(path) -> TrainConfig:
-    values: dict = {}
-    fields = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
-    defaults = TrainConfig()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
-            current = getattr(defaults, key)
-            if isinstance(current, bool):
-                values[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                values[key] = int(raw)
-            elif isinstance(current, float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
-    return TrainConfig(**values)
+    """A ``TrainConfig`` from a ``key = value`` file of its fields."""
+    return TrainConfig(**read_config(path, {"train": TrainConfig})["train"])
 
 
 @dataclass

@@ -82,6 +82,29 @@ def test_uncertainty_report_subcommand(capsys, tmp_path):
     assert "# low_signal" in out_path.read_text()
 
 
+def test_gen_corpus_rejects_misspelled_config_key(capsys, tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_dcos = 60\n")
+    corpus = tmp_path / "corpus.txt"
+    code, out, err = _run(capsys, "gen-corpus", "--config", str(cfg), "-o", str(corpus))
+    assert code != 0
+    assert "'n_dcos'" in err and str(cfg) in err
+    assert not corpus.exists()
+
+
+def test_ablate_accepts_corpus_and_trainer_keys_in_one_config(capsys, tmp_path):
+    cfg = tmp_path / "ablate.cfg"
+    cfg.write_text(
+        "n_docs = 60\nsynth.obs_prob = 0.8\n"
+        "epochs = 1\nvocab_size = 512\ndim = 8\nrank = 2\nhidden_dim = 8\nn_blocks = 1\n"
+    )
+    out_path = tmp_path / "ablation.tsv"
+    code, out, err = _run(capsys, "ablate", "--config", str(cfg), "--seed", "3", "-o", str(out_path))
+    assert code == 0, err
+    assert "ablation mean delta" in out
+    assert out_path.read_text().startswith("head_id\t")
+
+
 def test_missing_file_gives_nonzero_exit_and_diagnostic(capsys, tmp_path):
     code, out, err = _run(capsys, "extract", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "x"))
     assert code != 0

@@ -38,6 +38,16 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
 
 
+def test_fnv1a64_memo_equals_byte_loop():
+    tokens = ["", "a", "polyalphene", "[MASKED]", "2.5e3", "°c", "μm", "naïve", "高分子", "🙂"]
+    fnv1a64.cache_clear()
+    for token in tokens * 2:  # the second pass is served from the memo
+        assert fnv1a64(token) == fnv1a64.__wrapped__(token), token
+    info = fnv1a64.cache_info()
+    assert (info.hits, info.misses) == (len(tokens), len(tokens))
+    assert info.maxsize is not None  # bounded
+
+
 def test_bucket_ids_stable_and_in_range():
     ids = bucket_ids(["alpha", "beta", "alpha"], 1024)
     assert ids[0] == ids[2]
@@ -201,6 +211,7 @@ def test_attention_softmax_known_weights():
     # scores (0, ln 3) -> weights (0.25, 0.75)
     cfg = EncoderConfig(vocab_size=16, dim=2, rank=1, pooling_mode="attention")
     params = _params(cfg)
+    params["w0"] = np.eye(2)  # with lora_b = 0 the projected query is q itself
     params["attn_q"] = np.array([1.0, 0.0])
     H = np.array([[[0.0, 5.0], [math.log(3.0), -1.0]]])
     mask = np.ones((1, 2), dtype=bool)
@@ -255,37 +266,42 @@ def test_pool_backward_finite_difference():
     for mode in ("mean", "attention"):
         cfg = EncoderConfig(vocab_size=16, dim=4, rank=2, pooling_mode=mode)
         params = _params(cfg)
+        params["lora_b"] = rng.normal(size=params["lora_b"].shape)
         params["attn_q"] = rng.normal(size=4)
-        H = rng.normal(size=(2, 5, 4))
         mask = np.ones((2, 5), dtype=bool)
         mask[1, 3:] = False
+        ids = np.array([[3, 7, 3, 1, 9], [7, 2, 2, 15, 15]])  # repeats; 15 only masked
+        table = rng.normal(size=(cfg.vocab_size, 4))
         G = rng.normal(size=(2, 4))
 
-        def f(Hx, q):
-            p = dict(params, attn_q=q)
-            out, _ = pool(Hx, mask, p, cfg)
+        def f(tab, query):
+            # the scores use the projected query; hand pool one with W_eff = I
+            p = dict(params, w0=np.eye(4), lora_b=np.zeros_like(params["lora_b"]), attn_q=query)
+            out, _ = pool(tab[ids], mask, p, cfg)
             return float((out * G).sum())
 
-        _, cache = pool(H, mask, params, cfg)
-        dH, dq = pool_backward(G, H, cache, params, cfg)
+        _, cache = pool(table[ids], mask, params, cfg)
+        query = cache.get("query", params["attn_q"])
+        grad, dquery = pool_backward(G, table[ids], ids, cache, cfg)
+        assert np.array_equal(grad.rows, [1, 2, 3, 7, 9])
         eps = 1e-6
-        for idx in [(0, 0, 0), (1, 2, 3), (0, 4, 1)]:
-            Hp = H.copy()
-            Hp[idx] += eps
-            up = f(Hp, params["attn_q"])
-            Hp[idx] -= 2 * eps
-            down = f(Hp, params["attn_q"])
-            assert dH[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-8)
-        if mode == "attention":
-            numeric_q = np.zeros(4)
+        for k, row in enumerate(grad.rows):
             for j in range(4):
-                q = params["attn_q"].copy()
-                q[j] += eps
-                up = f(H, q)
-                q[j] -= 2 * eps
-                down = f(H, q)
-                numeric_q[j] = (up - down) / (2 * eps)
-            assert np.allclose(dq, numeric_q, rtol=1e-5, atol=1e-8)
+                tab = table.copy()
+                tab[row, j] += eps
+                up = f(tab, query)
+                tab[row, j] -= 2 * eps
+                down = f(tab, query)
+                assert grad.values[k, j] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-8)
+        numeric_q = np.zeros(4)
+        for j in range(4):
+            q = query.copy()
+            q[j] += eps
+            up = f(table, q)
+            q[j] -= 2 * eps
+            down = f(table, q)
+            numeric_q[j] = (up - down) / (2 * eps)
+        assert np.allclose(dquery, numeric_q, rtol=1e-5, atol=1e-8)
 
 
 # ---- parameter budget -----------------------------------------------------

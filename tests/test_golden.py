@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CHECKPOINT_SHA256 = "87f0e4d059d71e527bb5cdb0367fc037db7825abb2823112c41a0975299586ab"
+CHECKPOINT_SHA256 = "8096e8977f6fcf4f4a689d9e82ea350715ca5ff470d8891301c40f70ca5b13d1"
 EVAL_TABLE_SHA256 = "504c9b0e7e3770d6c5fd605604f01485dd8fff2ed7c76df77013346309397b3c"
 
 _PIPELINE = """

@@ -1,0 +1,130 @@
+"""The model pools raw embedding rows and projects the pooled vectors.
+
+By linearity that equals projecting every token and then pooling, with
+attention scores taken on the projected tokens.  These tests hold the
+forward predictions and every gradient to that token-wise order, written
+out here with a dense ``np.add.at`` scatter of the embedding gradient.
+"""
+
+import numpy as np
+import pytest
+
+from polyreg import regressor as reg
+from polyreg.model import Batch, ModelConfig, PropertyModel
+from polyreg.registry import N_HEADS
+
+RTOL = 1e-10
+
+
+def _token_wise_reference(model: PropertyModel, batch: Batch):
+    """Predictions and gradients with the projection applied to each token
+    before pooling."""
+    p, ecfg, tcfg = model.params, model.cfg.encoder_config(), model.cfg.trunk_config()
+    scale = ecfg.alpha / ecfg.rank
+    A, B, w0, q = p["lora_a"], p["lora_b"], p["w0"], p["attn_q"]
+    mask = batch.token_mask
+    H = p["embed"][batch.ids]  # (B, T, d)
+    H2 = H @ w0.T + scale * (H @ A.T) @ B.T
+    counts = mask.sum(axis=1)
+    if ecfg.pooling_mode == "mean":
+        weights = mask / np.maximum(counts, 1)[:, None]
+    else:
+        scores = np.where(mask, H2 @ q, -np.inf)
+        top = np.where(counts > 0, scores.max(axis=1), 0.0)
+        expv = np.where(mask, np.exp(scores - top[:, None]), 0.0)
+        weights = expv / np.maximum(expv.sum(axis=1), 1e-300)[:, None]
+    pooled = np.einsum("bt,btd->bd", weights, H2)
+    z, trunk_cache = reg.trunk_forward(pooled, p, tcfg)
+    preds = reg.heads_forward(z, p)
+
+    counts_h = batch.label_mask.sum(axis=0)
+    present = counts_h > 0
+    err = np.where(batch.label_mask, preds - batch.targets, 0.0)
+    task = np.where(present, (batch.weights * err * err).sum(axis=0) / np.maximum(counts_h, 1), 0.0)
+    dpred = batch.weights * err * np.where(present, np.exp(-p["rho"]) / np.maximum(counts_h, 1), 0.0)
+    grads = {"rho": np.where(present, -task * np.exp(-p["rho"]) / 2.0 + 0.5, 0.0)}
+    dz, head_grads = reg.heads_backward(dpred, z, p)
+    grads.update(head_grads)
+    dpooled, trunk_grads = reg.trunk_backward(dz, trunk_cache, p, tcfg)
+    grads.update(trunk_grads)
+
+    dH2 = weights[:, :, None] * dpooled[:, None, :]
+    grads["attn_q"] = np.zeros_like(q)
+    if ecfg.pooling_mode == "attention":
+        dw = np.einsum("bd,btd->bt", dpooled, H2)
+        ds = weights * (dw - (dw * weights).sum(axis=1, keepdims=True))
+        grads["attn_q"] = np.einsum("bt,btd->d", ds, H2)
+        dH2 = dH2 + ds[:, :, None] * q
+    d = H.shape[-1]
+    Hf, dH2f = H.reshape(-1, d), dH2.reshape(-1, d)
+    grads["lora_b"] = scale * dH2f.T @ (Hf @ A.T)
+    grads["lora_a"] = scale * (dH2f @ B).T @ Hf
+    dH = (dH2f @ w0 + scale * (dH2f @ B) @ A).reshape(H.shape)
+    dembed = np.zeros_like(p["embed"])
+    np.add.at(dembed, batch.ids[mask], dH[mask])
+    grads["embed"] = dembed
+    return preds, grads
+
+
+def _case(pooling_mode: str, n_rows: int, seed: int):
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(
+        vocab_size=24, dim=10, rank=3, alpha=5.0, hidden_dim=12, n_blocks=2,
+        pooling_mode=pooling_mode,
+    )
+    model = PropertyModel(cfg, seed=seed)
+    model.params["lora_b"] = rng.normal(0.0, 0.2, size=model.params["lora_b"].shape)
+    model.params["attn_q"] = rng.normal(0.0, 0.5, size=cfg.dim)
+    model.params["rho"] = rng.normal(0.0, 0.3, size=N_HEADS)
+    T = 9
+    # a 24-row table: ids repeat within and across rows
+    ids = rng.integers(0, cfg.vocab_size, size=(n_rows, T))
+    token_mask = rng.random((n_rows, T)) < 0.7
+    token_mask[:, 0] = True
+    if n_rows > 1:
+        token_mask[1] = False  # a row whose tokens are all masked
+    label_mask = rng.random((n_rows, N_HEADS)) < 0.4
+    label_mask[:, 0] = True
+    targets = np.where(label_mask, rng.normal(size=(n_rows, N_HEADS)), 0.0)
+    weights = np.where(label_mask, rng.uniform(0.3, 2.0, size=(n_rows, N_HEADS)), 0.0)
+    return model, Batch(ids, token_mask, targets, label_mask, weights)
+
+
+def _assert_close(got, ref, name):
+    """Within RTOL of the reference tensor's largest entry."""
+    err = float(np.max(np.abs(got - ref), initial=0.0))
+    assert err <= RTOL * float(np.max(np.abs(ref), initial=0.0)), (name, err)
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+@pytest.mark.parametrize("n_rows", [1, 6])
+def test_pooled_projection_matches_token_wise_order(pooling_mode, n_rows):
+    for seed in range(3):
+        model, batch = _case(pooling_mode, n_rows, seed)
+        preds, cache = model.forward(batch)
+        grads = model.backward(batch, cache)
+        ref_preds, ref_grads = _token_wise_reference(model, batch)
+        _assert_close(preds, ref_preds, "preds")
+        rows = grads["embed"].rows
+        assert np.array_equal(rows, np.unique(batch.ids[batch.token_mask]))
+        dembed = np.zeros_like(model.params["embed"])
+        dembed[rows] = grads["embed"].values
+        grads["embed"] = dembed
+        assert set(grads) >= set(model.trainable_names())
+        for name in model.trainable_names():
+            _assert_close(grads[name], ref_grads[name], name)
+        if pooling_mode == "mean":
+            assert np.all(grads["attn_q"] == 0)
+
+
+def test_all_masked_row_pools_and_predicts_from_zero():
+    model, batch = _case("attention", 4, seed=5)
+    preds, cache = model.forward(batch)
+    assert np.all(cache["pooled"][1] == 0)
+    empty = Batch(batch.ids[1:2], batch.token_mask[1:2], batch.targets[1:2],
+                  batch.label_mask[1:2], batch.weights[1:2])
+    alone, _ = model.forward(empty)
+    assert np.allclose(alone[0], preds[1], rtol=1e-12, atol=1e-12)
+    grads = model.backward(empty, model.forward(empty)[1])
+    assert grads["embed"].rows.size == 0 and grads["embed"].values.shape == (0, model.cfg.dim)
+    assert np.all(grads["lora_a"] == 0) and np.all(grads["attn_q"] == 0)

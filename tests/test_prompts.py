@@ -177,6 +177,25 @@ def test_dataset_round_trip(tmp_path):
         assert np.array_equal(a.labels[a.label_mask], b.labels[b.label_mask])
 
 
+def test_dataset_round_trip_keeps_carriage_returns(tmp_path):
+    inst = build_dataset(extract_document(_doc()), "sample_only")[0]
+    inst.text = "line one\r\nline\ttwo\\r"
+    path = tmp_path / "ds.tsv"
+    save_dataset([inst], path)
+    assert load_dataset(path)[0].text == inst.text
+
+
+@pytest.mark.parametrize("field", ["sample_id", "variant"])
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+def test_save_dataset_rejects_tab_or_newline_in_ids(tmp_path, field, bad):
+    inst = build_dataset(extract_document(_doc()), "sample_only")[0]
+    setattr(inst, field, bad)
+    path = tmp_path / "ds.tsv"
+    with pytest.raises(ValueError, match=field):
+        save_dataset([inst], path)
+    assert not path.exists()
+
+
 def test_load_dataset_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.tsv"
     path.write_text("record_id\tsample_id\n")
