@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 
 MAGIC = b"POLYREG\x00"
-VERSION = 1
+VERSION = 2
 
 
 class CorruptCheckpoint(Exception):

@@ -5,6 +5,10 @@ This is a compact stand-in exercising the pooling and adapter interfaces;
 there are no transformer layers or subword vocabularies.  The token hash
 is a fixed FNV-1a 64-bit so bucket assignment is stable across platforms.
 
+The embedding table is logical: row r's initial value is a pure function
+of (seed, r) (``init_rows``), so a model stores only the rows it has
+materialized and derives any other row on demand (``model.PropertyModel``).
+
 The projection is linear, so it commutes with pooling: the encoder pools
 the raw embedding rows and projects the pooled (B, d) vectors.  Attention
 scores of the projected rows, q . (W_eff h), are those of the raw rows
@@ -25,6 +29,12 @@ HASH_VERSION = 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+_SPLITMIX_MUL2 = 0x94D049BB133111EB
+# half-width of the uniform row init: std 0.1
+_INIT_HALF_WIDTH = 0.1 * np.sqrt(3.0)
 
 _TOKEN_RE = re.compile(
     r"(\[(?:Sample|Synthesis|MASKED)\])"
@@ -76,12 +86,39 @@ class EncoderConfig:
             raise ValueError(f"unknown pooling mode {self.pooling_mode!r}")
 
 
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 (Steele et al., OOPSLA 2014) of each uint64 counter in ``x``."""
+    z = x + np.uint64(_SPLITMIX_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SPLITMIX_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SPLITMIX_MUL2)
+    return z ^ (z >> np.uint64(31))
+
+
+def init_rows(seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
+    """Initial values (len(rows), dim) of the embedding rows ``rows``.
+
+    Entry (r, j) is uniform with std 0.1, drawn from the counter
+    splitmix64(splitmix64(seed) + r * dim + j) (uint64 wraparound): the top
+    53 bits give u in [0, 1) exactly and the value is (2u - 1) * 0.1 * sqrt(3).
+    Only integer ops, exact conversions and IEEE + * sqrt are used, so the
+    bytes do not depend on the platform's libm or on numpy's normal sampler.
+    """
+    base = splitmix64(np.array([seed & _MASK64], dtype=np.uint64))[0]
+    counters = (
+        base
+        + np.asarray(rows, dtype=np.int64).astype(np.uint64)[:, None] * np.uint64(dim)
+        + np.arange(dim, dtype=np.uint64)
+    )
+    u = (splitmix64(counters) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (2.0 * u - 1.0) * _INIT_HALF_WIDTH
+
+
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Initialize encoder tensors.  lora_b starts at zero so the adapter
-    delta is exactly zero at initialization; w0 is frozen."""
+    """Initialize the dense encoder tensors (the embedding rows come from
+    ``init_rows``).  lora_b starts at zero so the adapter delta is exactly
+    zero at initialization; w0 is frozen."""
     d, r = cfg.dim, cfg.rank
     return {
-        "embed": rng.normal(0.0, 0.1, size=(cfg.vocab_size, d)),
         "w0": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
         "lora_a": rng.normal(0.0, 0.02, size=(r, d)),
         "lora_b": np.zeros((d, r)),
@@ -97,9 +134,12 @@ class RowGrad(NamedTuple):
 
 
 def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Look up embedding rows; an empty id list yields one all-zero row."""
+    """Look up embedding rows.  An empty id list yields one all-zero row; an
+    empty table, which only padding can index, yields all-zero rows."""
     if ids.size == 0:
         return np.zeros((1, table.shape[1]))
+    if table.shape[0] == 0:
+        return np.zeros((ids.size, table.shape[1]))
     return table[ids]
 
 

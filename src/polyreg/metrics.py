@@ -6,7 +6,6 @@ parsing for scoring external prediction files.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,7 @@ from scipy.stats import rankdata
 
 from .model import encode, make_batch
 from .objective import sigma_from_rho
-from .records import ParseFailure, parse_quantity
+from .records import _NUM_RE, ParseFailure, parse_quantity
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert
 
@@ -88,8 +87,6 @@ def calibration_ratio(rmse_per_head, sigma_per_head) -> float:
 
 
 # ---- strict numeric-response parsing --------------------------------------
-
-_NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def strict_numeric_parse(text: str, head: PropertySpec | None = None) -> float | None:
@@ -189,7 +186,10 @@ def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
             np.zeros((len(chunk), N_HEADS), dtype=bool),
             np.zeros((len(chunk), N_HEADS)),
         )
-        p, _ = model.forward(batch)
+        # rows of tokens training never saw are derived, not stored
+        view, positions = model.index(batch.ids[batch.token_mask])
+        batch.ids[batch.token_mask] = positions
+        p, _ = view.forward(batch)
         preds_norm[start : start + len(chunk)] = p
     preds = np.full((n, N_HEADS), np.nan)
     for t in range(N_HEADS):

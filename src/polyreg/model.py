@@ -47,7 +47,7 @@ class ModelConfig:
 class Batch:
     """Tokenized prompts plus normalized labels for one mini-batch."""
 
-    ids: np.ndarray  # (B, T) int64 bucket ids, 0 at padding
+    ids: np.ndarray  # (B, T) int64 positions in the stored embedding rows, 0 at padding
     token_mask: np.ndarray  # (B, T) bool
     targets: np.ndarray  # (B, 22) normalized labels, 0 where missing
     label_mask: np.ndarray  # (B, 22) bool
@@ -65,7 +65,9 @@ def make_batch(
     label_mask: np.ndarray,
     weights: np.ndarray,
 ) -> Batch:
-    """Pad encoded prompts (see ``encode``) into one mini-batch."""
+    """Pad encoded prompts (see ``encode``) into one mini-batch.  ``forward``
+    takes their ids as positions in the stored embedding rows (see
+    ``PropertyModel.index``)."""
     T = max(1, max(len(ids) for ids in id_lists))
     B = len(id_lists)
     ids = np.zeros((B, T), dtype=np.int64)
@@ -81,21 +83,65 @@ def make_batch(
 class PropertyModel:
     """Parameter container with deterministic forward/backward passes."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, params: dict[str, np.ndarray] | None = None):
-        """A seeded random initialization, or the given tensors as they are."""
+    def __init__(
+        self,
+        cfg: ModelConfig,
+        seed: int = 0,
+        params: dict[str, np.ndarray] | None = None,
+        embed_rows: np.ndarray | None = None,
+    ):
+        """A seeded random initialization with no materialized embedding
+        rows, or the given tensors as they are: ``params["embed"]`` holds the
+        values of the sorted bucket ids ``embed_rows``.  ``seed`` also
+        derives every row not materialized (``encoder.init_rows``)."""
         self.cfg = cfg
+        self.seed = seed
         if params is None:
             rng = np.random.default_rng(seed)
-            params = {}
+            params = {"embed": np.zeros((0, cfg.dim))}
             params.update(enc.init_encoder_params(cfg.encoder_config(), rng))
             params.update(reg.init_trunk_params(cfg.trunk_config(), rng))
             params["rho"] = np.zeros(N_HEADS)
-        elif params["embed"].shape != (cfg.vocab_size, cfg.dim):
-            raise ValueError(
-                f"embedding table {params['embed'].shape} does not match "
-                f"vocab_size={cfg.vocab_size}, dim={cfg.dim}"
-            )
+            embed_rows = np.zeros(0, dtype=np.int64)
+        else:
+            _check_embed_rows(embed_rows, params["embed"], cfg)
         self.params: dict[str, np.ndarray] = params
+        self.embed_rows: np.ndarray = embed_rows
+
+    def materialize(self, ids: np.ndarray) -> None:
+        """Store the rows of the bucket ids ``ids`` that are not stored yet,
+        at their initial values."""
+        new = np.setdiff1d(ids, self.embed_rows)
+        if new.size == 0:
+            return
+        rows = np.union1d(self.embed_rows, new)
+        values = np.empty((rows.size, self.cfg.dim))
+        values[np.searchsorted(rows, self.embed_rows)] = self.params["embed"]
+        values[np.searchsorted(rows, new)] = enc.init_rows(self.seed, new, self.cfg.dim)
+        self.embed_rows, self.params["embed"] = rows, values
+
+    def index(self, ids: np.ndarray) -> tuple["PropertyModel", np.ndarray]:
+        """Positions of the bucket ids ``ids`` in the stored embedding rows,
+        the ids a ``Batch`` holds, with the model to run them on: this one
+        if it stores every row they use, else a copy sharing its tensors
+        that also stores the missing rows at their initial values.  This
+        model stores nothing new."""
+        rows = self.embed_rows
+        # searching each distinct id once is about twice as fast
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        inverse = inverse.reshape(np.shape(ids))
+        pos = np.searchsorted(rows, uniq)
+        if rows.size and np.array_equal(rows[np.minimum(pos, rows.size - 1)], uniq):
+            return self, pos[inverse]
+        model = PropertyModel(self.cfg, self.seed, params=dict(self.params), embed_rows=rows)
+        model.materialize(uniq)
+        return model, np.searchsorted(model.embed_rows, uniq)[inverse]
+
+    def embedding(self, ids: np.ndarray) -> np.ndarray:
+        """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``;
+        rows not stored are derived and not stored."""
+        model, pos = self.index(ids)
+        return model.params["embed"][pos]
 
     FROZEN_ALWAYS = ("w0",)
 
@@ -117,8 +163,14 @@ class PropertyModel:
         return names
 
     def parameter_counts(self) -> tuple[int, int]:
-        trainable = sum(self.params[n].size for n in self.trainable_names())
-        total = sum(p.size for p in self.params.values())
+        """Trainable and total parameters, counting the whole logical
+        vocab_size x dim embedding table."""
+
+        def size(name):
+            return self.cfg.vocab_size * self.cfg.dim if name == "embed" else self.params[name].size
+
+        trainable = sum(size(n) for n in self.trainable_names())
+        total = sum(size(n) for n in self.params)
         return trainable, total
 
     # ---- forward -----------------------------------------------------
@@ -210,3 +262,17 @@ class PropertyModel:
         preds, _ = self.forward(batch)
         total, _, _ = self.loss(batch, preds)
         return total
+
+
+def _check_embed_rows(rows, values: np.ndarray, cfg: ModelConfig) -> None:
+    """``rows`` must be sorted unique int64 bucket ids, one per row of ``values``."""
+    if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype != np.int64:
+        raise ValueError("embed_rows must be a 1-d int64 array")
+    if values.shape != (rows.size, cfg.dim):
+        raise ValueError(
+            f"embedding values {values.shape} do not match {rows.size} rows of dim={cfg.dim}"
+        )
+    if np.any(rows[1:] <= rows[:-1]):
+        raise ValueError("embed_rows are not sorted and unique")
+    if rows.size and not (rows[0] >= 0 and rows[-1] < cfg.vocab_size):
+        raise ValueError(f"embed_rows outside [0, vocab_size={cfg.vocab_size})")

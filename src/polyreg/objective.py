@@ -112,12 +112,6 @@ class DensityModel:
     def density(self, y) -> np.ndarray:
         return kde_density(self.train_labels, self.bandwidth, y)
 
-    def weight(self, y) -> np.ndarray:
-        # weights for new points reuse the in-sample normalization constant
-        raw = 1.0 / np.maximum(self.density(y), self.epsilon)
-        in_raw = 1.0 / np.maximum(self.density(self.train_labels), self.epsilon)
-        return raw * (in_raw.size / in_raw.sum())
-
 
 def fit_density_model(normalized_labels) -> DensityModel:
     """Fit the KDE, pick eps at the 5th percentile of in-sample densities

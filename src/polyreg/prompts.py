@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .records import PropertyObservation
+from .records import _NUM_RE, PropertyObservation
 from .registry import PropertyRegistry, default_registry
 from .units import normalize_unit, units_for_dimension
 
@@ -19,8 +19,6 @@ VARIANTS = ("sample_synthesis", "sample_only")
 MASK_TOKEN = "[MASKED]"
 
 MASK_REL_TOL = 0.005
-
-_NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 class EmptySample(Exception):

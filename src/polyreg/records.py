@@ -154,7 +154,6 @@ def to_canonical(q: Quantity, head: PropertySpec) -> float | Rejected:
 
 
 _SAMPLE_RE = re.compile(r"^== SAMPLE (\S+) ==$")
-_SEPARATORS = ("=", " of ", " was ", " is ")
 
 
 def _match_alias(lhs: str, registry: PropertyRegistry) -> PropertySpec | None:

@@ -1,6 +1,6 @@
 """Mini-batch training loop: seeded shuffling, Adam updates on trainable
 tensors only, gradient clipping by global norm, and checkpoint persistence
-carrying the label transforms and density models.
+carrying the label transforms.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class TrainedModel:
     model: PropertyModel
     config: TrainConfig
     transforms: list  # per head: LabelTransform or None
-    density: list  # per head: DensityModel or None
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -149,24 +148,6 @@ def _adam_update(param, grad, state, lr, beta1, beta2, eps, step):
     param -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _adam_update_rows(param, grad: RowGrad, touched, state, lr, beta1, beta2, eps, step):
-    """Adam on the rows of ``param`` that any step so far has touched.
-
-    Exact: a row no step has touched has zero moments and zero gradient,
-    so the dense update leaves it bit for bit as it is.  A row touched
-    earlier but absent from ``grad`` still takes its momentum step, which
-    is where this differs from lazy/sparse Adam variants.
-    """
-    touched[grad.rows] = True
-    rows = np.flatnonzero(touched)
-    dense = np.zeros((rows.size, param.shape[1]))
-    dense[np.searchsorted(rows, grad.rows)] = grad.values
-    m, v = state
-    sub = (param[rows], m[rows], v[rows])
-    _adam_update(sub[0], dense, sub[1:], lr, beta1, beta2, eps, step)
-    param[rows], m[rows], v[rows] = sub
-
-
 def _squared_norm(grad) -> float:
     values = grad.values if isinstance(grad, RowGrad) else grad
     return float((values**2).sum())
@@ -180,15 +161,21 @@ def train(
     """Run the training loop and return the trained model plus loss trace."""
     registry = registry or default_registry()
     model = PropertyModel(cfg.model_config(), seed=cfg.seed)
-    transforms, density, targets, masks, weights = fit_label_stats(instances, registry)
+    transforms, _, targets, masks, weights = fit_label_stats(instances, registry)
     encoded = encode([inst.text for inst in instances], cfg.vocab_size)
+    # every row a batch can touch, stored up front: a row no batch has
+    # touched yet has zero moments and zero gradient, so Adam leaves it bit
+    # for bit at its init and plain Adam on these rows is exact dense Adam
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *encoded])
+    model.materialize(flat)
+    _, positions = model.index(flat)
+    encoded = np.split(positions, np.cumsum([len(ids) for ids in encoded])[:-1])
     n = len(instances)
     trainable = model.trainable_names()
     adam_state = {
         name: (np.zeros_like(model.params[name]), np.zeros_like(model.params[name]))
         for name in trainable
     }
-    touched = np.zeros(cfg.vocab_size, dtype=bool)  # embedding rows any batch has used
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
     step = 0
@@ -213,21 +200,21 @@ def train(
                 hyper = (lr, cfg.beta1, cfg.beta2, cfg.adam_eps, step)
                 grad = grads[name]
                 if isinstance(grad, RowGrad):
-                    clipped = RowGrad(grad.rows, grad.values * clip)
-                    _adam_update_rows(model.params[name], clipped, touched, adam_state[name], *hyper)
-                else:
-                    _adam_update(model.params[name], grad * clip, adam_state[name], *hyper)
+                    dense = np.zeros_like(model.params[name])
+                    dense[grad.rows] = grad.values
+                    grad = dense
+                _adam_update(model.params[name], grad * clip, adam_state[name], *hyper)
             batch_losses.append(total)
         if batch_losses:
             trace.append(float(np.mean(batch_losses)))
-    return TrainedModel(model=model, config=cfg, transforms=transforms, density=density, loss_trace=trace)
+    return TrainedModel(model=model, config=cfg, transforms=transforms, loss_trace=trace)
 
 
 # ---- checkpoint packing ---------------------------------------------------
 
 
 def save_trained(trained: TrainedModel, path) -> None:
-    tensors = dict(trained.model.params)
+    tensors = {"embed_rows": trained.model.embed_rows, **trained.model.params}
     mu = np.full(N_HEADS, np.nan)
     sigma = np.full(N_HEADS, np.nan)
     log_flags = np.zeros(N_HEADS)
@@ -239,11 +226,6 @@ def save_trained(trained: TrainedModel, path) -> None:
     tensors["transform_sigma"] = sigma
     tensors["transform_log"] = log_flags
     tensors["transform_valid"] = valid
-    for t, dm in enumerate(trained.density):
-        if dm is not None:
-            tensors[f"density_labels_{t}"] = dm.train_labels
-            tensors[f"density_weights_{t}"] = dm.weights
-            tensors[f"density_hparams_{t}"] = np.array([dm.bandwidth, dm.epsilon])
     metadata = {
         "config": asdict(trained.config),
         "config_digest": trained.config.digest(),
@@ -255,13 +237,13 @@ def save_trained(trained: TrainedModel, path) -> None:
 def load_trained(path) -> TrainedModel:
     tensors, metadata = load_checkpoint(path)
     cfg = TrainConfig(**metadata["config"])
+    embed_rows = tensors.pop("embed_rows", None)
     # the model's tensors come first, in the order the model holds them
-    params = {
-        name: tensors.pop(name)
-        for name in list(tensors)
-        if not name.startswith(("transform_", "density_"))
-    }
-    model = PropertyModel(cfg.model_config(), params=params)
+    params = {name: tensors.pop(name) for name in list(tensors) if not name.startswith("transform_")}
+    try:
+        model = PropertyModel(cfg.model_config(), seed=cfg.seed, params=params, embed_rows=embed_rows)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     transforms: list = [None] * N_HEADS
     valid = tensors.pop("transform_valid")
     mu = tensors.pop("transform_mu")
@@ -272,20 +254,9 @@ def load_trained(path) -> TrainedModel:
             transforms[t] = obj.LabelTransform(
                 log_space=bool(log_flags[t]), mu=float(mu[t]), sigma=float(sigma[t])
             )
-    density: list = [None] * N_HEADS
-    for t in range(N_HEADS):
-        if f"density_labels_{t}" in tensors:
-            h, eps = tensors[f"density_hparams_{t}"]
-            density[t] = obj.DensityModel(
-                train_labels=tensors[f"density_labels_{t}"],
-                bandwidth=float(h),
-                epsilon=float(eps),
-                weights=tensors[f"density_weights_{t}"],
-            )
     return TrainedModel(
         model=model,
         config=cfg,
         transforms=transforms,
-        density=density,
         loss_trace=list(metadata.get("loss_trace", [])),
     )

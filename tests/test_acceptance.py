@@ -91,6 +91,9 @@ def test_acceptance_full_model_gradient_check():
         weights = np.where(label_mask, rng.uniform(0.3, 2.0, size=(B, N_HEADS)), 0.0)
         batch = Batch(ids, token_mask, targets, label_mask, weights)
 
+        # every row stored, so the batch's bucket ids are positions in the
+        # table and the probes reach the whole table
+        model.materialize(np.arange(cfg.vocab_size))
         preds, cache = model.forward(batch)
         grads = model.backward(batch, cache)
         # the embedding gradient comes row-sparse; probe it as a dense table

@@ -9,6 +9,7 @@ from polyreg.encoder import (
     embed,
     fnv1a64,
     init_encoder_params,
+    init_rows,
     lora_project,
     lora_project_backward,
     pool,
@@ -93,6 +94,79 @@ def test_embed_rows_and_empty():
     assert np.array_equal(out, table[[2, 0]])
     empty = embed(np.array([], dtype=np.int64), table)
     assert empty.shape == (1, 3) and np.all(empty == 0)
+    padding_only = embed(np.array([0, 0]), table[:0])
+    assert padding_only.shape == (2, 3) and np.all(padding_only == 0)
+
+
+# ---- seeded row init ------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64_ref(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _init_ref(seed: int, r: int, j: int, dim: int) -> float:
+    x = _splitmix64_ref((_splitmix64_ref(seed) + r * dim + j) & _M64)
+    u = (x >> 11) * 2.0**-53
+    return (2.0 * u - 1.0) * (0.1 * math.sqrt(3.0))
+
+
+def test_splitmix64_reference_known_answers():
+    # the first outputs of a SplitMix64 generator started at state 0
+    assert _splitmix64_ref(0) == 0xE220A8397B1DCDAF
+    assert _splitmix64_ref(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_init_rows_match_pure_python_splitmix64(seed, dim):
+    rows = np.array([0, 1, 4095, 65535, 2**24 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3])
+    got = init_rows(seed, rows, dim)
+    assert got.shape == (rows.size, dim) and got.dtype == np.float64
+    for i, r in enumerate(rows.tolist()):
+        for j in (0, 1, dim // 2, dim - 1):
+            assert got[i, j] == _init_ref(seed, r, j, dim), (r, j)
+
+
+def test_init_rows_uniform_with_std_point_one():
+    values = init_rows(0, np.arange(4096), 64)
+    half = 0.1 * math.sqrt(3.0)
+    assert values.min() >= -half and values.max() < half
+    assert abs(values.std() - 0.1) < 1e-3 and abs(values.mean()) < 1e-3
+    # a row depends only on (seed, r): not on which other rows are asked for
+    assert np.array_equal(init_rows(0, np.array([77, 3]), 64), values[[77, 3]])
+    assert not np.array_equal(init_rows(1, np.array([3]), 64), values[[3]])
+
+
+def test_model_materializes_rows_at_init_and_derives_the_rest():
+    model = PropertyModel(ModelConfig(vocab_size=1000, dim=8, rank=2), seed=4)
+    assert model.embed_rows.size == 0 and model.params["embed"].shape == (0, 8)
+    model.materialize(np.array([[9, 3], [9, 500]]))
+    assert model.embed_rows.tolist() == [3, 9, 500]
+    assert np.array_equal(model.params["embed"], init_rows(4, model.embed_rows, 8))
+    model.params["embed"][1] = 1.0  # a trained row keeps its value
+    model.materialize(np.array([1, 9, 999]))
+    assert model.embed_rows.tolist() == [1, 3, 9, 500, 999]
+    assert np.all(model.params["embed"][2] == 1.0)
+    # stored rows only: the model itself, ids as positions
+    same, positions = model.index(np.array([[9, 1], [999, 1]]))
+    assert same is model and positions.tolist() == [[2, 0], [4, 0]]
+    # a row not stored: a copy derives it, the model stores nothing
+    view, pos = model.index(np.array([9, 42, 1]))
+    assert view is not model and view.params["lora_a"] is model.params["lora_a"]
+    assert np.all(view.params["embed"][pos[0]] == 1.0)
+    assert np.array_equal(view.params["embed"][pos[1]], init_rows(4, np.array([42]), 8)[0])
+    assert np.array_equal(view.params["embed"][pos[2]], model.params["embed"][0])
+    looked_up = model.embedding(np.array([[9, 42], [1, 0]]))
+    assert looked_up.shape == (2, 2, 8)
+    assert np.array_equal(looked_up[0], view.params["embed"][pos[:2]])
+    assert model.embed_rows.tolist() == [1, 3, 9, 500, 999]
+    assert model.params["embed"].shape == (5, 8)
 
 
 def test_encoder_init_deterministic():

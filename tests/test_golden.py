@@ -3,10 +3,11 @@ checkpoint and eval-table bytes.
 
 Run-against-run comparisons only show that one version of the code is
 deterministic; these digests also catch a change that silently alters
-results.  Checkpoint bytes depend on the OpenBLAS thread count, so the
-run happens in a child process pinned to one thread.  A change that is
-meant to alter output bytes re-pins both digests and says so in
-CHANGES.md.
+results.  OpenBLAS may sum matrix products in an order that depends on
+its thread count, so the run happens in a child process with the thread
+count pinned; the same digests must come out with one thread and with
+two.  A change that is meant to alter output bytes re-pins both digests
+and says so in CHANGES.md.
 """
 
 import hashlib
@@ -17,8 +18,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CHECKPOINT_SHA256 = "8096e8977f6fcf4f4a689d9e82ea350715ca5ff470d8891301c40f70ca5b13d1"
-EVAL_TABLE_SHA256 = "504c9b0e7e3770d6c5fd605604f01485dd8fff2ed7c76df77013346309397b3c"
+CHECKPOINT_SHA256 = "34b366aca7bad671e0f4e99b04a31d1a66267c6c65248f6b487229c07cb78a51"
+EVAL_TABLE_SHA256 = "dc9780bfbd120855c5abae63c32ff85afc943dc95f97b6214a77fddfcfd27208"
 
 _PIPELINE = """
 import hashlib, sys
@@ -40,13 +41,23 @@ print(hashlib.sha256(table.encode("utf-8")).hexdigest())
 """
 
 
-def test_golden_checkpoint_and_eval_table_digests(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def _digests(tmp_path, threads: int) -> list[str]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _PIPELINE, str(tmp_path / "model.ckpt")],
         env=env, capture_output=True, text=True, check=True,
     )
-    checkpoint, table = out.stdout.split()
+    return out.stdout.split()
+
+
+def test_golden_checkpoint_and_eval_table_digests(tmp_path):
+    checkpoint, table = _digests(tmp_path, threads=1)
+    assert checkpoint == CHECKPOINT_SHA256
+    assert table == EVAL_TABLE_SHA256
+
+
+def test_golden_digests_hold_with_two_blas_threads(tmp_path):
+    checkpoint, table = _digests(tmp_path, threads=2)
     assert checkpoint == CHECKPOINT_SHA256
     assert table == EVAL_TABLE_SHA256

@@ -23,7 +23,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     scale = ecfg.alpha / ecfg.rank
     A, B, w0, q = p["lora_a"], p["lora_b"], p["w0"], p["attn_q"]
     mask = batch.token_mask
-    H = p["embed"][batch.ids]  # (B, T, d)
+    H = model.embedding(batch.ids)  # (B, T, d), read by bucket id
     H2 = H @ w0.T + scale * (H @ A.T) @ B.T
     counts = mask.sum(axis=1)
     if ecfg.pooling_mode == "mean":
@@ -60,7 +60,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     grads["lora_b"] = scale * dH2f.T @ (Hf @ A.T)
     grads["lora_a"] = scale * (dH2f @ B).T @ Hf
     dH = (dH2f @ w0 + scale * (dH2f @ B) @ A).reshape(H.shape)
-    dembed = np.zeros_like(p["embed"])
+    dembed = np.zeros((ecfg.vocab_size, d))
     np.add.at(dembed, batch.ids[mask], dH[mask])
     grads["embed"] = dembed
     return preds, grads
@@ -76,6 +76,8 @@ def _case(pooling_mode: str, n_rows: int, seed: int):
     model.params["lora_b"] = rng.normal(0.0, 0.2, size=model.params["lora_b"].shape)
     model.params["attn_q"] = rng.normal(0.0, 0.5, size=cfg.dim)
     model.params["rho"] = rng.normal(0.0, 0.3, size=N_HEADS)
+    # every row stored, so a bucket id is its own position in the table
+    model.materialize(np.arange(cfg.vocab_size))
     T = 9
     # a 24-row table: ids repeat within and across rows
     ids = rng.integers(0, cfg.vocab_size, size=(n_rows, T))
@@ -107,7 +109,7 @@ def test_pooled_projection_matches_token_wise_order(pooling_mode, n_rows):
         _assert_close(preds, ref_preds, "preds")
         rows = grads["embed"].rows
         assert np.array_equal(rows, np.unique(batch.ids[batch.token_mask]))
-        dembed = np.zeros_like(model.params["embed"])
+        dembed = np.zeros((model.cfg.vocab_size, model.cfg.dim))
         dembed[rows] = grads["embed"].values
         grads["embed"] = dembed
         assert set(grads) >= set(model.trainable_names())

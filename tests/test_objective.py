@@ -182,12 +182,6 @@ def test_weight_spread_shrinks_as_eps_grows():
     assert spread_big <= spread_small + 1e-12
 
 
-def test_density_model_weight_for_new_points():
-    dm = fit_density_model(np.random.default_rng(5).normal(size=100))
-    w = dm.weight([0.0, 5.0])
-    assert w[1] > w[0]  # tail point is rarer
-
-
 # ---- task and total loss --------------------------------------------------
 
 

@@ -1,7 +1,13 @@
+import os
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from polyreg.checkpoint import (
+    MAGIC,
     CorruptCheckpoint,
     VersionMismatch,
     load_checkpoint,
@@ -14,6 +20,7 @@ from polyreg.registry import N_HEADS, default_registry
 from polyreg.trainer import (
     NonFiniteLoss,
     TrainConfig,
+    TrainedModel,
     _adam_update,
     fit_label_stats,
     load_config,
@@ -110,12 +117,13 @@ def test_fit_label_stats_drops_non_finite_labels():
 
 
 def _dense_reference(cfg, instances):
-    """The training loop with the model's row-sparse embedding gradient
-    scattered into a dense table and a dense Adam step over the whole
-    table, each prompt re-encoded in every batch.  Returns the model and,
-    per step, the batch's embedding rows and a copy of the table after
-    the step."""
+    """The training loop on a full vocab_size x dim table seeded by
+    ``init_rows``, with the model's row-sparse embedding gradient scattered
+    into a dense table and a dense Adam step over the whole table, each
+    prompt re-encoded in every batch.  Returns the model and, per step, the
+    batch's embedding rows and a copy of the table after the step."""
     model = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    model.materialize(np.arange(cfg.vocab_size))  # a bucket id is its own position
     _, _, targets, masks, weights = fit_label_stats(instances)
     trainable = model.trainable_names()
     state = {k: (np.zeros_like(model.params[k]), np.zeros_like(model.params[k])) for k in trainable}
@@ -157,8 +165,35 @@ def test_row_sparse_training_equals_dense_reference_bitwise(pooling_mode):
     data = _toy_dataset()
     reference, _ = _dense_reference(cfg, data)
     trained = train(cfg, data)
+    model = trained.model
+    every_id = np.arange(cfg.vocab_size)
+    assert not np.array_equal(reference.params["embed"], enc.init_rows(cfg.seed, every_id, cfg.dim))
+    # the stored rows are exactly the training ids
+    seen = np.unique(np.concatenate([enc.bucket_ids(enc.tokenize(i.text), cfg.vocab_size) for i in data]))
+    assert np.array_equal(model.embed_rows, seen)
+    assert np.array_equal(model.params["embed"], reference.params["embed"][seen])
+    assert np.array_equal(model.embedding(every_id), reference.params["embed"])
     for name in reference.params:
-        assert np.array_equal(trained.model.params[name], reference.params[name]), name
+        if name != "embed":
+            assert np.array_equal(model.params[name], reference.params[name]), name
+
+
+@pytest.mark.parametrize("text", ["omega kappa 42", "[Sample]\nalpha and omega kappa"])
+def test_predict_derives_unseen_rows_without_storing_them(text):
+    cfg = _small_cfg(epochs=3, grad_clip=1e12)
+    data = _toy_dataset()
+    trained = train(cfg, data)
+    reference, _ = _dense_reference(cfg, data)
+    model = trained.model
+    unseen = _instance("u", text, {TG: 80.0})
+    ids = enc.bucket_ids(enc.tokenize(text), cfg.vocab_size)
+    assert not np.isin(ids, model.embed_rows).all()
+    rows, values = model.embed_rows.copy(), model.params["embed"].copy()
+    got = predict(trained, [unseen, data[0]])
+    want = predict(TrainedModel(reference, cfg, trained.transforms), [unseen, data[0]])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(model.embed_rows, rows)
+    assert np.array_equal(model.params["embed"], values)
 
 
 def test_row_touched_only_in_first_step_keeps_its_momentum_step():
@@ -171,27 +206,32 @@ def test_row_touched_only_in_first_step_keeps_its_momentum_step():
     (rows1, after1), (rows2, after2) = steps
     only_first = sorted(rows1 - rows2)
     assert only_first
-    init = PropertyModel(cfg.model_config(), seed=cfg.seed).params["embed"]
+    init = enc.init_rows(cfg.seed, np.arange(cfg.vocab_size), cfg.dim)
     assert not np.array_equal(after1[only_first], init[only_first])
     assert not np.array_equal(after2[only_first], after1[only_first])
     trained = train(cfg, instances)
-    assert np.array_equal(trained.model.params["embed"], after2)
+    assert np.array_equal(trained.model.embedding(np.arange(cfg.vocab_size)), after2)
 
 
 def test_frozen_embeddings_stay_at_init():
     cfg = _small_cfg(epochs=2, freeze_embeddings=True)
     trained = train(cfg, _toy_dataset())
+    model = trained.model
+    assert model.embed_rows.size > 0
+    assert np.array_equal(model.params["embed"], enc.init_rows(cfg.seed, model.embed_rows, cfg.dim))
     fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
-    assert np.array_equal(trained.model.params["embed"], fresh.params["embed"])
-    assert not np.array_equal(trained.model.params["lora_a"], fresh.params["lora_a"])
+    assert not np.array_equal(model.params["lora_a"], fresh.params["lora_a"])
 
 
 def test_zero_epochs_leaves_parameters_at_init():
     cfg = _small_cfg(epochs=0)
     trained = train(cfg, _toy_dataset())
     fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    every_id = np.arange(cfg.vocab_size)
+    assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
     for name in fresh.params:
-        assert np.array_equal(trained.model.params[name], fresh.params[name]), name
+        if name != "embed":
+            assert np.array_equal(trained.model.params[name], fresh.params[name]), name
     assert trained.loss_trace == []
 
 
@@ -201,6 +241,7 @@ def test_training_is_bit_deterministic():
     a = train(cfg, data)
     b = train(cfg, data)
     assert a.loss_trace == b.loss_trace
+    assert np.array_equal(a.model.embed_rows, b.model.embed_rows)
     for name in a.model.params:
         assert np.array_equal(a.model.params[name], b.model.params[name]), name
 
@@ -223,7 +264,9 @@ def test_freeze_flags_respected():
     cfg = _small_cfg(epochs=2, freeze_embeddings=True, freeze_encoder=True)
     trained = train(cfg, _toy_dataset())
     fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
-    for name in ("embed", "lora_a", "lora_b"):
+    every_id = np.arange(cfg.vocab_size)
+    assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
+    for name in ("lora_a", "lora_b"):
         assert np.array_equal(trained.model.params[name], fresh.params[name]), name
     assert not np.array_equal(trained.model.params["proj_w"], fresh.params["proj_w"])
 
@@ -256,7 +299,9 @@ def test_evaluate_rejects_empty_instance_list():
 
 
 def test_loss_trace_roughly_decreases():
-    cfg = _small_cfg(epochs=12, lr=3e-3)
+    # at lr 3e-3 minibatch noise breaks this for over half of the seeds
+    # (22 of 40); at lr 1e-3 it held for 59 of 60
+    cfg = _small_cfg(epochs=12, lr=1e-3)
     trained = train(cfg, _toy_dataset(n=24))
     trace = np.array(trained.loss_trace)
     assert trace.size == 12
@@ -299,6 +344,26 @@ def test_divergent_training_raises_non_finite_loss():
     cfg = _small_cfg(epochs=5, lr=1e5, rho_lr=1e5)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
         train(cfg, _toy_dataset())
+
+
+def test_huge_vocab_trains_without_a_dense_table(tmp_path):
+    # a dense 2**24 x 64 table would take 8 GiB; the stored rows are the
+    # toy dataset's few distinct tokens whatever the vocab size
+    data = _toy_dataset()
+    small, huge = tmp_path / "small.ckpt", tmp_path / "huge.ckpt"
+    save_trained(train(_small_cfg(vocab_size=4096, dim=64), data), small)
+    tracemalloc.start()
+    try:
+        trained = train(_small_cfg(vocab_size=2**24, dim=64), data)
+        save_trained(trained, huge)
+        loaded = load_trained(huge)
+        predict(loaded, data + [_instance("u", "omega kappa 42", {TG: 80.0})])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert abs(huge.stat().st_size - small.stat().st_size) <= 1024
+    assert trained.model.embed_rows.size == loaded.model.embed_rows.size < 20
 
 
 # ---- config files ---------------------------------------------------------
@@ -359,11 +424,6 @@ def test_checkpoint_bitflip_detected(tmp_path):
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    import struct
-    import zlib
-
-    from polyreg.checkpoint import MAGIC
-
     path = tmp_path / "ck.bin"
     save_checkpoint(path, {"a": np.ones(2)}, {})
     blob = bytearray(path.read_bytes())
@@ -384,18 +444,16 @@ def test_trained_model_round_trip(tmp_path):
     loaded = load_trained(path)
     assert loaded.config == cfg
     assert loaded.loss_trace == trained.loss_trace
+    assert list(loaded.model.params) == list(trained.model.params)
     for name in trained.model.params:
         assert np.array_equal(loaded.model.params[name], trained.model.params[name]), name
+    assert np.array_equal(loaded.model.embed_rows, trained.model.embed_rows)
+    assert loaded.model.embed_rows.dtype == np.int64
     for t in range(N_HEADS):
         a, b = trained.transforms[t], loaded.transforms[t]
         assert (a is None) == (b is None)
         if a is not None:
             assert (a.mu, a.sigma, a.log_space) == (b.mu, b.sigma, b.log_space)
-        da, db = trained.density[t], loaded.density[t]
-        assert (da is None) == (db is None)
-        if da is not None:
-            assert np.array_equal(da.train_labels, db.train_labels)
-            assert da.bandwidth == db.bandwidth and da.epsilon == db.epsilon
     preds_a = predict(trained, data)
     preds_b = predict(loaded, data)
     valid = ~np.isnan(preds_a)
@@ -409,3 +467,82 @@ def test_saved_checkpoints_are_byte_identical_across_runs(tmp_path):
     save_trained(train(cfg, data), p1)
     save_trained(train(cfg, data), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reseal(body: bytes) -> bytes:
+    """``body`` followed by its CRC, as the writer seals a checkpoint."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _trained_checkpoint(tmp_path):
+    cfg = _small_cfg(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_trained(train(cfg, _toy_dataset()), path)
+    return path
+
+
+def test_trained_checkpoint_cut_at_every_offset_is_corrupt(tmp_path):
+    path = _trained_checkpoint(tmp_path)
+    for n in range(path.stat().st_size - 1, -1, -1):
+        os.truncate(path, n)
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+
+def test_resealed_cut_checkpoint_is_corrupt(tmp_path):
+    # a cut body under a matching CRC: the parser itself must find the
+    # missing bytes, wherever the cut falls in a header, name or payload
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, {"a": np.ones((2, 3)), "ids": np.arange(3)}, {"key": "value"})
+    body = path.read_bytes()[:-4]
+    for n in range(len(body)):
+        path.write_bytes(_reseal(body[:n]))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+
+def test_version_one_checkpoint_is_refused(tmp_path):
+    blob = bytearray(_trained_checkpoint(tmp_path).read_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 1)
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(_reseal(bytes(blob[:-4])))
+    with pytest.raises(VersionMismatch, match="version 1"):
+        load_trained(old)
+
+
+def _set_rows(tensors, rows):
+    tensors["embed_rows"] = np.asarray(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda t: _set_rows(t, t["embed_rows"][::-1]),  # unsorted
+        lambda t: _set_rows(t, np.r_[t["embed_rows"][:1], t["embed_rows"][:-1]]),  # duplicate
+        lambda t: _set_rows(t, np.r_[-1, t["embed_rows"][1:]]),  # below range
+        lambda t: _set_rows(t, np.r_[t["embed_rows"][:-1], 512]),  # at vocab_size
+        lambda t: t.update(embed=t["embed"][:-1]),  # one value row missing
+        lambda t: t.update(embed_rows=t["embed_rows"].astype(np.float64)),
+        lambda t: t.pop("embed_rows"),
+    ],
+    ids=["unsorted", "duplicate", "negative", "out_of_range", "row_count", "dtype", "missing"],
+)
+def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
+    path = _trained_checkpoint(tmp_path)
+    tensors, metadata = load_checkpoint(path)
+    assert metadata["config"]["vocab_size"] == 512
+    corrupt(tensors)
+    save_checkpoint(path, tensors, metadata)
+    with pytest.raises(ValueError, match="model.ckpt"):
+        load_trained(path)
+
+
+def test_checkpoint_unchanged_by_evaluate(tmp_path):
+    # evaluate derives unseen rows without storing them
+    data = _toy_dataset()
+    trained = train(_small_cfg(epochs=2), data)
+    before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+    save_trained(trained, before)
+    evaluate(trained, data + [_instance("u", "omega kappa 42", {TG: 80.0, TS: 20.0})])
+    save_trained(trained, after)
+    assert before.read_bytes() == after.read_bytes()
