@@ -36,8 +36,10 @@ def _load_configs(path, seed=None) -> tuple[corpus_mod.SynthConfig, TrainConfig]
     return corpus_mod.SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
-def _footer(fh, digest: str) -> None:
-    fh.write(f"# config_digest\t{digest}\n")
+def _write_table(path, table: str, digest: str) -> None:
+    """A report table followed by the digest of the config that made it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{table}# config_digest\t{digest}\n")
 
 
 def cmd_gen_corpus(args) -> int:
@@ -88,9 +90,7 @@ def cmd_eval(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = evaluate(trained, instances)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(report.to_table())
-        _footer(fh, trained.config.digest())
+    _write_table(args.output, report.to_table(), trained.config.digest())
     with open(args.output + ".json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
@@ -101,9 +101,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(report.to_table())
-        _footer(fh, train_cfg.digest())
+    _write_table(args.output, report.to_table(), train_cfg.digest())
     print(f"ablation mean delta = {report.mean_delta:.4f} over {len(report.rows)} heads")
     return 0
 
@@ -125,9 +123,7 @@ def cmd_uncertainty_report(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = run_uncertainty_report(trained, instances)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(report.to_table())
-        _footer(fh, trained.config.digest())
+    _write_table(args.output, report.to_table(), trained.config.digest())
     sp = "NA" if report.spearman is None else f"{report.spearman:.4f}"
     print(f"uncertainty spearman = {sp}, calibration ratio = {report.calibration_ratio:.3f}")
     return 0

@@ -45,6 +45,13 @@ _PARSERS = {
 }
 
 
+def from_fields(cls: type, source, **given):
+    """A ``cls`` whose fields take the values of ``source``'s fields of the
+    same name, except those ``given``."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**{name: getattr(source, name) for name in names}, **given)
+
+
 def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
     """Keyword arguments for each dataclass in ``sections`` (name -> class).
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import MECHANICAL_HEADS, SynthConfig, gen_corpus
 from .datasets import PromptInstance, build_dataset, scan_dataset_for_leaks
-from .metrics import EvalReport, evaluate, rank_correlations
+from .metrics import EvalReport, evaluate
 from .records import extract_corpus
 from .registry import PropertyRegistry, default_registry
 from .trainer import TrainConfig, TrainedModel, train
@@ -177,21 +177,14 @@ def run_uncertainty_report(
     usable = [h for h in report.heads if h.rmse_normalized is not None]
     if len(usable) < 5:
         raise ValueError("uncertainty report needs at least 5 evaluated heads")
-    head_ids = [h.head_id for h in usable]
-    sigma = np.array([report.sigma[h.head_id] for h in usable])
-    rmse_n = np.array([h.rmse_normalized for h in usable])
-    try:
-        pe, sp = rank_correlations(sigma, rmse_n)
-    except Exception:
-        pe = sp = None
-    ratio = float((rmse_n / sigma).mean())
-    low_signal = sp is None or abs(sp) < LOW_SIGNAL_SPEARMAN
+    # evaluate correlated and calibrated these same heads, in this order
+    sp = report.uncertainty_spearman
     return UncertaintyReport(
-        head_ids=head_ids,
-        sigma=sigma,
-        rmse_normalized=rmse_n,
-        pearson=pe,
+        head_ids=[h.head_id for h in usable],
+        sigma=np.array([report.sigma[h.head_id] for h in usable]),
+        rmse_normalized=np.array([h.rmse_normalized for h in usable]),
+        pearson=report.uncertainty_pearson,
         spearman=sp,
-        calibration_ratio=ratio,
-        low_signal=low_signal,
+        calibration_ratio=report.calibration_ratio,
+        low_signal=sp is None or abs(sp) < LOW_SIGNAL_SPEARMAN,
     )

@@ -6,7 +6,7 @@ parsing for scoring external prediction files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -150,17 +150,8 @@ class EvalReport:
     sigma: dict[int, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "heads": [vars(h) for h in self.heads],
-            "macro_r2_linear": self.macro_r2_linear,
-            "macro_r2_log": self.macro_r2_log,
-            "macro_primary_r2": self.macro_primary_r2,
-            "uncertainty_pearson": self.uncertainty_pearson,
-            "uncertainty_spearman": self.uncertainty_spearman,
-            "calibration_ratio": self.calibration_ratio,
-            "sigma": {str(k): v for k, v in self.sigma.items()},
-        }
-        return json.dumps(payload, indent=2)
+        # json writes the int keys of ``sigma`` as strings
+        return json.dumps(asdict(self), indent=2)
 
     def to_table(self) -> str:
         lines = ["head_id\tname\tn\tr2_linear\tr2_log\tmae\trmse\tprimary"]
@@ -199,12 +190,50 @@ def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
     return preds
 
 
-def evaluate(
-    trained,
-    instances,
-    registry: PropertyRegistry | None = None,
-    min_head_n: int = 2,
-) -> EvalReport:
+MIN_HEAD_N = 2  # scored pairs a head needs to appear in a report
+
+
+def _head_result(spec: PropertySpec, y: np.ndarray, p: np.ndarray, rmse_normalized=None) -> HeadResult:
+    """Per-head scores of the (target, prediction) pairs ``y``, ``p``."""
+    try:
+        r2_lin, _ = r_squared(y, p, "linear")
+    except ZeroVariance:
+        r2_lin = None
+    try:
+        r2_log, excluded = r_squared(y, p, "log10")
+    except ZeroVariance:
+        r2_log, excluded = None, 0
+    return HeadResult(
+        head_id=spec.head_id,
+        name=spec.name,
+        n=int(y.size),
+        r2_linear=r2_lin,
+        r2_log=r2_log,
+        mae=mae(y, p),
+        rmse=rmse(y, p),
+        rmse_normalized=rmse_normalized,
+        primary_metric="log" if spec.log_space else "linear",
+        log_excluded=excluded,
+    )
+
+
+def _macro_report(heads: list[HeadResult], **fields) -> EvalReport:
+    """An ``EvalReport`` of ``heads`` with the macro R² means filled in."""
+
+    def mean(values):
+        values = [v for v in values if v is not None]
+        return float(np.mean(values)) if values else None
+
+    return EvalReport(
+        heads=heads,
+        macro_r2_linear=mean(h.r2_linear for h in heads),
+        macro_r2_log=mean(h.r2_log for h in heads),
+        macro_primary_r2=mean(h.primary_r2 for h in heads),
+        **fields,
+    )
+
+
+def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> EvalReport:
     """Score a trained model on held-out prompt instances."""
     if not instances:
         raise ValueError("evaluate: the instance list is empty")
@@ -217,53 +246,21 @@ def evaluate(
     for t in range(N_HEADS):
         tr = trained.transforms[t]
         idx = np.flatnonzero(masks[:, t] & np.isfinite(preds[:, t]))
-        if tr is None or idx.size < min_head_n:
+        if tr is None or idx.size < MIN_HEAD_N:
             continue
         y, p = labels[idx, t], preds[idx, t]
-        spec = registry.spec(t)
-        try:
-            r2_lin, _ = r_squared(y, p, "linear")
-        except ZeroVariance:
-            r2_lin = None
-        try:
-            r2_log, excluded = r_squared(y, p, "log10")
-        except ZeroVariance:
-            r2_log, excluded = None, 0
         keep = y > 0 if tr.log_space else np.ones_like(y, dtype=bool)
         rmse_norm = (
             rmse(tr.normalize(y[keep]), tr.normalize(np.maximum(p[keep], 1e-300)))
             if keep.sum() >= 2
             else None
         )
-        heads.append(
-            HeadResult(
-                head_id=t,
-                name=spec.name,
-                n=int(idx.size),
-                r2_linear=r2_lin,
-                r2_log=r2_log,
-                mae=mae(y, p),
-                rmse=rmse(y, p),
-                rmse_normalized=rmse_norm,
-                primary_metric="log" if spec.log_space else "linear",
-                log_excluded=excluded,
-            )
-        )
-    report = EvalReport(heads=heads, sigma={h.head_id: float(sigma[h.head_id]) for h in heads})
-    lin = [h.r2_linear for h in heads if h.r2_linear is not None]
-    log = [h.r2_log for h in heads if h.r2_log is not None]
-    prim = [h.primary_r2 for h in heads if h.primary_r2 is not None]
-    report.macro_r2_linear = float(np.mean(lin)) if lin else None
-    report.macro_r2_log = float(np.mean(log)) if log else None
-    report.macro_primary_r2 = float(np.mean(prim)) if prim else None
-    pairs = [
-        (float(sigma[h.head_id]), h.rmse_normalized)
-        for h in heads
-        if h.rmse_normalized is not None
-    ]
-    if len(pairs) >= 3:
-        svec = np.array([p[0] for p in pairs])
-        rvec = np.array([p[1] for p in pairs])
+        heads.append(_head_result(registry.spec(t), y, p, rmse_norm))
+    report = _macro_report(heads, sigma={h.head_id: float(sigma[h.head_id]) for h in heads})
+    usable = [h for h in heads if h.rmse_normalized is not None]
+    if len(usable) >= 3:
+        svec = np.array([report.sigma[h.head_id] for h in usable])
+        rvec = np.array([h.rmse_normalized for h in usable])
         try:
             report.uncertainty_pearson, report.uncertainty_spearman = rank_correlations(
                 svec, rvec
@@ -295,11 +292,10 @@ def score_prediction_file(
             if not line:
                 continue
             sid, head_name, response = line.split("\t", 2)
+            total += 1
             spec = registry.lookup(head_name)
             if spec is None or sid not in by_sample:
-                total += 1
                 continue
-            total += 1
             value = strict_numeric_parse(response, spec)
             if value is None:
                 continue
@@ -308,41 +304,10 @@ def score_prediction_file(
                 continue
             kept += 1
             values.setdefault(spec.head_id, []).append((inst.labels[spec.head_id], value))
-    heads = []
-    for t, pairs in sorted(values.items()):
-        y = np.array([p[0] for p in pairs])
-        p = np.array([p[1] for p in pairs])
-        if y.size < 2:
-            continue
-        spec = registry.spec(t)
-        try:
-            r2_lin, _ = r_squared(y, p, "linear")
-        except ZeroVariance:
-            r2_lin = None
-        try:
-            r2_log, excluded = r_squared(y, p, "log10")
-        except ZeroVariance:
-            r2_log, excluded = None, 0
-        heads.append(
-            HeadResult(
-                head_id=t,
-                name=spec.name,
-                n=int(y.size),
-                r2_linear=r2_lin,
-                r2_log=r2_log,
-                mae=mae(y, p),
-                rmse=rmse(y, p),
-                rmse_normalized=None,
-                primary_metric="log" if spec.log_space else "linear",
-                log_excluded=excluded,
-            )
-        )
-    report = EvalReport(heads=heads)
-    lin = [h.r2_linear for h in heads if h.r2_linear is not None]
-    log = [h.r2_log for h in heads if h.r2_log is not None]
-    prim = [h.primary_r2 for h in heads if h.primary_r2 is not None]
-    report.macro_r2_linear = float(np.mean(lin)) if lin else None
-    report.macro_r2_log = float(np.mean(log)) if log else None
-    report.macro_primary_r2 = float(np.mean(prim)) if prim else None
+    heads = [
+        _head_result(registry.spec(t), np.array([y for y, _ in pairs]), np.array([p for _, p in pairs]))
+        for t, pairs in sorted(values.items())
+        if len(pairs) >= MIN_HEAD_N
+    ]
     retention = kept / total if total else 0.0
-    return report, retention
+    return _macro_report(heads), retention

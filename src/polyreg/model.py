@@ -11,17 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
+from . import objective as obj
 from . import regressor as reg
+from .config import from_fields
 from .registry import N_HEADS
 
 
 @dataclass
-class ModelConfig:
-    vocab_size: int = 2**16
-    dim: int = 64
-    rank: int = 8
-    alpha: float = 16.0
-    pooling_mode: str = "mean"
+class ModelConfig(enc.EncoderConfig):
+    """The encoder's fields, then the trunk's and the freeze flags."""
+
     hidden_dim: int = 128
     n_blocks: int = 2
     freeze_embeddings: bool = False
@@ -29,18 +28,10 @@ class ModelConfig:
     freeze_trunk: bool = False
 
     def encoder_config(self) -> enc.EncoderConfig:
-        return enc.EncoderConfig(
-            vocab_size=self.vocab_size,
-            dim=self.dim,
-            rank=self.rank,
-            alpha=self.alpha,
-            pooling_mode=self.pooling_mode,
-        )
+        return from_fields(enc.EncoderConfig, self)
 
     def trunk_config(self) -> reg.TrunkConfig:
-        return reg.TrunkConfig(
-            input_dim=self.dim, hidden_dim=self.hidden_dim, n_blocks=self.n_blocks
-        )
+        return from_fields(reg.TrunkConfig, self, input_dim=self.dim)
 
 
 @dataclass
@@ -194,48 +185,32 @@ class PropertyModel:
             "pool": pool_cache,
             "trunk": trunk_cache,
             "z": z,
-            "preds": preds,
         }
         return preds, cache
 
     def loss(self, batch: Batch, preds: np.ndarray):
-        """Per-head weighted MSE and the uncertainty-weighted total.
+        """The uncertainty-weighted total and the per-head terms
+        (``objective.task_losses``) that ``backward`` takes.
 
         Heads absent from the batch contribute neither the scaled loss nor
         the log-sigma term.
         """
+        terms = obj.task_losses(preds, batch.targets, batch.label_mask, batch.weights)
+        task_losses, _, _, present = terms
         rho = self.params["rho"]
-        counts = batch.label_mask.sum(axis=0)  # (22,)
-        present = counts > 0
-        err = np.where(batch.label_mask, preds - batch.targets, 0.0)
-        sq = batch.weights * err * err
-        task_losses = np.zeros(N_HEADS)
-        np.divide(sq.sum(axis=0), counts, out=task_losses, where=present)
-        total = float(
-            (task_losses[present] * np.exp(-rho[present]) / 2.0 + rho[present] / 2.0).sum()
-        )
-        return total, task_losses, present
+        return obj.total_loss(task_losses[present], rho[present]), terms
 
-    def backward(self, batch: Batch, cache: dict):
-        """Exact gradients of the total objective for every tensor; the
-        embedding's is a ``RowGrad`` over the batch's unmasked tokens."""
+    def backward(self, batch: Batch, cache: dict, terms):
+        """Exact gradients of the total objective for every tensor, from the
+        forward ``cache`` and the ``loss`` terms; the embedding's is a
+        ``RowGrad`` over the batch's unmasked tokens."""
         ecfg = self.cfg.encoder_config()
         tcfg = self.cfg.trunk_config()
-        preds = cache["preds"]
+        task_losses, err, counts, present = terms
         rho = self.params["rho"]
-        counts = batch.label_mask.sum(axis=0)
-        present = counts > 0
-        err = np.where(batch.label_mask, preds - batch.targets, 0.0)
-        sq = batch.weights * err * err
-        task_losses = np.zeros(N_HEADS)
-        np.divide(sq.sum(axis=0), counts, out=task_losses, where=present)
-
-        scale = np.zeros(N_HEADS)
-        np.divide(np.exp(-rho), counts, out=scale, where=present)
-        dpred = batch.weights * err * scale[None, :]
-
+        dpred = obj.total_loss_grad_preds(err, batch.weights, counts, rho)
         grads: dict[str, np.ndarray] = {}
-        grads["rho"] = np.where(present, -task_losses * np.exp(-rho) / 2.0 + 0.5, 0.0)
+        grads["rho"] = np.where(present, obj.total_loss_grad_rho(task_losses, rho), 0.0)
 
         dz, head_grads = reg.heads_backward(dpred, cache["z"], self.params)
         grads.update(head_grads)
@@ -260,8 +235,7 @@ class PropertyModel:
 
     def objective(self, batch: Batch) -> float:
         preds, _ = self.forward(batch)
-        total, _, _ = self.loss(batch, preds)
-        return total
+        return self.loss(batch, preds)[0]
 
 
 def _check_embed_rows(rows, values: np.ndarray, cfg: ModelConfig) -> None:

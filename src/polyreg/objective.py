@@ -126,14 +126,20 @@ def fit_density_model(normalized_labels) -> DensityModel:
     return DensityModel(train_labels=y, bandwidth=h, epsilon=eps, weights=w)
 
 
-def task_loss(pred, target, weights) -> float:
-    """KDE-weighted MSE over the valid samples of one head."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if pred.size == 0:
-        raise ValueError("task_loss requires at least one valid sample")
-    return float((w * (pred - target) ** 2).mean())
+def task_losses(preds, targets, mask, weights):
+    """KDE-weighted MSE of each head over the samples it has labels for.
+
+    All arguments are (B, heads); ``mask`` marks the labelled entries.
+    Returns (L, err, counts, present): the per-head losses (0 for heads with
+    no label), the errors (0 where unlabelled), the label counts and which
+    heads have any label.
+    """
+    counts = mask.sum(axis=0)
+    present = counts > 0
+    err = np.where(mask, preds - targets, 0.0)
+    L = np.zeros(counts.size)
+    np.divide((weights * err * err).sum(axis=0), counts, out=L, where=present)
+    return L, err, counts, present
 
 
 def total_loss(task_losses, rho) -> float:
@@ -148,6 +154,14 @@ def total_loss_grad_rho(task_losses, rho) -> np.ndarray:
     L = np.asarray(task_losses, dtype=np.float64)
     r = np.asarray(rho, dtype=np.float64)
     return -L * np.exp(-r) / 2.0 + 0.5
+
+
+def total_loss_grad_preds(err, weights, counts, rho) -> np.ndarray:
+    """d total / d preds from the ``task_losses`` terms: w err exp(-rho) / n
+    per head, 0 for heads with no label."""
+    scale = np.zeros(counts.size)
+    np.divide(np.exp(-rho), counts, out=scale, where=counts > 0)
+    return weights * err * scale[None, :]
 
 
 def fit_uncertainty(task_losses, lr: float = 0.2, steps: int = 4000) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .registry import PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
@@ -300,13 +300,7 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
                 "observations": [
                     {
                         "head_id": o.head_id,
-                        "kind": o.quantity.kind,
-                        "value": o.quantity.value,
-                        "lo": o.quantity.lo,
-                        "hi": o.quantity.hi,
-                        "bound": o.quantity.bound,
-                        "direction": o.quantity.direction,
-                        "unit": o.quantity.unit,
+                        **asdict(o.quantity),
                         "canonical_value": o.canonical_value,
                         "span": list(o.source_span),
                     }
@@ -330,15 +324,7 @@ def load_extracted(path) -> list[ExtractedSample]:
                 PropertyObservation(
                     sample_id=row["sample_id"],
                     head_id=o["head_id"],
-                    quantity=Quantity(
-                        kind=o["kind"],
-                        value=o["value"],
-                        lo=o["lo"],
-                        hi=o["hi"],
-                        bound=o["bound"],
-                        direction=o["direction"],
-                        unit=o["unit"],
-                    ),
+                    quantity=Quantity(**{f.name: o[f.name] for f in fields(Quantity)}),
                     canonical_value=o["canonical_value"],
                     source_span=tuple(o["span"]),
                 )

@@ -78,9 +78,6 @@ class PropertyRegistry:
     def is_log_space(self, head_id: int) -> bool:
         return self.spec(head_id).log_space
 
-    def log_heads(self) -> list[int]:
-        return [s.head_id for s in self._specs if s.log_space]
-
     def aliases(self) -> dict[str, PropertySpec]:
         return dict(self._by_alias)
 

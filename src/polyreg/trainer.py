@@ -13,7 +13,7 @@ import numpy as np
 
 from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import read_config
+from .config import from_fields, read_config
 from .datasets import PromptInstance
 from .encoder import RowGrad
 from .model import ModelConfig, PropertyModel, encode, make_batch
@@ -48,18 +48,7 @@ class TrainConfig:
     freeze_trunk: bool = False
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            dim=self.dim,
-            rank=self.rank,
-            alpha=self.alpha,
-            pooling_mode=self.pooling_mode,
-            hidden_dim=self.hidden_dim,
-            n_blocks=self.n_blocks,
-            freeze_embeddings=self.freeze_embeddings,
-            freeze_encoder=self.freeze_encoder,
-            freeze_trunk=self.freeze_trunk,
-        )
+        return from_fields(ModelConfig, self)
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -188,10 +177,10 @@ def train(
             if not batch.label_mask.any():
                 continue
             preds, cache = model.forward(batch)
-            total, _, _ = model.loss(batch, preds)
+            total, terms = model.loss(batch, preds)
             if not np.isfinite(total):
                 raise NonFiniteLoss(f"non-finite loss at step {step}")
-            grads = model.backward(batch, cache)
+            grads = model.backward(batch, cache, terms)
             gnorm = np.sqrt(sum(_squared_norm(grads[k]) for k in trainable))
             clip = min(1.0, cfg.grad_clip / gnorm) if gnorm > 0 else 1.0
             step += 1
@@ -213,6 +202,9 @@ def train(
 # ---- checkpoint packing ---------------------------------------------------
 
 
+_TRANSFORM_TENSORS = ("transform_mu", "transform_sigma", "transform_log", "transform_valid")
+
+
 def save_trained(trained: TrainedModel, path) -> None:
     tensors = {"embed_rows": trained.model.embed_rows, **trained.model.params}
     mu = np.full(N_HEADS, np.nan)
@@ -222,10 +214,7 @@ def save_trained(trained: TrainedModel, path) -> None:
     for t, tr in enumerate(trained.transforms):
         if tr is not None:
             mu[t], sigma[t], log_flags[t], valid[t] = tr.mu, tr.sigma, float(tr.log_space), 1.0
-    tensors["transform_mu"] = mu
-    tensors["transform_sigma"] = sigma
-    tensors["transform_log"] = log_flags
-    tensors["transform_valid"] = valid
+    tensors.update(zip(_TRANSFORM_TENSORS, (mu, sigma, log_flags, valid)))
     metadata = {
         "config": asdict(trained.config),
         "config_digest": trained.config.digest(),
@@ -234,21 +223,41 @@ def save_trained(trained: TrainedModel, path) -> None:
     save_checkpoint(path, tensors, metadata)
 
 
+def _shapes(tensors: dict) -> dict:
+    """Tensor shapes by name; the embedding's is that of one row, since
+    ``embed_rows`` sets its row count."""
+    return {
+        name: arr.shape[1:] if name == "embed" else arr.shape
+        for name, arr in tensors.items()
+        if name != "embed_rows"
+    }
+
+
 def load_trained(path) -> TrainedModel:
+    """The model ``save_trained`` wrote to ``path``.  A checkpoint whose
+    config, tensor names or tensor shapes are not those of that model raises
+    ``ValueError`` naming the file."""
     tensors, metadata = load_checkpoint(path)
-    cfg = TrainConfig(**metadata["config"])
-    embed_rows = tensors.pop("embed_rows", None)
-    # the model's tensors come first, in the order the model holds them
-    params = {name: tensors.pop(name) for name in list(tensors) if not name.startswith("transform_")}
     try:
-        model = PropertyModel(cfg.model_config(), seed=cfg.seed, params=params, embed_rows=embed_rows)
+        cfg = TrainConfig(**metadata["config"])
+        # a fresh model's tensors are the ones to expect; its embedding rows
+        # are lazy, so it costs next to nothing
+        fresh = PropertyModel(cfg.model_config(), seed=cfg.seed).params
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: bad config: {exc}") from None
+    expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
+    found = _shapes(tensors)
+    if found != expected:
+        wrong = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+        raise ValueError(f"checkpoint {path}: tensors {wrong} are missing, unexpected or misshapen")
+    # the parameters in the order the model holds them
+    params = {name: tensors[name] for name in fresh}
+    try:
+        model = PropertyModel(cfg.model_config(), cfg.seed, params, tensors.get("embed_rows"))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
+    mu, sigma, log_flags, valid = (tensors[name] for name in _TRANSFORM_TENSORS)
     transforms: list = [None] * N_HEADS
-    valid = tensors.pop("transform_valid")
-    mu = tensors.pop("transform_mu")
-    sigma = tensors.pop("transform_sigma")
-    log_flags = tensors.pop("transform_log")
     for t in range(N_HEADS):
         if valid[t]:
             transforms[t] = obj.LabelTransform(

@@ -123,10 +123,6 @@ def unit_def(symbol: str) -> UnitDef:
     return unit
 
 
-def dimension_of(symbol: str) -> str:
-    return unit_def(symbol).dimension
-
-
 def units_for_dimension(dimension: str) -> list[UnitDef]:
     return [u for u in _UNITS if u.dimension == dimension]
 

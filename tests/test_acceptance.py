@@ -95,7 +95,7 @@ def test_acceptance_full_model_gradient_check():
         # table and the probes reach the whole table
         model.materialize(np.arange(cfg.vocab_size))
         preds, cache = model.forward(batch)
-        grads = model.backward(batch, cache)
+        grads = model.backward(batch, cache, model.loss(batch, preds)[1])
         # the embedding gradient comes row-sparse; probe it as a dense table
         dembed = np.zeros_like(model.params["embed"])
         dembed[grads["embed"].rows] = grads["embed"].values

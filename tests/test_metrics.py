@@ -195,3 +195,36 @@ def test_score_prediction_file_requires_header(tmp_path):
     path.write_text("s0\tTg\t105\n")
     with pytest.raises(ValueError):
         score_prediction_file(path, _instances())
+
+
+def test_prediction_file_scores_equal_evaluate(tmp_path):
+    # the model's own predictions, written as text that reads back to the
+    # same floats, score exactly as evaluate scores them
+    from polyreg.corpus import SynthConfig
+    from polyreg.harness import prepare_variant_datasets
+    from polyreg.metrics import evaluate, predict
+    from polyreg.trainer import TrainConfig, train
+
+    train_set, test_set = prepare_variant_datasets(
+        SynthConfig(seed=0, n_docs=120, obs_prob=0.5), 0
+    )["sample_synthesis"]
+    cfg = TrainConfig(seed=0, epochs=2, batch_size=16, vocab_size=512, dim=16, rank=4, hidden_dim=16)
+    trained = train(cfg, train_set)
+    preds = predict(trained, test_set)
+    rows = ["sample_id\thead\tresponse"]
+    for inst, p in zip(test_set, preds):
+        for t in np.flatnonzero(inst.label_mask & np.isfinite(p)):
+            rows.append(f"{inst.sample_id}\t{REG.spec(t).name}\t{float(p[t])!r}")
+    path = tmp_path / "preds.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    scored, retention = score_prediction_file(path, test_set)
+    report = evaluate(trained, test_set)
+    assert retention == 1.0
+    assert len(report.heads) >= 5
+    fields = ("head_id", "n", "r2_linear", "r2_log", "mae", "rmse", "log_excluded")
+    assert [[getattr(h, f) for f in fields] for h in scored.heads] == [
+        [getattr(h, f) for f in fields] for h in report.heads
+    ]
+    assert (scored.macro_r2_linear, scored.macro_r2_log, scored.macro_primary_r2) == (
+        report.macro_r2_linear, report.macro_r2_log, report.macro_primary_r2
+    )

@@ -104,7 +104,7 @@ def test_pooled_projection_matches_token_wise_order(pooling_mode, n_rows):
     for seed in range(3):
         model, batch = _case(pooling_mode, n_rows, seed)
         preds, cache = model.forward(batch)
-        grads = model.backward(batch, cache)
+        grads = model.backward(batch, cache, model.loss(batch, preds)[1])
         ref_preds, ref_grads = _token_wise_reference(model, batch)
         _assert_close(preds, ref_preds, "preds")
         rows = grads["embed"].rows
@@ -125,8 +125,8 @@ def test_all_masked_row_pools_and_predicts_from_zero():
     assert np.all(cache["pooled"][1] == 0)
     empty = Batch(batch.ids[1:2], batch.token_mask[1:2], batch.targets[1:2],
                   batch.label_mask[1:2], batch.weights[1:2])
-    alone, _ = model.forward(empty)
+    alone, alone_cache = model.forward(empty)
     assert np.allclose(alone[0], preds[1], rtol=1e-12, atol=1e-12)
-    grads = model.backward(empty, model.forward(empty)[1])
+    grads = model.backward(empty, alone_cache, model.loss(empty, alone)[1])
     assert grads["embed"].rows.size == 0 and grads["embed"].values.shape == (0, model.cfg.dim)
     assert np.all(grads["lora_a"] == 0) and np.all(grads["attn_q"] == 0)

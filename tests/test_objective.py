@@ -15,8 +15,9 @@ from polyreg.objective import (
     kde_density,
     sigma_from_rho,
     silverman_bandwidth,
-    task_loss,
+    task_losses,
     total_loss,
+    total_loss_grad_preds,
     total_loss_grad_rho,
 )
 
@@ -186,16 +187,55 @@ def test_weight_spread_shrinks_as_eps_grows():
 
 
 def test_task_loss_worked_example():
-    # errors (1, -1), weights (0.4, 1.6)? no: unit weights, errors (0.2, 0.6)
-    loss = task_loss([1.2, 2.6], [1.0, 2.0], [1.0, 1.0])
-    assert loss == pytest.approx((0.2**2 + 0.6**2) / 2.0)
-    loss = task_loss([1.0], [0.0], [0.4])
-    assert loss == pytest.approx(0.4)
+    # head 0: unit weights, errors (0.2, 0.6); head 1: one labelled sample,
+    # error 1 with weight 0.4 (the unlabelled entry is ignored)
+    preds = np.array([[1.2, 1.0, 9.0], [2.6, 5.0, 9.0]])
+    targets = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    mask = np.array([[True, True, False], [True, False, False]])
+    weights = np.array([[1.0, 0.4, 0.0], [1.0, 0.0, 0.0]])
+    L, err, counts, present = task_losses(preds, targets, mask, weights)
+    assert L[0] == pytest.approx((0.2**2 + 0.6**2) / 2.0)
+    assert L[1] == pytest.approx(0.4)
+    assert counts.tolist() == [2, 1, 0]
+    assert present.tolist() == [True, True, False]
+    assert np.allclose(err, [[0.2, 1.0, 0.0], [0.6, 0.0, 0.0]])
 
 
 def test_task_loss_requires_samples():
-    with pytest.raises(ValueError):
-        task_loss([], [], [])
+    # a head with no labelled sample is absent: loss 0, no error, count 0
+    preds = np.ones((3, 2))
+    mask = np.array([[True, False]] * 3)
+    L, err, counts, present = task_losses(preds, np.zeros((3, 2)), mask, mask * 1.0)
+    assert L.tolist() == [1.0, 0.0]
+    assert counts.tolist() == [3, 0] and present.tolist() == [True, False]
+    assert np.all(err[:, 1] == 0)
+
+
+def test_total_loss_grad_preds_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    preds = rng.normal(size=(4, 3))
+    targets = rng.normal(size=(4, 3))
+    mask = rng.random((4, 3)) < 0.6
+    mask[:, 2] = False
+    mask[0, :2] = True
+    weights = np.where(mask, rng.uniform(0.3, 2.0, size=(4, 3)), 0.0)
+    rho = np.array([0.3, -0.4, 0.7])
+
+    def total(p):
+        L, _, _, present = task_losses(p, targets, mask, weights)
+        return total_loss(L[present], rho[present])
+
+    _, err, counts, _ = task_losses(preds, targets, mask, weights)
+    g = total_loss_grad_preds(err, weights, counts, rho)
+    assert np.all(g[~mask] == 0)
+    eps = 1e-6
+    for idx in np.ndindex(preds.shape):
+        p = preds.copy()
+        p[idx] += eps
+        up = total(p)
+        p[idx] -= 2 * eps
+        down = total(p)
+        assert g[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-6, abs=1e-9)
 
 
 def test_total_loss_worked_example():

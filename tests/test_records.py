@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyreg.records import (
+    ExtractedSample,
     MalformedDocument,
     ParseFailure,
+    PropertyObservation,
+    Quantity,
     Rejected,
     extract_document,
     ExtractionCounters,
+    load_extracted,
     parse_quantity,
+    save_extracted,
     to_canonical,
 )
 from polyreg.registry import default_registry
@@ -212,3 +217,29 @@ def test_limit_observation_has_no_canonical_value():
     assert len(obs) == 1
     assert obs[0].quantity.kind == "limit"
     assert obs[0].canonical_value is None
+
+
+# ---- extracted-sample file IO ---------------------------------------------
+
+
+def test_extracted_file_bytes_and_round_trip(tmp_path):
+    # one quantity of each kind; the line is the format's, byte for byte
+    obs = [
+        PropertyObservation("s1", 0, Quantity(kind="point", value=105.0, unit="°C"), 105.0, (4, 10)),
+        PropertyObservation("s1", 5, Quantity(kind="range", lo=40.0, hi=50.0, unit="MPa"), 45.0, (12, 24)),
+        PropertyObservation("s1", 6, Quantity(kind="limit", bound=2.5, direction="greater", unit="GPa"), None),
+    ]
+    samples = [ExtractedSample("s1", "PS film", "cast at 80 °C", obs)]
+    path = tmp_path / "obs.jsonl"
+    save_extracted(samples, path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"observations": [{"bound": null, "canonical_value": 105.0, "direction": null, '
+        '"head_id": 0, "hi": null, "kind": "point", "lo": null, "span": [4, 10], '
+        '"unit": "\\u00b0C", "value": 105.0}, {"bound": null, "canonical_value": 45.0, '
+        '"direction": null, "head_id": 5, "hi": 50.0, "kind": "range", "lo": 40.0, '
+        '"span": [12, 24], "unit": "MPa", "value": null}, {"bound": 2.5, '
+        '"canonical_value": null, "direction": "greater", "head_id": 6, "hi": null, '
+        '"kind": "limit", "lo": null, "span": [0, 0], "unit": "GPa", "value": null}], '
+        '"sample_id": "s1", "sample_text": "PS film", "synthesis_text": "cast at 80 \\u00b0C"}\n'
+    )
+    assert load_extracted(path) == samples

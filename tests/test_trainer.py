@@ -139,7 +139,7 @@ def _dense_reference(cfg, instances):
             if not batch.label_mask.any():
                 continue
             preds, cache = model.forward(batch)
-            grads = model.backward(batch, cache)
+            grads = model.backward(batch, cache, model.loss(batch, preds)[1])
             dembed = np.zeros_like(model.params["embed"])
             dembed[grads["embed"].rows] = grads["embed"].values
             grads["embed"] = dembed
@@ -532,6 +532,34 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
     tensors, metadata = load_checkpoint(path)
     assert metadata["config"]["vocab_size"] == 512
     corrupt(tensors)
+    save_checkpoint(path, tensors, metadata)
+    with pytest.raises(ValueError, match="model.ckpt"):
+        load_trained(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda t, m: t.pop("transform_valid"),  # missing transform tensor
+        lambda t, m: t.pop("transform_mu"),
+        lambda t, m: t.pop("rho"),  # missing parameter
+        lambda t, m: t.update(extra=np.zeros(3)),  # stray tensor
+        lambda t, m: t.update(rho=t["rho"][:-1]),  # wrong parameter shape
+        lambda t, m: t.update(head_w=t["head_w"].T.copy()),
+        lambda t, m: t.update(transform_sigma=t["transform_sigma"][:5]),
+        lambda t, m: m["config"].update(learning_rate=0.1),  # unknown config key
+        lambda t, m: m["config"].update(dim=24),  # config that does not fit the tensors
+        lambda t, m: m.pop("config"),
+    ],
+    ids=[
+        "no_transform_valid", "no_transform_mu", "no_rho", "stray_tensor", "rho_shape",
+        "head_w_shape", "transform_shape", "unknown_config_key", "config_mismatch", "no_config",
+    ],
+)
+def test_malformed_checkpoint_names_the_file(tmp_path, corrupt):
+    path = _trained_checkpoint(tmp_path)
+    tensors, metadata = load_checkpoint(path)
+    corrupt(tensors, metadata)
     save_checkpoint(path, tensors, metadata)
     with pytest.raises(ValueError, match="model.ckpt"):
         load_trained(path)
