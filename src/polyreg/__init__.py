@@ -22,7 +22,7 @@ from .records import (
 from .audit import AuditRecord, AuditReport, audit, load_bundled_fixture
 from .prompts import build_prompt, leakage_hits, mask_labels
 from .datasets import PromptInstance, build_dataset, load_dataset, save_dataset
-from .model import ModelConfig, PropertyModel
+from .model import PropertyModel
 from .trainer import TrainConfig, TrainedModel, load_trained, save_trained, train
 from .metrics import EvalReport, evaluate, r_squared, strict_numeric_parse
 from .corpus import SynthConfig, gen_corpus

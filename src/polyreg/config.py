@@ -1,16 +1,62 @@
-"""Plain ``key = value`` config files, read into dataclass fields.
+"""The run config, and ``key = value`` files read into dataclass fields.
 
-One file may configure several dataclasses at once (the CLI reads the
-corpus's ``SynthConfig`` and the trainer's ``TrainConfig`` from one
-file).  Each key is routed by field name; a key can also name its
-section, as in ``synth.n_docs``.  A key that no section has is an error
-that names the key and the file, so a misspelled key never falls back
-silently to a default.
+``TrainConfig`` configures the model and its training alike.  One file
+may configure several dataclasses at once (the CLI reads the corpus's
+``SynthConfig`` and the ``TrainConfig`` from one file).  Each key is
+routed by field name; a key can also name its section, as in
+``synth.n_docs``.  A key that no section has is an error that names the
+key and the file, so a misspelled key never falls back silently to a
+default.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+import hashlib
+import json
+from dataclasses import asdict, dataclass, fields
+
+POOLING_MODES = ("mean", "attention")
+
+
+@dataclass
+class TrainConfig:
+    """The model's shape and its training.  Field order is the line order
+    of ``trainer.save_config`` files; ``digest`` sorts the keys."""
+
+    seed: int = 0
+    batch_size: int = 64
+    epochs: int = 10
+    lr: float = 1e-3
+    rho_lr: float = 1e-2
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    grad_clip: float = 5.0
+    variant: str = "sample_synthesis"
+    pooling_mode: str = "mean"
+    vocab_size: int = 2**16
+    dim: int = 64
+    rank: int = 8
+    alpha: float = 16.0
+    hidden_dim: int = 128
+    n_blocks: int = 2
+    freeze_embeddings: bool = False
+    freeze_encoder: bool = False
+    freeze_trunk: bool = False
+
+    def __post_init__(self):
+        if not self.rank < self.dim:
+            raise ValueError("low-rank condition requires rank < dim")
+        if self.pooling_mode not in POOLING_MODES:
+            raise ValueError(f"unknown pooling mode {self.pooling_mode!r}")
+        if self.n_blocks < 1:
+            raise ValueError("at least one residual block required")
+
+    def digest(self) -> str:
+        return hashlib.sha256(
+            json.dumps(asdict(self), sort_keys=True).encode("utf-8")
+        ).hexdigest()
+
 
 _TRUE = ("1", "true", "yes")
 _FALSE = ("0", "false", "no")
@@ -45,21 +91,15 @@ _PARSERS = {
 }
 
 
-def from_fields(cls: type, source, **given):
-    """A ``cls`` whose fields take the values of ``source``'s fields of the
-    same name, except those ``given``."""
-    names = [f.name for f in fields(cls) if f.name not in given]
-    return cls(**{name: getattr(source, name) for name in names}, **given)
-
-
 def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
     """Keyword arguments for each dataclass in ``sections`` (name -> class).
 
     A plain key goes to every section whose dataclass has a field of that
     name, so a shared field such as ``seed`` reaches them all;
     ``<section>.<key>`` goes to that section alone.  Text after ``#`` is a
-    comment.  Unknown keys, lines without ``=`` and unparsable values raise
-    ``ValueError`` naming the file.
+    comment.  Unknown keys, lines without ``=``, unparsable values and
+    values no section's dataclass accepts raise ``ValueError`` naming the
+    file.
     """
     known = {name: {f.name: f.type for f in fields(cls)} for name, cls in sections.items()}
     values: dict[str, dict] = {name: {} for name in sections}
@@ -81,4 +121,9 @@ def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
                     values[s][name] = _PARSERS[known[s][name]](raw)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
+    for name, cls in sections.items():
+        try:
+            cls(**values[name])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return values

@@ -38,7 +38,6 @@ def build_dataset(
     samples: list[ExtractedSample],
     variant: str,
     registry: PropertyRegistry | None = None,
-    check_leakage: bool = True,
 ) -> list[PromptInstance]:
     """Turn extracted samples into masked prompt instances.
 
@@ -60,10 +59,9 @@ def build_dataset(
             mask[head_id] = True
         text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
         text = mask_labels(text, sample.observations, registry)
-        if check_leakage:
-            hits = leakage_hits(text, sample.observations, registry)
-            if hits:
-                raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
+        hits = leakage_hits(text, sample.observations, registry)
+        if hits:
+            raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
         instances.append(PromptInstance(sample.sample_id, variant, text, labels, mask))
     return instances
 

@@ -18,11 +18,12 @@ under the projected query W_eff^T q.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .config import TrainConfig
 
 HASH_VERSION = 1
 
@@ -41,8 +42,6 @@ _TOKEN_RE = re.compile(
     r"|(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
     r"|([^\W\d_]+)"
 )
-
-POOLING_MODES = ("mean", "attention")
 
 
 @lru_cache(maxsize=1 << 15)  # token vocabularies repeat heavily
@@ -69,21 +68,6 @@ def tokenize(text: str) -> list[str]:
 
 def bucket_ids(tokens: list[str], vocab_size: int) -> np.ndarray:
     return np.array([fnv1a64(t) % vocab_size for t in tokens], dtype=np.int64)
-
-
-@dataclass
-class EncoderConfig:
-    vocab_size: int = 2**16
-    dim: int = 64
-    rank: int = 8
-    alpha: float = 16.0
-    pooling_mode: str = "mean"
-
-    def __post_init__(self):
-        if not self.rank < self.dim:
-            raise ValueError("low-rank condition requires rank < dim")
-        if self.pooling_mode not in POOLING_MODES:
-            raise ValueError(f"unknown pooling mode {self.pooling_mode!r}")
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -113,7 +97,7 @@ def init_rows(seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
     return (2.0 * u - 1.0) * _INIT_HALF_WIDTH
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_encoder_params(cfg: TrainConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Initialize the dense encoder tensors (the embedding rows come from
     ``init_rows``).  lora_b starts at zero so the adapter delta is exactly
     zero at initialization; w0 is frozen."""
@@ -143,20 +127,20 @@ def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[ids]
 
 
-def lora_project(X: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
+def lora_project(X: np.ndarray, params: dict, cfg: TrainConfig) -> np.ndarray:
     """x -> W0 x + (alpha/r) B (A x), applied row-wise."""
     scale = cfg.alpha / cfg.rank
     return X @ params["w0"].T + scale * (X @ params["lora_a"].T) @ params["lora_b"].T
 
 
-def lora_transpose(dY: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
+def lora_transpose(dY: np.ndarray, params: dict, cfg: TrainConfig) -> np.ndarray:
     """y -> W_eff^T y with W_eff = W0 + (alpha/r) B A, applied row-wise."""
     scale = cfg.alpha / cfg.rank
     return dY @ params["w0"] + scale * (dY @ params["lora_b"]) @ params["lora_a"]
 
 
 def lora_project_backward(
-    dY: np.ndarray, X: np.ndarray, params: dict, cfg: EncoderConfig
+    dY: np.ndarray, X: np.ndarray, params: dict, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dX, dA, dB) of the low-rank projection; w0 is frozen."""
     scale = cfg.alpha / cfg.rank
@@ -170,7 +154,7 @@ def lora_project_backward(
 
 
 def pool(
-    H: np.ndarray, mask: np.ndarray, params: dict, cfg: EncoderConfig
+    H: np.ndarray, mask: np.ndarray, params: dict, cfg: TrainConfig
 ) -> tuple[np.ndarray, dict]:
     """Pool (B, T, d) embedding rows into (B, d) vectors over unmasked positions.
 
@@ -201,7 +185,7 @@ def pool(
 
 
 def pool_backward(
-    dpooled: np.ndarray, H: np.ndarray, ids: np.ndarray, cache: dict, cfg: EncoderConfig
+    dpooled: np.ndarray, H: np.ndarray, ids: np.ndarray, cache: dict, cfg: TrainConfig
 ) -> tuple[RowGrad, np.ndarray]:
     """Gradients of the pooling step: the embedding table's, as a ``RowGrad``
     over the unmasked entries of the (B, T) ``ids``, and the projected

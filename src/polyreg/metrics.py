@@ -277,7 +277,9 @@ def score_prediction_file(
     """Score an external baseline file of (sample_id, head, response text).
 
     Responses pass through strict numeric parsing; the retention fraction
-    (parsed / total) is returned alongside the report.
+    (parsed / total) is returned alongside the report.  A line without the
+    three tab-separated columns, or with an empty head, raises
+    ``ValueError`` naming the file and the line.
     """
     registry = registry or default_registry()
     by_sample = {inst.sample_id: inst for inst in instances}
@@ -287,11 +289,14 @@ def score_prediction_file(
         header = fh.readline()
         if not header.lower().startswith("sample_id"):
             raise ValueError(f"{path}: missing prediction header")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            sid, head_name, response = line.split("\t", 2)
+            parts = line.split("\t", 2)
+            if len(parts) != 3 or not parts[1].strip():
+                raise ValueError(f"{path}:{lineno}: expected sample_id, head, response; got {line!r}")
+            sid, head_name, response = parts
             total += 1
             spec = registry.lookup(head_name)
             if spec is None or sid not in by_sample:

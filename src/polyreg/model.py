@@ -13,25 +13,8 @@ import numpy as np
 from . import encoder as enc
 from . import objective as obj
 from . import regressor as reg
-from .config import from_fields
+from .config import TrainConfig
 from .registry import N_HEADS
-
-
-@dataclass
-class ModelConfig(enc.EncoderConfig):
-    """The encoder's fields, then the trunk's and the freeze flags."""
-
-    hidden_dim: int = 128
-    n_blocks: int = 2
-    freeze_embeddings: bool = False
-    freeze_encoder: bool = False
-    freeze_trunk: bool = False
-
-    def encoder_config(self) -> enc.EncoderConfig:
-        return from_fields(enc.EncoderConfig, self)
-
-    def trunk_config(self) -> reg.TrunkConfig:
-        return from_fields(reg.TrunkConfig, self, input_dim=self.dim)
 
 
 @dataclass
@@ -76,7 +59,7 @@ class PropertyModel:
 
     def __init__(
         self,
-        cfg: ModelConfig,
+        cfg: TrainConfig,
         seed: int = 0,
         params: dict[str, np.ndarray] | None = None,
         embed_rows: np.ndarray | None = None,
@@ -90,8 +73,8 @@ class PropertyModel:
         if params is None:
             rng = np.random.default_rng(seed)
             params = {"embed": np.zeros((0, cfg.dim))}
-            params.update(enc.init_encoder_params(cfg.encoder_config(), rng))
-            params.update(reg.init_trunk_params(cfg.trunk_config(), rng))
+            params.update(enc.init_encoder_params(cfg, rng))
+            params.update(reg.init_trunk_params(cfg, rng))
             params["rho"] = np.zeros(N_HEADS)
             embed_rows = np.zeros(0, dtype=np.int64)
         else:
@@ -168,16 +151,15 @@ class PropertyModel:
 
     def forward(self, batch: Batch):
         """Predictions in normalized space plus the cache for backward."""
-        ecfg = self.cfg.encoder_config()
-        tcfg = self.cfg.trunk_config()
+        cfg = self.cfg
         H = enc.embed(batch.ids.reshape(-1), self.params["embed"]).reshape(
-            batch.ids.shape + (self.cfg.dim,)
+            batch.ids.shape + (cfg.dim,)
         )
         # the projection is linear: projecting the pooled rows equals pooling
         # the projected rows, up to rounding
-        pooled, pool_cache = enc.pool(H, batch.token_mask, self.params, ecfg)
-        projected = enc.lora_project(pooled, self.params, ecfg)
-        z, trunk_cache = reg.trunk_forward(projected, self.params, tcfg)
+        pooled, pool_cache = enc.pool(H, batch.token_mask, self.params, cfg)
+        projected = enc.lora_project(pooled, self.params, cfg)
+        z, trunk_cache = reg.trunk_forward(projected, self.params, cfg)
         preds = reg.heads_forward(z, self.params)
         cache = {
             "H": H,
@@ -204,8 +186,7 @@ class PropertyModel:
         """Exact gradients of the total objective for every tensor, from the
         forward ``cache`` and the ``loss`` terms; the embedding's is a
         ``RowGrad`` over the batch's unmasked tokens."""
-        ecfg = self.cfg.encoder_config()
-        tcfg = self.cfg.trunk_config()
+        cfg = self.cfg
         task_losses, err, counts, present = terms
         rho = self.params["rho"]
         dpred = obj.total_loss_grad_preds(err, batch.weights, counts, rho)
@@ -214,19 +195,17 @@ class PropertyModel:
 
         dz, head_grads = reg.heads_backward(dpred, cache["z"], self.params)
         grads.update(head_grads)
-        dprojected, trunk_grads = reg.trunk_backward(dz, cache["trunk"], self.params, tcfg)
+        dprojected, trunk_grads = reg.trunk_backward(dz, cache["trunk"], self.params, cfg)
         grads.update(trunk_grads)
-        dpooled, dA, dB = enc.lora_project_backward(dprojected, cache["pooled"], self.params, ecfg)
-        grads["embed"], dquery = enc.pool_backward(
-            dpooled, cache["H"], batch.ids, cache["pool"], ecfg
-        )
+        dpooled, dA, dB = enc.lora_project_backward(dprojected, cache["pooled"], self.params, cfg)
+        grads["embed"], dquery = enc.pool_backward(dpooled, cache["H"], batch.ids, cache["pool"], cfg)
         q = self.params["attn_q"]
-        if ecfg.pooling_mode == "attention":
+        if cfg.pooling_mode == "attention":
             # the scores use W_eff^T q: its gradient dquery reaches q as
             # W_eff dquery, and A and B as one more projected row
-            _, dA_q, dB_q = enc.lora_project_backward(q, dquery, self.params, ecfg)
+            _, dA_q, dB_q = enc.lora_project_backward(q, dquery, self.params, cfg)
             dA, dB = dA + dA_q, dB + dB_q
-            grads["attn_q"] = enc.lora_project(dquery, self.params, ecfg)
+            grads["attn_q"] = enc.lora_project(dquery, self.params, cfg)
         else:
             grads["attn_q"] = np.zeros_like(q)
         grads["lora_a"] = dA
@@ -238,7 +217,7 @@ class PropertyModel:
         return self.loss(batch, preds)[0]
 
 
-def _check_embed_rows(rows, values: np.ndarray, cfg: ModelConfig) -> None:
+def _check_embed_rows(rows, values: np.ndarray, cfg: TrainConfig) -> None:
     """``rows`` must be sorted unique int64 bucket ids, one per row of ``values``."""
     if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype != np.int64:
         raise ValueError("embed_rows must be a 1-d int64 array")

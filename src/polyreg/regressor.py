@@ -7,11 +7,10 @@ implementation oracle at tight tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf
 
+from .config import TrainConfig
 from .registry import N_HEADS
 
 BOTTLENECK_DIM = 128
@@ -19,17 +18,6 @@ LN_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-@dataclass
-class TrunkConfig:
-    input_dim: int = 64
-    hidden_dim: int = 128
-    n_blocks: int = 2
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError("at least one residual block required")
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -60,8 +48,8 @@ def layer_norm_backward(dy: np.ndarray, cache, gain: np.ndarray):
     return dx, dgain, dbias
 
 
-def init_trunk_params(cfg: TrunkConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    d, h = cfg.input_dim, cfg.hidden_dim
+def init_trunk_params(cfg: TrainConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    d, h = cfg.dim, cfg.hidden_dim
     params = {
         "proj_w": rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d)),
         "proj_b": np.zeros(h),
@@ -78,7 +66,7 @@ def init_trunk_params(cfg: TrunkConfig, rng: np.random.Generator) -> dict[str, n
     return params
 
 
-def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrunkConfig):
+def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrainConfig):
     """Input projection, residual blocks, bottleneck.  Returns (z, cache)."""
     if not np.all(np.isfinite(pooled)):
         raise ValueError("non-finite trunk input")
@@ -102,15 +90,13 @@ def heads_forward(z: np.ndarray, params: dict) -> np.ndarray:
 
 
 def heads_backward(dpred: np.ndarray, z: np.ndarray, params: dict):
-    grads = {
-        "head_w": dpred.T @ z if dpred.ndim == 2 else np.outer(dpred, z),
-        "head_b": dpred.sum(axis=0) if dpred.ndim == 2 else dpred,
-    }
+    """Gradients of the heads from the (B, 22) ``dpred``; returns (dz, grads)."""
+    grads = {"head_w": dpred.T @ z, "head_b": dpred.sum(axis=0)}
     dz = dpred @ params["head_w"]
     return dz, grads
 
 
-def trunk_backward(dz: np.ndarray, cache: dict, params: dict, cfg: TrunkConfig):
+def trunk_backward(dz: np.ndarray, cache: dict, params: dict, cfg: TrainConfig):
     """Gradients of the trunk; returns (dpooled, grads dict)."""
     grads: dict[str, np.ndarray] = {}
     x_last = cache[f"x{cfg.n_blocks}"]

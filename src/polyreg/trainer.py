@@ -5,55 +5,21 @@ carrying the label transforms.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import from_fields, read_config
+from .config import TrainConfig, read_config
 from .datasets import PromptInstance
 from .encoder import RowGrad
-from .model import ModelConfig, PropertyModel, encode, make_batch
+from .model import PropertyModel, encode, make_batch
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 
 class NonFiniteLoss(Exception):
     """Training aborted on a non-finite batch loss."""
-
-
-@dataclass
-class TrainConfig:
-    seed: int = 0
-    batch_size: int = 64
-    epochs: int = 10
-    lr: float = 1e-3
-    rho_lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 5.0
-    variant: str = "sample_synthesis"
-    pooling_mode: str = "mean"
-    vocab_size: int = 2**16
-    dim: int = 64
-    rank: int = 8
-    alpha: float = 16.0
-    hidden_dim: int = 128
-    n_blocks: int = 2
-    freeze_embeddings: bool = False
-    freeze_encoder: bool = False
-    freeze_trunk: bool = False
-
-    def model_config(self) -> ModelConfig:
-        return from_fields(ModelConfig, self)
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        ).hexdigest()
 
 
 def save_config(cfg: TrainConfig, path) -> None:
@@ -63,7 +29,8 @@ def save_config(cfg: TrainConfig, path) -> None:
 
 
 def load_config(path) -> TrainConfig:
-    """A ``TrainConfig`` from a ``key = value`` file of its fields."""
+    """A ``TrainConfig`` from a ``key = value`` file of its fields; a file
+    whose values make no valid config raises ``ValueError`` naming it."""
     return TrainConfig(**read_config(path, {"train": TrainConfig})["train"])
 
 
@@ -79,13 +46,13 @@ def fit_label_stats(
     instances: list[PromptInstance],
     registry: PropertyRegistry | None = None,
 ):
-    """Fit per-head transforms and density models on a training set.
+    """Fit per-head transforms and KDE weights on a training set.
 
     Non-finite labels, and non-positive ones on log-space heads, are
     dropped from the returned masks.  Heads with fewer than 2 usable labels
     or zero variance fall back to an identity-scale transform and unit
     weights instead of failing the run.
-    Returns (transforms, density_models, normalized_targets, masks, weights).
+    Returns (transforms, normalized_targets, masks, weights).
     """
     registry = registry or default_registry()
     n = len(instances)
@@ -93,7 +60,6 @@ def fit_label_stats(
     masks = np.stack([inst.label_mask for inst in instances]) if n else np.zeros((0, N_HEADS), bool)
     masks = masks.copy()
     transforms: list = [None] * N_HEADS
-    density: list = [None] * N_HEADS
     targets = np.zeros((n, N_HEADS))
     weights = np.zeros((n, N_HEADS))
     for t in range(N_HEADS):
@@ -119,13 +85,8 @@ def fit_label_stats(
         transforms[t] = tr
         normed = tr.normalize(vals)
         targets[idx, t] = normed
-        if idx.size >= 2:
-            dm = obj.fit_density_model(normed)
-            density[t] = dm
-            weights[idx, t] = dm.weights
-        else:
-            weights[idx, t] = 1.0
-    return transforms, density, targets, masks, weights
+        weights[idx, t] = obj.fit_density_model(normed).weights if idx.size >= 2 else 1.0
+    return transforms, targets, masks, weights
 
 
 def _adam_update(param, grad, state, lr, beta1, beta2, eps, step):
@@ -149,8 +110,8 @@ def train(
 ) -> TrainedModel:
     """Run the training loop and return the trained model plus loss trace."""
     registry = registry or default_registry()
-    model = PropertyModel(cfg.model_config(), seed=cfg.seed)
-    transforms, _, targets, masks, weights = fit_label_stats(instances, registry)
+    model = PropertyModel(cfg, seed=cfg.seed)
+    transforms, targets, masks, weights = fit_label_stats(instances, registry)
     encoded = encode([inst.text for inst in instances], cfg.vocab_size)
     # every row a batch can touch, stored up front: a row no batch has
     # touched yet has zero moments and zero gradient, so Adam leaves it bit
@@ -242,7 +203,7 @@ def load_trained(path) -> TrainedModel:
         cfg = TrainConfig(**metadata["config"])
         # a fresh model's tensors are the ones to expect; its embedding rows
         # are lazy, so it costs next to nothing
-        fresh = PropertyModel(cfg.model_config(), seed=cfg.seed).params
+        fresh = PropertyModel(cfg, seed=cfg.seed).params
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: bad config: {exc}") from None
     expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
@@ -253,7 +214,7 @@ def load_trained(path) -> TrainedModel:
     # the parameters in the order the model holds them
     params = {name: tensors[name] for name in fresh}
     try:
-        model = PropertyModel(cfg.model_config(), cfg.seed, params, tensors.get("embed_rows"))
+        model = PropertyModel(cfg, cfg.seed, params, tensors.get("embed_rows"))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     mu, sigma, log_flags, valid = (tensors[name] for name in _TRANSFORM_TENSORS)

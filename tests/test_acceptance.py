@@ -12,10 +12,10 @@ import pytest
 
 from polyreg.corpus import MECHANICAL_HEADS, SynthConfig, gen_corpus
 from polyreg.datasets import build_dataset, scan_dataset_for_leaks
-from polyreg.encoder import EncoderConfig, init_encoder_params, lora_project
+from polyreg.encoder import init_encoder_params, lora_project
 from polyreg.harness import prepare_variant_datasets, run_ablation, run_uncertainty_report
 from polyreg.metrics import ZeroVariance, evaluate, r_squared, rank_correlations
-from polyreg.model import Batch, ModelConfig, PropertyModel, make_batch
+from polyreg.model import Batch, PropertyModel, make_batch
 from polyreg.objective import fit_density_model, fit_uncertainty, kde_density
 from polyreg.audit import audit, load_bundled_fixture
 from polyreg.records import extract_corpus
@@ -73,7 +73,7 @@ def test_acceptance_full_model_gradient_check():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        cfg = ModelConfig(
+        cfg = TrainConfig(
             vocab_size=256, dim=12, rank=3, hidden_dim=14, n_blocks=2,
             pooling_mode="attention" if seed % 2 else "mean",
         )
@@ -275,7 +275,7 @@ def test_acceptance_zero_leakage():
 
 def test_acceptance_low_rank_adapter():
     rng = np.random.default_rng(2)
-    cfg = EncoderConfig(vocab_size=128, dim=32, rank=4, alpha=8.0)
+    cfg = TrainConfig(vocab_size=128, dim=32, rank=4, alpha=8.0)
     params = init_encoder_params(cfg, rng)
     H = rng.normal(size=(5, 9, 32))
     zero_b_exact = np.array_equal(lora_project(H, params, cfg), H @ params["w0"].T)
@@ -285,7 +285,7 @@ def test_acceptance_low_rank_adapter():
     dense = params["w0"] + scale * params["lora_b"] @ params["lora_a"]
     dense_err = float(np.max(np.abs(lora_project(H, params, cfg) - H @ dense.T)))
 
-    model = PropertyModel(ModelConfig(freeze_embeddings=True), seed=0)
+    model = PropertyModel(TrainConfig(freeze_embeddings=True), seed=0)
     trainable, total = model.parameter_counts()
     fraction = trainable / total
     ok = zero_b_exact and dense_err <= 1e-12 and fraction < 0.02

@@ -92,6 +92,25 @@ def test_gen_corpus_rejects_misspelled_config_key(capsys, tmp_path):
     assert not corpus.exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rank = 64", "rank < dim"),
+        ("pooling_mode = max", "unknown pooling mode 'max'"),
+        ("n_blocks = 0", "at least one residual block"),
+    ],
+)
+def test_train_rejects_an_invalid_config_before_reading_the_dataset(capsys, tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    dataset = tmp_path / "absent.tsv"  # never opened: the config fails first
+    ckpt = tmp_path / "model.ckpt"
+    code, _, err = _run(capsys, "train", str(dataset), "--config", str(cfg), "-o", str(ckpt))
+    assert code == 1
+    assert str(cfg) in err and message in err and "absent.tsv" not in err
+    assert not ckpt.exists()
+
+
 def test_ablate_accepts_corpus_and_trainer_keys_in_one_config(capsys, tmp_path):
     cfg = tmp_path / "ablate.cfg"
     cfg.write_text(

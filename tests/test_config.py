@@ -3,7 +3,7 @@ import pytest
 from polyreg.cli import CONFIG_SECTIONS, _load_configs
 from polyreg.config import read_config
 from polyreg.corpus import SynthConfig
-from polyreg.trainer import TrainConfig
+from polyreg.trainer import TrainConfig, save_config
 
 
 def _write(tmp_path, text):
@@ -45,6 +45,22 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
     with pytest.raises(ValueError, match=message) as err:
         read_config(path, CONFIG_SECTIONS)
     assert str(path) in str(err.value)
+
+
+def test_default_config_file_and_digest_are_pinned(tmp_path):
+    # field order is the file format; the digest ends every report table
+    path = tmp_path / "default.cfg"
+    save_config(TrainConfig(), path)
+    assert path.read_bytes() == (
+        b"seed = 0\nbatch_size = 64\nepochs = 10\nlr = 0.001\nrho_lr = 0.01\n"
+        b"beta1 = 0.9\nbeta2 = 0.999\nadam_eps = 1e-08\ngrad_clip = 5.0\n"
+        b"variant = sample_synthesis\npooling_mode = mean\nvocab_size = 65536\n"
+        b"dim = 64\nrank = 8\nalpha = 16.0\nhidden_dim = 128\nn_blocks = 2\n"
+        b"freeze_embeddings = False\nfreeze_encoder = False\nfreeze_trunk = False\n"
+    )
+    assert TrainConfig().digest() == (
+        "dc86b880c031483e74792be57dcc4712fa4b97f3d26245d8bc2273b90f311235"
+    )
 
 
 def test_every_config_field_has_a_parser(tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from polyreg.config import TrainConfig
 from polyreg.encoder import (
-    EncoderConfig,
     bucket_ids,
     embed,
     fnv1a64,
@@ -16,7 +16,7 @@ from polyreg.encoder import (
     pool_backward,
     tokenize,
 )
-from polyreg.model import ModelConfig, PropertyModel
+from polyreg.model import PropertyModel
 
 
 # ---- tokenizer and hashing ------------------------------------------------
@@ -144,7 +144,7 @@ def test_init_rows_uniform_with_std_point_one():
 
 
 def test_model_materializes_rows_at_init_and_derives_the_rest():
-    model = PropertyModel(ModelConfig(vocab_size=1000, dim=8, rank=2), seed=4)
+    model = PropertyModel(TrainConfig(vocab_size=1000, dim=8, rank=2), seed=4)
     assert model.embed_rows.size == 0 and model.params["embed"].shape == (0, 8)
     model.materialize(np.array([[9, 3], [9, 500]]))
     assert model.embed_rows.tolist() == [3, 9, 500]
@@ -170,7 +170,7 @@ def test_model_materializes_rows_at_init_and_derives_the_rest():
 
 
 def test_encoder_init_deterministic():
-    cfg = EncoderConfig(vocab_size=256, dim=16, rank=4)
+    cfg = TrainConfig(vocab_size=256, dim=16, rank=4)
     a = init_encoder_params(cfg, np.random.default_rng(7))
     b = init_encoder_params(cfg, np.random.default_rng(7))
     for name in a:
@@ -181,7 +181,7 @@ def test_encoder_init_deterministic():
 
 
 def test_lora_zero_b_is_exactly_frozen_projection():
-    cfg = EncoderConfig(vocab_size=64, dim=16, rank=4)
+    cfg = TrainConfig(vocab_size=64, dim=16, rank=4)
     params = init_encoder_params(cfg, np.random.default_rng(0))
     H = np.random.default_rng(1).normal(size=(3, 5, 16))
     out = lora_project(H, params, cfg)
@@ -189,7 +189,7 @@ def test_lora_zero_b_is_exactly_frozen_projection():
 
 
 def test_lora_matches_dense_rowwise_oracle():
-    cfg = EncoderConfig(vocab_size=64, dim=12, rank=3, alpha=6.0)
+    cfg = TrainConfig(vocab_size=64, dim=12, rank=3, alpha=6.0)
     rng = np.random.default_rng(2)
     params = init_encoder_params(cfg, rng)
     params["lora_b"] = rng.normal(size=params["lora_b"].shape)
@@ -207,7 +207,7 @@ def test_lora_subspace_projection_identity():
     # W0 = 0, A = first r rows of I, B = A^T, alpha = r: output keeps the
     # first r coordinates and zeroes the rest
     d, r = 8, 3
-    cfg = EncoderConfig(vocab_size=16, dim=d, rank=r, alpha=float(r))
+    cfg = TrainConfig(vocab_size=16, dim=d, rank=r, alpha=float(r))
     params = init_encoder_params(cfg, np.random.default_rng(0))
     params["w0"] = np.zeros((d, d))
     params["lora_a"] = np.eye(d)[:r]
@@ -219,7 +219,7 @@ def test_lora_subspace_projection_identity():
 
 
 def test_lora_backward_finite_difference():
-    cfg = EncoderConfig(vocab_size=32, dim=6, rank=2, alpha=4.0)
+    cfg = TrainConfig(vocab_size=32, dim=6, rank=2, alpha=4.0)
     rng = np.random.default_rng(3)
     params = init_encoder_params(cfg, rng)
     params["lora_b"] = rng.normal(size=params["lora_b"].shape)
@@ -259,7 +259,7 @@ def _params(cfg, seed=0):
 
 
 def test_mean_pool_fixed_point():
-    cfg = EncoderConfig(vocab_size=16, dim=4, rank=2, pooling_mode="mean")
+    cfg = TrainConfig(vocab_size=16, dim=4, rank=2, pooling_mode="mean")
     row = np.array([1.0, -2.0, 3.0, 0.5])
     H = np.tile(row, (1, 5, 1))
     mask = np.ones((1, 5), dtype=bool)
@@ -272,8 +272,8 @@ def test_attention_with_zero_query_equals_mean():
     H = rng.normal(size=(2, 6, 8))
     mask = np.ones((2, 6), dtype=bool)
     mask[1, 4:] = False
-    cfg_a = EncoderConfig(vocab_size=16, dim=8, rank=2, pooling_mode="attention")
-    cfg_m = EncoderConfig(vocab_size=16, dim=8, rank=2, pooling_mode="mean")
+    cfg_a = TrainConfig(vocab_size=16, dim=8, rank=2, pooling_mode="attention")
+    cfg_m = TrainConfig(vocab_size=16, dim=8, rank=2, pooling_mode="mean")
     params = _params(cfg_a)
     assert np.all(params["attn_q"] == 0)
     pa, _ = pool(H, mask, params, cfg_a)
@@ -283,7 +283,7 @@ def test_attention_with_zero_query_equals_mean():
 
 def test_attention_softmax_known_weights():
     # scores (0, ln 3) -> weights (0.25, 0.75)
-    cfg = EncoderConfig(vocab_size=16, dim=2, rank=1, pooling_mode="attention")
+    cfg = TrainConfig(vocab_size=16, dim=2, rank=1, pooling_mode="attention")
     params = _params(cfg)
     params["w0"] = np.eye(2)  # with lora_b = 0 the projected query is q itself
     params["attn_q"] = np.array([1.0, 0.0])
@@ -296,7 +296,7 @@ def test_attention_softmax_known_weights():
 
 def test_attention_pool_stays_in_convex_hull():
     rng = np.random.default_rng(5)
-    cfg = EncoderConfig(vocab_size=16, dim=6, rank=2, pooling_mode="attention")
+    cfg = TrainConfig(vocab_size=16, dim=6, rank=2, pooling_mode="attention")
     params = _params(cfg)
     params["attn_q"] = rng.normal(size=6)
     H = rng.normal(size=(3, 9, 6))
@@ -312,7 +312,7 @@ def test_attention_pool_stays_in_convex_hull():
 def test_pool_padding_invariance():
     rng = np.random.default_rng(6)
     for mode in ("mean", "attention"):
-        cfg = EncoderConfig(vocab_size=16, dim=5, rank=2, pooling_mode=mode)
+        cfg = TrainConfig(vocab_size=16, dim=5, rank=2, pooling_mode=mode)
         params = _params(cfg)
         params["attn_q"] = rng.normal(size=5)
         H = rng.normal(size=(1, 4, 5))
@@ -326,7 +326,7 @@ def test_pool_padding_invariance():
 
 def test_pool_all_masked_gives_zero_vector():
     for mode in ("mean", "attention"):
-        cfg = EncoderConfig(vocab_size=16, dim=3, rank=1, pooling_mode=mode)
+        cfg = TrainConfig(vocab_size=16, dim=3, rank=1, pooling_mode=mode)
         H = np.random.default_rng(7).normal(size=(2, 4, 3))
         mask = np.zeros((2, 4), dtype=bool)
         mask[0] = True
@@ -338,7 +338,7 @@ def test_pool_all_masked_gives_zero_vector():
 def test_pool_backward_finite_difference():
     rng = np.random.default_rng(8)
     for mode in ("mean", "attention"):
-        cfg = EncoderConfig(vocab_size=16, dim=4, rank=2, pooling_mode=mode)
+        cfg = TrainConfig(vocab_size=16, dim=4, rank=2, pooling_mode=mode)
         params = _params(cfg)
         params["lora_b"] = rng.normal(size=params["lora_b"].shape)
         params["attn_q"] = rng.normal(size=4)
@@ -383,13 +383,13 @@ def test_pool_backward_finite_difference():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EncoderConfig(dim=8, rank=8)
+        TrainConfig(dim=8, rank=8)
     with pytest.raises(ValueError):
-        EncoderConfig(pooling_mode="max")
+        TrainConfig(pooling_mode="max")
 
 
 def test_trainable_fraction_under_two_percent_with_frozen_embeddings():
-    cfg = ModelConfig(freeze_embeddings=True)
+    cfg = TrainConfig(freeze_embeddings=True)
     model = PropertyModel(cfg, seed=0)
     trainable, total = model.parameter_counts()
     assert "embed" not in model.trainable_names()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ def test_score_prediction_file_requires_header(tmp_path):
     path.write_text("s0\tTg\t105\n")
     with pytest.raises(ValueError):
         score_prediction_file(path, _instances())
+
+
+@pytest.mark.parametrize("bad", ["s0\t\t105", "s0\tTg"])
+def test_score_prediction_file_names_a_malformed_line(tmp_path, bad):
+    # an empty head column or a missing response column: the file and line
+    path = tmp_path / "preds.tsv"
+    path.write_text("sample_id\thead\tresponse\ns1\tTg\t99\n" + bad + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: ") as err:
+        score_prediction_file(path, _instances())
+    assert repr(bad) in str(err.value)
 
 
 def test_prediction_file_scores_equal_evaluate(tmp_path):

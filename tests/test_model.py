@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from polyreg import regressor as reg
-from polyreg.model import Batch, ModelConfig, PropertyModel
+from polyreg.config import TrainConfig
+from polyreg.model import Batch, PropertyModel
 from polyreg.registry import N_HEADS
 
 RTOL = 1e-10
@@ -19,14 +20,14 @@ RTOL = 1e-10
 def _token_wise_reference(model: PropertyModel, batch: Batch):
     """Predictions and gradients with the projection applied to each token
     before pooling."""
-    p, ecfg, tcfg = model.params, model.cfg.encoder_config(), model.cfg.trunk_config()
-    scale = ecfg.alpha / ecfg.rank
+    p, cfg = model.params, model.cfg
+    scale = cfg.alpha / cfg.rank
     A, B, w0, q = p["lora_a"], p["lora_b"], p["w0"], p["attn_q"]
     mask = batch.token_mask
     H = model.embedding(batch.ids)  # (B, T, d), read by bucket id
     H2 = H @ w0.T + scale * (H @ A.T) @ B.T
     counts = mask.sum(axis=1)
-    if ecfg.pooling_mode == "mean":
+    if cfg.pooling_mode == "mean":
         weights = mask / np.maximum(counts, 1)[:, None]
     else:
         scores = np.where(mask, H2 @ q, -np.inf)
@@ -34,7 +35,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
         expv = np.where(mask, np.exp(scores - top[:, None]), 0.0)
         weights = expv / np.maximum(expv.sum(axis=1), 1e-300)[:, None]
     pooled = np.einsum("bt,btd->bd", weights, H2)
-    z, trunk_cache = reg.trunk_forward(pooled, p, tcfg)
+    z, trunk_cache = reg.trunk_forward(pooled, p, cfg)
     preds = reg.heads_forward(z, p)
 
     counts_h = batch.label_mask.sum(axis=0)
@@ -45,12 +46,12 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     grads = {"rho": np.where(present, -task * np.exp(-p["rho"]) / 2.0 + 0.5, 0.0)}
     dz, head_grads = reg.heads_backward(dpred, z, p)
     grads.update(head_grads)
-    dpooled, trunk_grads = reg.trunk_backward(dz, trunk_cache, p, tcfg)
+    dpooled, trunk_grads = reg.trunk_backward(dz, trunk_cache, p, cfg)
     grads.update(trunk_grads)
 
     dH2 = weights[:, :, None] * dpooled[:, None, :]
     grads["attn_q"] = np.zeros_like(q)
-    if ecfg.pooling_mode == "attention":
+    if cfg.pooling_mode == "attention":
         dw = np.einsum("bd,btd->bt", dpooled, H2)
         ds = weights * (dw - (dw * weights).sum(axis=1, keepdims=True))
         grads["attn_q"] = np.einsum("bt,btd->d", ds, H2)
@@ -60,7 +61,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     grads["lora_b"] = scale * dH2f.T @ (Hf @ A.T)
     grads["lora_a"] = scale * (dH2f @ B).T @ Hf
     dH = (dH2f @ w0 + scale * (dH2f @ B) @ A).reshape(H.shape)
-    dembed = np.zeros((ecfg.vocab_size, d))
+    dembed = np.zeros((cfg.vocab_size, d))
     np.add.at(dembed, batch.ids[mask], dH[mask])
     grads["embed"] = dembed
     return preds, grads
@@ -68,7 +69,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
 
 def _case(pooling_mode: str, n_rows: int, seed: int):
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig(
+    cfg = TrainConfig(
         vocab_size=24, dim=10, rank=3, alpha=5.0, hidden_dim=12, n_blocks=2,
         pooling_mode=pooling_mode,
     )

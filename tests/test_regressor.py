@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from polyreg.config import TrainConfig
 from polyreg.regressor import (
     BOTTLENECK_DIM,
     LN_EPS,
-    TrunkConfig,
     gelu,
     gelu_grad,
     heads_backward,
@@ -19,10 +19,10 @@ from polyreg.registry import N_HEADS
 
 
 def _setup(seed=0, B=5, cfg=None):
-    cfg = cfg or TrunkConfig(input_dim=10, hidden_dim=12, n_blocks=2)
+    cfg = cfg or TrainConfig(dim=10, hidden_dim=12, n_blocks=2)
     rng = np.random.default_rng(seed)
     params = init_trunk_params(cfg, rng)
-    pooled = rng.normal(size=(B, cfg.input_dim))
+    pooled = rng.normal(size=(B, cfg.dim))
     return cfg, params, pooled
 
 
@@ -175,7 +175,7 @@ def test_head_gradient_isolation():
 
 
 def test_trunk_backward_finite_difference():
-    cfg = TrunkConfig(input_dim=6, hidden_dim=8, n_blocks=2)
+    cfg = TrainConfig(dim=6, rank=2, hidden_dim=8, n_blocks=2)
     rng = np.random.default_rng(6)
     params = init_trunk_params(cfg, rng)
     pooled = rng.normal(size=(3, 6))
@@ -219,4 +219,4 @@ def test_trunk_backward_finite_difference():
 
 def test_trunk_config_validation():
     with pytest.raises(ValueError):
-        TrunkConfig(n_blocks=0)
+        TrainConfig(n_blocks=0)

@@ -70,12 +70,11 @@ def _small_cfg(**kw):
 
 def test_fit_label_stats_shapes_and_weights():
     instances = _toy_dataset()
-    transforms, density, targets, masks, weights = fit_label_stats(instances)
+    transforms, targets, masks, weights = fit_label_stats(instances)
     assert transforms[TG] is not None and transforms[TS] is not None
     assert transforms[TS].log_space and not transforms[TG].log_space
-    assert density[TG] is not None
     got = weights[masks[:, TG], TG]
-    assert abs(got.mean() - 1.0) <= 1e-9
+    assert abs(got.mean() - 1.0) <= 1e-9 and got.std() > 0  # KDE weights, not unit ones
     unused = [t for t in range(N_HEADS) if t not in (TG, TS)]
     assert all(transforms[t] is None for t in unused)
     assert np.all(weights[:, unused] == 0)
@@ -86,16 +85,15 @@ def test_fit_label_stats_single_label_fallback():
     instances = _toy_dataset()[:4]
     solo = _instance("solo", "[Sample]\nlone", {REG.by_name("Tm").head_id: 170.0})
     tm = REG.by_name("Tm").head_id
-    transforms, density, targets, masks, weights = fit_label_stats(instances + [solo])
+    transforms, targets, masks, weights = fit_label_stats(instances + [solo])
     assert transforms[tm] is not None and transforms[tm].sigma == 1.0
-    assert density[tm] is None
     assert weights[-1, tm] == 1.0
 
 
 def test_fit_label_stats_drops_nonpositive_log_labels():
     instances = _toy_dataset()[:4]
     bad = _instance("bad", "[Sample]\nbad", {TS: -5.0})
-    transforms, density, targets, masks, weights = fit_label_stats(instances + [bad])
+    transforms, targets, masks, weights = fit_label_stats(instances + [bad])
     assert not masks[-1, TS]
 
 
@@ -105,7 +103,7 @@ def test_fit_label_stats_drops_non_finite_labels():
         _instance("inf", "[Sample]\ninf", {TG: np.inf, TS: np.inf}),
         _instance("nan", "[Sample]\nnan", {TG: np.nan}),
     ]
-    transforms, density, targets, masks, weights = fit_label_stats(instances + bad)
+    transforms, targets, masks, weights = fit_label_stats(instances + bad)
     assert not masks[-2:, [TG, TS]].any()
     assert np.all(weights[-2:] == 0) and np.all(targets[-2:] == 0)
     clean = fit_label_stats(instances)
@@ -122,9 +120,9 @@ def _dense_reference(cfg, instances):
     into a dense table and a dense Adam step over the whole table, each
     prompt re-encoded in every batch.  Returns the model and, per step, the
     batch's embedding rows and a copy of the table after the step."""
-    model = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    model = PropertyModel(cfg, seed=cfg.seed)
     model.materialize(np.arange(cfg.vocab_size))  # a bucket id is its own position
-    _, _, targets, masks, weights = fit_label_stats(instances)
+    _, targets, masks, weights = fit_label_stats(instances)
     trainable = model.trainable_names()
     state = {k: (np.zeros_like(model.params[k]), np.zeros_like(model.params[k])) for k in trainable}
     rng = np.random.default_rng(cfg.seed)
@@ -219,14 +217,14 @@ def test_frozen_embeddings_stay_at_init():
     model = trained.model
     assert model.embed_rows.size > 0
     assert np.array_equal(model.params["embed"], enc.init_rows(cfg.seed, model.embed_rows, cfg.dim))
-    fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    fresh = PropertyModel(cfg, seed=cfg.seed)
     assert not np.array_equal(model.params["lora_a"], fresh.params["lora_a"])
 
 
 def test_zero_epochs_leaves_parameters_at_init():
     cfg = _small_cfg(epochs=0)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    fresh = PropertyModel(cfg, seed=cfg.seed)
     every_id = np.arange(cfg.vocab_size)
     assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
     for name in fresh.params:
@@ -256,14 +254,14 @@ def test_different_seed_changes_parameters():
 def test_frozen_base_projection_never_moves():
     cfg = _small_cfg(epochs=3)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    fresh = PropertyModel(cfg, seed=cfg.seed)
     assert np.array_equal(trained.model.params["w0"], fresh.params["w0"])
 
 
 def test_freeze_flags_respected():
     cfg = _small_cfg(epochs=2, freeze_embeddings=True, freeze_encoder=True)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg.model_config(), seed=cfg.seed)
+    fresh = PropertyModel(cfg, seed=cfg.seed)
     every_id = np.arange(cfg.vocab_size)
     assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
     for name in ("lora_a", "lora_b"):
@@ -382,6 +380,22 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("learning_rate = 0.1\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rank = 64", "rank < dim"),
+        ("pooling_mode = max", "unknown pooling mode 'max'"),
+        ("n_blocks = 0", "at least one residual block"),
+    ],
+)
+def test_config_rejects_an_invalid_combination(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        load_config(path)
+    assert str(path) in str(err.value)
 
 
 # ---- checkpoints ----------------------------------------------------------
