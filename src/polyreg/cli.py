@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: gen-corpus, extract, build-dataset, train, eval, ablate,
-audit, uncertainty-report.  All exit 0 on success and nonzero with a
-diagnostic on any error.
+audit, uncertainty-report.  All exit 0 on success and 1 with a one-line
+diagnostic on any error; ``polyreg --debug ...`` re-raises it instead.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def cmd_uncertainty_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyreg")
+    parser.add_argument("--debug", action="store_true", help="re-raise an error with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, doc):
@@ -188,6 +189,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:  # surface a diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

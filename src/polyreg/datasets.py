@@ -7,11 +7,12 @@ with newlines in the prompt escaped and ``NA`` as the missing marker.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .records import ExtractedSample
+from .records import ExtractedSample, PropertyObservation, Quantity
 from .prompts import build_prompt, leakage_hits, mask_labels
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
@@ -55,7 +56,8 @@ def build_dataset(
             if obs.canonical_value is not None:
                 per_head.setdefault(obs.head_id, []).append(obs.canonical_value)
         for head_id, values in per_head.items():
-            labels[head_id] = float(np.mean(values))
+            # np.mean of one value is that value, at many times the cost
+            labels[head_id] = values[0] if len(values) == 1 else np.mean(values)
             mask[head_id] = True
         text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
         text = mask_labels(text, sample.observations, registry)
@@ -71,18 +73,13 @@ def scan_dataset_for_leaks(
 ) -> int:
     """Exhaustive leakage scan over a built dataset; returns the hit count."""
     registry = registry or default_registry()
-    from .records import PropertyObservation, Quantity
-
     total = 0
     for inst in instances:
+        labels = inst.labels.tolist()
         observations = [
-            PropertyObservation(
-                sample_id=inst.sample_id,
-                head_id=h,
-                quantity=Quantity(kind="point", value=inst.labels[h]),
-                canonical_value=float(inst.labels[h]),
-            )
-            for h in np.flatnonzero(inst.label_mask)
+            PropertyObservation(inst.sample_id, h, Quantity("point", labels[h]), labels[h])
+            for h, present in enumerate(inst.label_mask.tolist())
+            if present
         ]
         total += len(leakage_hits(inst.text, observations, registry))
     return total
@@ -94,18 +91,13 @@ def _escape(text: str) -> str:
     )
 
 
+_UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\([ntr\\])")
+
+
 def _unescape(text: str) -> str:
-    out, i = [], 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n", "t": "\t", "r": "\r", "\\": "\\"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """Invert _escape; any other escape or a trailing lone backslash stays as is."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m.group(1)], text)
 
 
 def save_dataset(instances: list[PromptInstance], path) -> None:
@@ -131,20 +123,19 @@ def load_dataset(path) -> list[PromptInstance]:
         header = fh.readline()
         if not header.startswith("sample_id\tvariant\ttext"):
             raise ValueError(f"{path}: not a prompt dataset file")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
+            if len(parts) != 3 + N_HEADS:
+                raise ValueError(f"{path}:{lineno}: expected {3 + N_HEADS} columns, got {len(parts)}")
             sid, variant, text = parts[0], parts[1], _unescape(parts[2])
             slots = parts[3:]
-            if len(slots) != N_HEADS:
-                raise ValueError(f"{path}: expected {N_HEADS} label slots, got {len(slots)}")
-            labels = np.full(N_HEADS, np.nan)
-            mask = np.zeros(N_HEADS, dtype=bool)
-            for i, slot in enumerate(slots):
-                if slot != "NA":
-                    labels[i] = float(slot)
-                    mask[i] = True
+            mask = [slot != "NA" for slot in slots]
+            try:
+                labels = [float(slot) if present else np.nan for slot, present in zip(slots, mask)]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             instances.append(PromptInstance(sid, variant, text, labels, mask))
     return instances

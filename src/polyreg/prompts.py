@@ -38,21 +38,22 @@ def build_prompt(sample_desc: str, synthesis_desc: str, variant: str) -> str:
 
 def _target_representations(
     observations: list[PropertyObservation], registry: PropertyRegistry
-) -> list[float]:
-    """Every numeric string a target value could take in any registered unit."""
-    reps: list[float] = []
+) -> list[tuple[float, float]]:
+    """Each value a target could take in a registered unit, with its match tolerance."""
+    reps: list[tuple[float, float]] = []
     for obs in observations:
         if obs.canonical_value is None:
             continue
         head_unit = normalize_unit(registry.spec(obs.head_id).canonical_unit)
         for unit in units_for_dimension(head_unit.dimension):
-            reps.append(unit.from_canonical(obs.canonical_value))
+            rep = unit.from_canonical(obs.canonical_value)
+            reps.append((rep, MASK_REL_TOL * max(abs(rep), 1e-12)))
     return reps
 
 
-def _is_target_number(value: float, reps: list[float]) -> bool:
-    for rep in reps:
-        if abs(value - rep) <= MASK_REL_TOL * max(abs(rep), 1e-12):
+def _is_target_number(value: float, reps: list[tuple[float, float]]) -> bool:
+    for rep, tol in reps:
+        if abs(value - rep) <= tol:
             return True
     return False
 
@@ -87,8 +88,4 @@ def leakage_hits(
     """Numeric tokens in text that still equal an observed target value."""
     registry = registry or default_registry()
     reps = _target_representations(observations, registry)
-    hits = []
-    for m in _NUM_RE.finditer(text):
-        if _is_target_number(float(m.group(0)), reps):
-            hits.append(m.group(0))
-    return hits
+    return [num for num in _NUM_RE.findall(text) if _is_target_number(float(num), reps)]

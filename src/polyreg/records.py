@@ -9,9 +9,10 @@ separated by semicolons.
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .registry import PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
@@ -46,6 +47,10 @@ class Quantity:
     def __post_init__(self):
         if self.kind == "range" and not self.lo < self.hi:
             raise ParseFailure(f"range requires lo < hi, got {self.lo}..{self.hi}")
+
+
+# all scalars: the file IO copies them by name, not by asdict's deep copy
+_QUANTITY_FIELDS = tuple(f.name for f in fields(Quantity))
 
 
 @dataclass(frozen=True)
@@ -289,8 +294,6 @@ def extract_corpus(
 
 
 def save_extracted(samples: list[ExtractedSample], path) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
             row = {
@@ -300,7 +303,7 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
                 "observations": [
                     {
                         "head_id": o.head_id,
-                        **asdict(o.quantity),
+                        **{name: getattr(o.quantity, name) for name in _QUANTITY_FIELDS},
                         "canonical_value": o.canonical_value,
                         "span": list(o.source_span),
                     }
@@ -311,31 +314,34 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
 
 
 def load_extracted(path) -> list[ExtractedSample]:
-    import json
-
+    """Read save_extracted's file; a malformed line raises a ValueError naming it."""
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            observations = [
-                PropertyObservation(
-                    sample_id=row["sample_id"],
-                    head_id=o["head_id"],
-                    quantity=Quantity(**{f.name: o[f.name] for f in fields(Quantity)}),
-                    canonical_value=o["canonical_value"],
-                    source_span=tuple(o["span"]),
+            try:
+                row = json.loads(line)
+                samples.append(
+                    ExtractedSample(
+                        sample_id=row["sample_id"],
+                        sample_text=row["sample_text"],
+                        synthesis_text=row["synthesis_text"],
+                        observations=[
+                            PropertyObservation(
+                                sample_id=row["sample_id"],
+                                head_id=o["head_id"],
+                                quantity=Quantity(**{name: o[name] for name in _QUANTITY_FIELDS}),
+                                canonical_value=o["canonical_value"],
+                                source_span=tuple(o["span"]),
+                            )
+                            for o in row["observations"]
+                        ],
+                    )
                 )
-                for o in row["observations"]
-            ]
-            samples.append(
-                ExtractedSample(
-                    sample_id=row["sample_id"],
-                    sample_text=row["sample_text"],
-                    synthesis_text=row["synthesis_text"],
-                    observations=observations,
-                )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, ParseFailure) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return samples

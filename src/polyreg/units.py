@@ -95,8 +95,10 @@ _SPELLINGS = {
 }
 
 _BY_SYMBOL: dict[str, UnitDef] = {u.symbol: u for u in _UNITS}
+_BY_DIMENSION: dict[str, list[UnitDef]] = {}
 _BY_KEY: dict[str, UnitDef] = {}
 for _u in _UNITS:
+    _BY_DIMENSION.setdefault(_u.dimension, []).append(_u)
     _BY_KEY[_u.symbol.lower()] = _u
 for _alt, _sym in _SPELLINGS.items():
     _BY_KEY[_alt] = _BY_SYMBOL[_sym]
@@ -124,7 +126,7 @@ def unit_def(symbol: str) -> UnitDef:
 
 
 def units_for_dimension(dimension: str) -> list[UnitDef]:
-    return [u for u in _UNITS if u.dimension == dimension]
+    return list(_BY_DIMENSION.get(dimension, []))
 
 
 def convert(value: float, unit: str, head_unit: str) -> float:

@@ -130,6 +130,16 @@ def test_missing_file_gives_nonzero_exit_and_diagnostic(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_debug_reraises_and_default_prints_one_line(capsys, tmp_path):
+    argv = ["train", str(tmp_path / "missing.tsv"), "-o", str(tmp_path / "model.ckpt")]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    with pytest.raises(FileNotFoundError, match="missing.tsv"):
+        main(["--debug", *argv])
+    assert capsys.readouterr().err == ""
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code != 0

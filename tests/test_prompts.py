@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,27 @@ from hypothesis import strategies as st
 
 from polyreg.datasets import (
     LeakageDetected,
+    PromptInstance,
+    _escape,
+    _unescape,
     build_dataset,
     load_dataset,
     save_dataset,
     scan_dataset_for_leaks,
 )
-from polyreg.prompts import MASK_TOKEN, EmptySample, build_prompt, leakage_hits, mask_labels
+from polyreg.prompts import (
+    MASK_REL_TOL,
+    MASK_TOKEN,
+    EmptySample,
+    _is_target_number,
+    _target_representations,
+    build_prompt,
+    leakage_hits,
+    mask_labels,
+)
 from polyreg.records import PropertyObservation, Quantity, extract_document
-from polyreg.registry import default_registry
+from polyreg.registry import N_HEADS, default_registry
+from polyreg.units import normalize_unit, units_for_dimension
 
 REG = default_registry()
 
@@ -111,6 +126,30 @@ def test_masked_text_never_leaks(value, extra):
     assert leakage_hits(masked, obs) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    targets=st.lists(
+        st.tuples(st.integers(0, N_HEADS - 1), st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+        max_size=4,
+    ),
+)
+def test_target_match_equals_per_pair_tolerance_reference(value, targets):
+    # the reference applies the tolerance formula to each (number,
+    # representation) pair; computing it once per representation must not
+    # move a decision
+    obs = [_obs(REG.spec(h).name, v) for h, v in targets]
+    reps = [
+        unit.from_canonical(o.canonical_value)
+        for o in obs
+        for unit in units_for_dimension(normalize_unit(REG.spec(o.head_id).canonical_unit).dimension)
+    ]
+    near = [value] + [rep * (1 + k * MASK_REL_TOL) for rep in reps for k in (-1, 1)]
+    for v in near:
+        expected = any(abs(v - rep) <= MASK_REL_TOL * max(abs(rep), 1e-12) for rep in reps)
+        assert _is_target_number(v, _target_representations(obs, REG)) == expected
+
+
 # ---- dataset construction -------------------------------------------------
 
 
@@ -201,3 +240,75 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
     path.write_text("record_id\tsample_id\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda line: line.replace("\tNA", "\tabc", 1), "could not convert string to float: 'abc'"),
+        (lambda line: line.rsplit("\t", 1)[0], "expected 25 columns, got 24"),
+        (lambda line: "s9", "expected 25 columns, got 1"),
+    ],
+    ids=["non_numeric_label", "missing_slot", "one_column"],
+)
+def test_load_dataset_names_file_and_line_of_a_malformed_row(tmp_path, corrupt, message):
+    path = tmp_path / "ds.tsv"
+    save_dataset(build_dataset(extract_document(_doc()), "sample_synthesis"), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = corrupt(lines[2])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
+        load_dataset(path)
+
+
+# ---- escaping and dataset round trips (property tests) --------------------
+
+
+def _reference_unescape(text):
+    """Straight-line decoder: a backslash and the next character form one
+    escape; an unknown escape and a trailing lone backslash stay as they are."""
+    out, i = [], 0
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"n": "\n", "t": "\t", "r": "\r", "\\": "\\"}.get(nxt, "\\" + nxt))
+            i += 2
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_unescape_inverts_escape(text):
+    assert _unescape(_escape(text)) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="\\ntrqx\n\t\r é", max_size=40))
+def test_unescape_matches_reference_decoder(text):
+    assert _unescape(text) == _reference_unescape(text)
+    assert _unescape(text + "\\") == _reference_unescape(text + "\\")
+
+
+_ids = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), max_size=12)
+_labels = st.lists(
+    st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), min_size=N_HEADS, max_size=N_HEADS
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_ids, _ids, st.text(), _labels), max_size=4))
+def test_dataset_file_round_trip(tmp_path_factory, rows):
+    instances = [
+        PromptInstance(sid, variant, text, [np.nan if v is None else v for v in slots], [v is not None for v in slots])
+        for sid, variant, text, slots in rows
+    ]
+    path = tmp_path_factory.mktemp("ds") / "ds.tsv"
+    save_dataset(instances, path)
+    loaded = load_dataset(path)
+    assert [(i.sample_id, i.variant, i.text) for i in loaded] == [(i.sample_id, i.variant, i.text) for i in instances]
+    for a, b in zip(instances, loaded):
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert np.array_equal(a.label_mask, b.label_mask)

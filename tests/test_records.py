@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,4 +243,67 @@ def test_extracted_file_bytes_and_round_trip(tmp_path):
         '"kind": "limit", "lo": null, "span": [0, 0], "unit": "GPa", "value": null}], '
         '"sample_id": "s1", "sample_text": "PS film", "synthesis_text": "cast at 80 \\u00b0C"}\n'
     )
+    assert load_extracted(path) == samples
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"sample_id": "s2", "sample_text": "PS", "synthesis_text": ""', "Expecting ',' delimiter"),
+        (
+            '{"observations": [{"head_id": 0, "value": 1.0, "canonical_value": 1.0, "span": [0, 3]}], '
+            '"sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
+            "missing field 'kind'",
+        ),
+        ('{"observations": [], "sample_id": "s2", "sample_text": "PS"}', "missing field 'synthesis_text'"),
+        ('["s2"]', "list indices must be integers"),
+    ],
+    ids=["bad_json", "observation_missing_fields", "sample_missing_field", "not_an_object"],
+)
+def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):
+    path = tmp_path / "obs.jsonl"
+    save_extracted([ExtractedSample("s1", "PS film", "cast at 80 °C")], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        load_extracted(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_text = st.text(max_size=12)
+_quantities = st.one_of(
+    st.builds(Quantity, kind=st.just("point"), value=_finite, unit=st.none() | _text),
+    st.tuples(_finite, _finite).filter(lambda p: p[0] < p[1]).map(
+        lambda p: Quantity(kind="range", lo=p[0], hi=p[1], unit="MPa")
+    ),
+    st.builds(
+        Quantity, kind=st.just("limit"), bound=_finite, direction=st.sampled_from(["greater", "less"]), unit=_text
+    ),
+)
+
+
+@st.composite
+def _samples(draw):
+    sid = draw(_text)
+    observations = draw(
+        st.lists(
+            st.builds(
+                PropertyObservation,
+                sample_id=st.just(sid),
+                head_id=st.integers(0, 21),
+                quantity=_quantities,
+                canonical_value=st.none() | _finite,
+                source_span=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            ),
+            max_size=4,
+        )
+    )
+    return ExtractedSample(sid, draw(st.text()), draw(st.text()), observations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_samples(), max_size=4))
+def test_extracted_file_round_trip_over_every_quantity_kind(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("extracted") / "obs.jsonl"
+    save_extracted(samples, path)
     assert load_extracted(path) == samples
