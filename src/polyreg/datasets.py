@@ -32,7 +32,11 @@ class PromptInstance:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.label_mask = np.asarray(self.label_mask, dtype=bool)
-        assert self.labels.shape == (N_HEADS,) and self.label_mask.shape == (N_HEADS,)
+        if self.labels.shape != (N_HEADS,) or self.label_mask.shape != (N_HEADS,):
+            raise ValueError(
+                f"sample {self.sample_id!r}: labels {self.labels.shape} and label_mask"
+                f" {self.label_mask.shape} must both have shape ({N_HEADS},)"
+            )
 
 
 def build_dataset(

@@ -42,13 +42,13 @@ def make_batch(
     """Pad encoded prompts (see ``encode``) into one mini-batch.  ``forward``
     takes their ids as positions in the stored embedding rows (see
     ``PropertyModel.index``)."""
-    T = max(1, max(len(ids) for ids in id_lists))
-    B = len(id_lists)
-    ids = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T), dtype=bool)
-    for i, row in enumerate(id_lists):
-        ids[i, : len(row)] = row
-        mask[i, : len(row)] = True
+    if not id_lists:
+        raise ValueError("make_batch needs at least one prompt")
+    lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
+    mask = np.arange(max(1, lengths.max())) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    # a boolean mask fills in row-major order, the order of the concatenation
+    ids[mask] = np.concatenate(id_lists)
     targets = np.where(label_mask, targets, 0.0)
     weights = np.where(label_mask, weights, 0.0)
     return Batch(ids, mask, targets.astype(np.float64), label_mask.astype(bool), weights)

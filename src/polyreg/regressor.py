@@ -2,7 +2,9 @@
 
 Blocks are pre-norm: x + Lin(GELU(LayerNorm(x))).  GELU uses the exact
 Gaussian-CDF form; the tanh approximation would break the dual
-implementation oracle at tight tolerances.
+implementation oracle at tight tolerances.  The forward pass keeps each
+block's erf term ``1 + erf(x/√2)`` in its cache, and the backward pass builds
+the GELU derivative from it, so a training step calls erf once per block.
 """
 
 from __future__ import annotations
@@ -20,20 +22,34 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """``1 + erf(x/√2)``, twice the Gaussian CDF: the term ``gelu`` and
+    ``gelu_grad`` share."""
+    return 1.0 + erf(x * _INV_SQRT2)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """Exact GELU of ``x``; ``cdf`` is ``gelu_cdf(x)`` if already computed."""
+    if cdf is None:
+        cdf = gelu_cdf(x)
+    return 0.5 * x * cdf
+
+
+def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of ``gelu`` at ``x``; ``cdf`` as for ``gelu``."""
+    if cdf is None:
+        cdf = gelu_cdf(x)
     phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+    return 0.5 * cdf + x * phi
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - mu
+    # the sum and divide np.var does on the same centred values, bit for bit
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
 
 
@@ -75,9 +91,10 @@ def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrainConfig):
     cache["x0"] = x
     for i in range(cfg.n_blocks):
         ln_out, ln_cache = layer_norm(x, params[f"block{i}_ln_g"], params[f"block{i}_ln_b"])
-        act = gelu(ln_out)
+        cdf = gelu_cdf(ln_out)
+        act = gelu(ln_out, cdf)
         x = x + act @ params[f"block{i}_lin_w"].T + params[f"block{i}_lin_b"]
-        cache[f"block{i}"] = (ln_out, ln_cache, act)
+        cache[f"block{i}"] = (ln_out, ln_cache, act, cdf)
         cache[f"x{i+1}"] = x
     z = x @ params["bottleneck_w"].T + params["bottleneck_b"]
     cache["z"] = z
@@ -104,11 +121,11 @@ def trunk_backward(dz: np.ndarray, cache: dict, params: dict, cfg: TrainConfig):
     grads["bottleneck_b"] = dz.sum(axis=0)
     dx = dz @ params["bottleneck_w"]
     for i in reversed(range(cfg.n_blocks)):
-        ln_out, ln_cache, act = cache[f"block{i}"]
+        ln_out, ln_cache, act, cdf = cache[f"block{i}"]
         grads[f"block{i}_lin_w"] = dx.T @ act
         grads[f"block{i}_lin_b"] = dx.sum(axis=0)
         dact = dx @ params[f"block{i}_lin_w"]
-        dln = dact * gelu_grad(ln_out)
+        dln = dact * gelu_grad(ln_out, cdf)
         dx_branch, dg, db = layer_norm_backward(dln, ln_cache, params[f"block{i}_ln_g"])
         grads[f"block{i}_ln_g"] = dg
         grads[f"block{i}_ln_b"] = db

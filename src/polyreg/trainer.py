@@ -89,13 +89,37 @@ def fit_label_stats(
     return transforms, targets, masks, weights
 
 
-def _adam_update(param, grad, state, lr, beta1, beta2, eps, step):
+def _adam_update(param, grad, state, lr, beta1, beta2, eps, step, clip=1.0):
+    """One Adam step in place on ``param`` and its moments ``state`` with
+    the gradient ``grad * clip``, rounded at every operation as
+    ``m = beta1 * m + (1 - beta1) * g`` and so on.  A ``RowGrad`` adds its
+    terms into the moments at its rows only.  Elsewhere the dense gradient
+    is zero, and adding zero could change only the sign of a zero moment,
+    which reaches no parameter but a negative zero."""
     m, v = state
-    m[:] = beta1 * m + (1 - beta1) * grad
-    v[:] = beta2 * v + (1 - beta2) * grad * grad
-    mhat = m / (1 - beta1**step)
-    vhat = v / (1 - beta2**step)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    rows = None
+    if isinstance(grad, RowGrad):
+        rows, grad = grad.rows, grad.values
+    if clip != 1.0:
+        grad = grad * clip
+    m *= beta1
+    v *= beta2
+    dm = (1 - beta1) * grad
+    dv = (1 - beta2) * grad
+    dv *= grad
+    if rows is None:
+        m += dm
+        v += dv
+    else:
+        m[rows] += dm
+        v[rows] += dv
+    delta = m / (1 - beta1**step)
+    delta *= lr
+    denom = v / (1 - beta2**step)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    delta /= denom
+    param -= delta
 
 
 def _squared_norm(grad) -> float:
@@ -147,13 +171,8 @@ def train(
             step += 1
             for name in trainable:
                 lr = cfg.rho_lr if name == "rho" else cfg.lr
-                hyper = (lr, cfg.beta1, cfg.beta2, cfg.adam_eps, step)
-                grad = grads[name]
-                if isinstance(grad, RowGrad):
-                    dense = np.zeros_like(model.params[name])
-                    dense[grad.rows] = grad.values
-                    grad = dense
-                _adam_update(model.params[name], grad * clip, adam_state[name], *hyper)
+                hyper = (lr, cfg.beta1, cfg.beta2, cfg.adam_eps, step, clip)
+                _adam_update(model.params[name], grads[name], adam_state[name], *hyper)
             batch_losses.append(total)
         if batch_losses:
             trace.append(float(np.mean(batch_losses)))

@@ -11,7 +11,7 @@ import pytest
 
 from polyreg import regressor as reg
 from polyreg.config import TrainConfig
-from polyreg.model import Batch, PropertyModel
+from polyreg.model import Batch, PropertyModel, make_batch
 from polyreg.registry import N_HEADS
 
 RTOL = 1e-10
@@ -131,3 +131,38 @@ def test_all_masked_row_pools_and_predicts_from_zero():
     grads = model.backward(empty, alone_cache, model.loss(empty, alone)[1])
     assert grads["embed"].rows.size == 0 and grads["embed"].values.shape == (0, model.cfg.dim)
     assert np.all(grads["lora_a"] == 0) and np.all(grads["attn_q"] == 0)
+
+
+def _padded_loop_reference(id_lists):
+    """Ids and token mask padded one prompt at a time."""
+    T = max(1, max(len(ids) for ids in id_lists))
+    ids = np.zeros((len(id_lists), T), dtype=np.int64)
+    mask = np.zeros((len(id_lists), T), dtype=bool)
+    for i, row in enumerate(id_lists):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = True
+    return ids, mask
+
+
+@pytest.mark.parametrize(
+    "lengths", [[3, 0, 7, 1, 7, 0], [5], [0], [0, 0, 0], [1, 40, 2]]
+)
+def test_make_batch_pads_like_the_per_prompt_loop(lengths):
+    rng = np.random.default_rng(len(lengths))
+    id_lists = [rng.integers(0, 4096, size=n) for n in lengths]
+    n = len(lengths)
+    label_mask = rng.random((n, N_HEADS)) < 0.5
+    targets, weights = rng.normal(size=(n, N_HEADS)), rng.uniform(size=(n, N_HEADS))
+    batch = make_batch(id_lists, targets, label_mask, weights)
+    ref_ids, ref_mask = _padded_loop_reference(id_lists)
+    assert batch.ids.dtype == np.int64 and batch.token_mask.dtype == bool
+    assert np.array_equal(batch.ids, ref_ids)
+    assert np.array_equal(batch.token_mask, ref_mask)
+    assert np.array_equal(batch.targets, np.where(label_mask, targets, 0.0))
+    assert np.array_equal(batch.weights, np.where(label_mask, weights, 0.0))
+
+
+def test_make_batch_rejects_an_empty_batch():
+    empty = np.zeros((0, N_HEADS))
+    with pytest.raises(ValueError):
+        make_batch([], empty, empty.astype(bool), empty)

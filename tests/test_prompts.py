@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,26 @@ def _doc():
         "Sample: blend B.\n"
         "Tm = 170 °C\n"
     )
+
+
+@pytest.mark.parametrize("labels, mask", [([1.0], [True]), (np.zeros(N_HEADS), np.zeros(3, bool))])
+def test_prompt_instance_rejects_misshapen_labels(labels, mask):
+    with pytest.raises(ValueError, match=r"sample 'a'.*\(22,\)"):
+        PromptInstance("a", "v", "t", labels, mask)
+
+
+def test_prompt_instance_shape_check_holds_under_python_optimize():
+    code = (
+        "from polyreg.datasets import PromptInstance\n"
+        "try:\n"
+        "    PromptInstance('a', 'v', 't', [1.0], [True])\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("rejected: sample 'a'")
 
 
 def test_build_dataset_labels_and_masks():

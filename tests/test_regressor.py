@@ -6,6 +6,7 @@ from polyreg.regressor import (
     BOTTLENECK_DIM,
     LN_EPS,
     gelu,
+    gelu_cdf,
     gelu_grad,
     heads_backward,
     heads_forward,
@@ -44,7 +45,30 @@ def test_gelu_grad_matches_finite_difference():
     assert np.allclose(gelu_grad(x), numeric, atol=1e-8)
 
 
+def test_gelu_and_its_grad_from_a_cached_cdf_equal_the_uncached_forms_bitwise():
+    x = np.random.default_rng(7).normal(0.0, 2.0, size=(96, 128))
+    cdf = gelu_cdf(x)
+    assert np.array_equal(gelu(x, cdf), gelu(x))
+    assert np.array_equal(gelu_grad(x, cdf), gelu_grad(x))
+
+
 # ---- layer norm -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(96, 128), (7, 33), (1, 12), (4, 1)])
+def test_layer_norm_equals_np_var_form_bitwise(shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(3.0, 2.0, size=shape)
+    x[0] = 5.25  # a constant row: zero variance
+    g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    y, (xhat, inv) = layer_norm(x, g, b)
+    mu = x.mean(axis=-1, keepdims=True)
+    ref_inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    ref_xhat = (x - mu) * ref_inv
+    assert np.array_equal(inv, ref_inv)
+    assert np.array_equal(xhat, ref_xhat)
+    assert np.array_equal(y, ref_xhat * g + b)
+    assert np.all(xhat[0] == 0.0)
 
 
 def test_layer_norm_output_statistics():
@@ -215,6 +239,41 @@ def test_trunk_backward_finite_difference():
         xp[idx] -= 2 * eps
         down = f(params, xp)
         assert dpooled[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-4, abs=1e-7)
+
+
+def _trunk_backward_reference(dz, cache, params, cfg):
+    """``trunk_backward`` recomputing each block's GELU derivative from its
+    layer-norm output alone."""
+    grads = {}
+    grads["bottleneck_w"] = dz.T @ cache[f"x{cfg.n_blocks}"]
+    grads["bottleneck_b"] = dz.sum(axis=0)
+    dx = dz @ params["bottleneck_w"]
+    for i in reversed(range(cfg.n_blocks)):
+        ln_out, ln_cache, act = cache[f"block{i}"][:3]
+        grads[f"block{i}_lin_w"] = dx.T @ act
+        grads[f"block{i}_lin_b"] = dx.sum(axis=0)
+        dln = (dx @ params[f"block{i}_lin_w"]) * gelu_grad(ln_out)
+        dx_branch, grads[f"block{i}_ln_g"], grads[f"block{i}_ln_b"] = layer_norm_backward(
+            dln, ln_cache, params[f"block{i}_ln_g"]
+        )
+        dx = dx + dx_branch
+    grads["proj_w"] = dx.T @ cache["pooled"]
+    grads["proj_b"] = dx.sum(axis=0)
+    return dx @ params["proj_w"], grads
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_trunk_backward_with_cached_cdf_equals_recomputed_reference_bitwise(n_blocks):
+    cfg = TrainConfig(dim=16, hidden_dim=32, n_blocks=n_blocks)
+    cfg, params, pooled = _setup(seed=9, B=11, cfg=cfg)
+    dz = np.random.default_rng(10).normal(size=(11, BOTTLENECK_DIM))
+    _, cache = trunk_forward(pooled, params, cfg)
+    dpooled, grads = trunk_backward(dz, cache, params, cfg)
+    ref_dpooled, ref_grads = _trunk_backward_reference(dz, cache, params, cfg)
+    assert np.array_equal(dpooled, ref_dpooled)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_trunk_config_validation():

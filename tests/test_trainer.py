@@ -176,6 +176,36 @@ def test_row_sparse_training_equals_dense_reference_bitwise(pooling_mode):
             assert np.array_equal(model.params[name], reference.params[name]), name
 
 
+def _adam_reference(param, grad, m, v, lr, beta1, beta2, eps, step):
+    """The Adam step as one expression per tensor."""
+    m[:] = beta1 * m + (1 - beta1) * grad
+    v[:] = beta2 * v + (1 - beta2) * grad * grad
+    param -= lr * (m / (1 - beta1**step)) / (np.sqrt(v / (1 - beta2**step)) + eps)
+
+
+@pytest.mark.parametrize("clip", [1.0, 0.37])
+def test_adam_on_a_row_grad_equals_the_dense_scattered_step_bitwise(clip):
+    rng = np.random.default_rng(11)
+    shape = (12, 5)
+    param = rng.normal(size=shape)
+    # nonzero moments on every row, so rows outside a step's gradient move too
+    state = (rng.normal(0.0, 1e-2, size=shape), rng.uniform(1e-6, 1e-3, size=shape))
+    sparse = (param.copy(), tuple(a.copy() for a in state))
+    dense = (param.copy(), tuple(a.copy() for a in state))
+    hyper = (1e-3, 0.9, 0.999, 1e-8)
+    for step in (1, 2, 7):
+        rows = np.sort(rng.choice(shape[0], size=4, replace=False))
+        values = rng.normal(size=(4, shape[1]))
+        grad = np.zeros(shape)
+        grad[rows] = values
+        _adam_reference(param, grad * clip, *state, *hyper, step)
+        _adam_update(sparse[0], enc.RowGrad(rows, values), sparse[1], *hyper, step, clip)
+        _adam_update(dense[0], grad, dense[1], *hyper, step, clip)
+        for got in (sparse, dense):
+            assert np.array_equal(got[0], param)
+            assert np.array_equal(got[1][0], state[0]) and np.array_equal(got[1][1], state[1])
+
+
 @pytest.mark.parametrize("text", ["omega kappa 42", "[Sample]\nalpha and omega kappa"])
 def test_predict_derives_unseen_rows_without_storing_them(text):
     cfg = _small_cfg(epochs=3, grad_clip=1e12)
