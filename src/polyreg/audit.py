@@ -106,12 +106,19 @@ def read_records(path) -> list[AuditRecord]:
         header = fh.readline()
         if not header.startswith("record_id"):
             raise ValueError(f"{path}: missing audit header row")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            rid, sid, head, value, unit = line.split("\t")
-            records.append(AuditRecord(rid, sid, head, float(value), unit))
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+            rid, sid, head, value, unit = parts
+            try:
+                value = float(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            records.append(AuditRecord(rid, sid, head, value, unit))
     return records
 
 

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 POOLING_MODES = ("mean", "attention")
+# the least value of each TrainConfig field that has one
+_MINIMUMS = dict(batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
 
 
 @dataclass
 class TrainConfig:
-    """The model's shape and its training.  Field order is the line order
-    of ``trainer.save_config`` files; ``digest`` sorts the keys."""
+    """The model's shape and its training; ``digest`` hashes the fields
+    with their keys sorted."""
 
     seed: int = 0
     batch_size: int = 64
@@ -45,6 +48,12 @@ class TrainConfig:
     freeze_trunk: bool = False
 
     def __post_init__(self):
+        for name in ("lr", "rho_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, low in _MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.rank < self.dim:
             raise ValueError("low-rank condition requires rank < dim")
         if self.pooling_mode not in POOLING_MODES:

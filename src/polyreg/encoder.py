@@ -25,8 +25,6 @@ import numpy as np
 
 from .config import TrainConfig
 
-HASH_VERSION = 1
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -118,10 +116,8 @@ class RowGrad(NamedTuple):
 
 
 def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Look up embedding rows.  An empty id list yields one all-zero row; an
-    empty table, which only padding can index, yields all-zero rows."""
-    if ids.size == 0:
-        return np.zeros((1, table.shape[1]))
+    """Look up embedding rows.  An empty table, which only padding can
+    index, yields all-zero rows."""
     if table.shape[0] == 0:
         return np.zeros((ids.size, table.shape[1]))
     return table[ids]

@@ -144,15 +144,9 @@ class UncertaintyReport:
     calibration_ratio: float
     low_signal: bool = False
 
-    def scatter_rows(self) -> list[tuple[int, float, float]]:
-        return [
-            (h, float(s), float(r))
-            for h, s, r in zip(self.head_ids, self.sigma, self.rmse_normalized)
-        ]
-
     def to_table(self) -> str:
         lines = ["head_id\tsigma\trmse_normalized"]
-        for h, s, r in self.scatter_rows():
+        for h, s, r in zip(self.head_ids, self.sigma, self.rmse_normalized):
             lines.append(f"{h}\t{s:.6g}\t{r:.6g}")
         pe = "NA" if self.pearson is None else f"{self.pearson:.6f}"
         sp = "NA" if self.spearman is None else f"{self.spearman:.6f}"

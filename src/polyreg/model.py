@@ -212,10 +212,6 @@ class PropertyModel:
         grads["lora_b"] = dB
         return grads
 
-    def objective(self, batch: Batch) -> float:
-        preds, _ = self.forward(batch)
-        return self.loss(batch, preds)[0]
-
 
 def _check_embed_rows(rows, values: np.ndarray, cfg: TrainConfig) -> None:
     """``rows`` must be sorted unique int64 bucket ids, one per row of ``values``."""

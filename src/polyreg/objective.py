@@ -6,7 +6,7 @@ multi-task total loss with learned log-variances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LabelTransform:
     log_space: bool
     mu: float
     sigma: float
-    dropped_nonpositive: int = 0
 
     def normalize(self, y):
         t = np.log10(y) if self.log_space else np.asarray(y, dtype=np.float64)
@@ -42,23 +41,21 @@ class LabelTransform:
 def fit_transform(labels, log_space: bool) -> LabelTransform:
     """Fit the per-head transform on training labels.
 
-    Log-space heads drop non-positive labels (counted).  Raises
-    DegenerateHead with fewer than 2 usable labels or zero variance.
+    Non-finite labels, and non-positive ones on log-space heads, are
+    dropped.  Raises DegenerateHead with fewer than 2 usable labels or zero
+    variance.
     """
     y = np.asarray(labels, dtype=np.float64)
     y = y[np.isfinite(y)]
-    dropped = 0
     if log_space:
-        dropped = int((y <= 0).sum())
-        y = y[y > 0]
-        y = np.log10(y)
+        y = np.log10(y[y > 0])
     if y.size < 2:
         raise DegenerateHead(f"need at least 2 labels, got {y.size}")
     mu = float(y.mean())
     sigma = float(y.std())
     if sigma <= 0.0:
         raise DegenerateHead("zero label variance")
-    return LabelTransform(log_space=log_space, mu=mu, sigma=sigma, dropped_nonpositive=dropped)
+    return LabelTransform(log_space=log_space, mu=mu, sigma=sigma)
 
 
 def silverman_bandwidth(y: np.ndarray) -> float:
@@ -100,30 +97,17 @@ def density_weights(densities, eps: float) -> np.ndarray:
     return raw * (p.size / raw.sum())
 
 
-@dataclass
-class DensityModel:
-    """Per-head KDE over normalized training labels plus frozen weights."""
-
-    train_labels: np.ndarray
-    bandwidth: float
-    epsilon: float
-    weights: np.ndarray = field(default=None)
-
-    def density(self, y) -> np.ndarray:
-        return kde_density(self.train_labels, self.bandwidth, y)
-
-
-def fit_density_model(normalized_labels) -> DensityModel:
-    """Fit the KDE, pick eps at the 5th percentile of in-sample densities
-    and freeze the per-sample weights (mean exactly 1)."""
+def fit_density_model(normalized_labels) -> np.ndarray:
+    """Per-sample weights of the labels: the inverse of their in-sample KDE
+    density at the Silverman bandwidth, clamped at eps, the 5th percentile
+    of those densities, and normalized to mean 1."""
     y = np.asarray(normalized_labels, dtype=np.float64)
     h = silverman_bandwidth(y)
     dens = kde_density(y, h, y)
     eps = float(np.percentile(dens, EPS_PERCENTILE))
     if eps <= 0:
         eps = max(float(dens.min()), 1e-300)
-    w = density_weights(dens, eps)
-    return DensityModel(train_labels=y, bandwidth=h, epsilon=eps, weights=w)
+    return density_weights(dens, eps)
 
 
 def task_losses(preds, targets, mask, weights):
@@ -162,15 +146,6 @@ def total_loss_grad_preds(err, weights, counts, rho) -> np.ndarray:
     scale = np.zeros(counts.size)
     np.divide(np.exp(-rho), counts, out=scale, where=counts > 0)
     return weights * err * scale[None, :]
-
-
-def fit_uncertainty(task_losses, lr: float = 0.2, steps: int = 4000) -> np.ndarray:
-    """Gradient descent on rho alone; converges to sigma_t^2 = L_t."""
-    L = np.asarray(task_losses, dtype=np.float64)
-    rho = np.zeros_like(L)
-    for _ in range(steps):
-        rho = rho - lr * total_loss_grad_rho(L, rho)
-    return rho
 
 
 def sigma_from_rho(rho) -> np.ndarray:

@@ -127,25 +127,15 @@ def parse_quantity(text: str) -> Quantity:
     raise ParseFailure(f"no number found in {text!r}")
 
 
-class Rejected:
-    """Sentinel for quantities that carry no point label (limits)."""
-
-    def __repr__(self):
-        return "Rejected"
-
-
-REJECTED = Rejected()
-
-
-def to_canonical(q: Quantity, head: PropertySpec) -> float | Rejected:
+def to_canonical(q: Quantity, head: PropertySpec) -> float | None:
     """Convert a quantity to the head's canonical unit.
 
     Points convert directly, ranges convert endpoint-wise and collapse to
-    the midpoint, limits are Rejected (they carry no regression label).
+    the midpoint, limits give None (they carry no regression label).
     Raises IncompatibleUnit on a dimension mismatch.
     """
     if q.kind == "limit":
-        return REJECTED
+        return None
     unit = q.unit
     if unit is None and normalize_unit(head.canonical_unit).dimension != "dimensionless":
         raise IncompatibleUnit(f"head {head.name} requires a {head.canonical_unit} compatible unit")
@@ -213,7 +203,7 @@ def _extract_clauses(
                 sample_id=sample_id,
                 head_id=spec.head_id,
                 quantity=quantity,
-                canonical_value=None if isinstance(canonical, Rejected) else canonical,
+                canonical_value=canonical,
                 source_span=(start, start + len(clause)),
             )
         )

@@ -78,9 +78,6 @@ class PropertyRegistry:
     def is_log_space(self, head_id: int) -> bool:
         return self.spec(head_id).log_space
 
-    def aliases(self) -> dict[str, PropertySpec]:
-        return dict(self._by_alias)
-
 
 def _parse_registry_tsv(text: str) -> list[PropertySpec]:
     specs = []

@@ -28,17 +28,13 @@ def gelu_cdf(x: np.ndarray) -> np.ndarray:
     return 1.0 + erf(x * _INV_SQRT2)
 
 
-def gelu(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    """Exact GELU of ``x``; ``cdf`` is ``gelu_cdf(x)`` if already computed."""
-    if cdf is None:
-        cdf = gelu_cdf(x)
+def gelu(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Exact GELU of ``x`` given ``cdf = gelu_cdf(x)``."""
     return 0.5 * x * cdf
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of ``gelu`` at ``x``; ``cdf`` as for ``gelu``."""
-    if cdf is None:
-        cdf = gelu_cdf(x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Derivative of ``gelu`` at ``x`` given ``cdf = gelu_cdf(x)``."""
     phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return 0.5 * cdf + x * phi
 

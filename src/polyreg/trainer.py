@@ -11,7 +11,7 @@ import numpy as np
 
 from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import TrainConfig, read_config
+from .config import TrainConfig
 from .datasets import PromptInstance
 from .encoder import RowGrad
 from .model import PropertyModel, encode, make_batch
@@ -20,18 +20,6 @@ from .registry import N_HEADS, PropertyRegistry, default_registry
 
 class NonFiniteLoss(Exception):
     """Training aborted on a non-finite batch loss."""
-
-
-def save_config(cfg: TrainConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in asdict(cfg).items():
-            fh.write(f"{key} = {value}\n")
-
-
-def load_config(path) -> TrainConfig:
-    """A ``TrainConfig`` from a ``key = value`` file of its fields; a file
-    whose values make no valid config raises ``ValueError`` naming it."""
-    return TrainConfig(**read_config(path, {"train": TrainConfig})["train"])
 
 
 @dataclass
@@ -80,12 +68,12 @@ def fit_label_stats(
         try:
             tr = obj.fit_transform(vals, log_space)
         except obj.DegenerateHead:
-            mu = float(np.log10(vals).mean() if log_space else vals.mean()) if idx.size else 0.0
+            mu = float(np.log10(vals).mean() if log_space else vals.mean())
             tr = obj.LabelTransform(log_space=log_space, mu=mu, sigma=1.0)
         transforms[t] = tr
         normed = tr.normalize(vals)
         targets[idx, t] = normed
-        weights[idx, t] = obj.fit_density_model(normed).weights if idx.size >= 2 else 1.0
+        weights[idx, t] = obj.fit_density_model(normed) if idx.size >= 2 else 1.0
     return transforms, targets, masks, weights
 
 

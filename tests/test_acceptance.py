@@ -16,7 +16,13 @@ from polyreg.encoder import init_encoder_params, lora_project
 from polyreg.harness import prepare_variant_datasets, run_ablation, run_uncertainty_report
 from polyreg.metrics import ZeroVariance, evaluate, r_squared, rank_correlations
 from polyreg.model import Batch, PropertyModel, make_batch
-from polyreg.objective import fit_density_model, fit_uncertainty, kde_density
+from polyreg.objective import (
+    EPS_PERCENTILE,
+    fit_density_model,
+    kde_density,
+    silverman_bandwidth,
+    total_loss_grad_rho,
+)
 from polyreg.audit import audit, load_bundled_fixture
 from polyreg.records import extract_corpus
 from polyreg.registry import N_HEADS, default_registry
@@ -107,9 +113,9 @@ def test_acceptance_full_model_gradient_check():
             idx = tuple(rng.integers(s) for s in model.params[name].shape)
             orig = model.params[name][idx]
             model.params[name][idx] = orig + eps
-            up = model.objective(batch)
+            up = model.loss(batch, model.forward(batch)[0])[0]
             model.params[name][idx] = orig - eps
-            down = model.objective(batch)
+            down = model.loss(batch, model.forward(batch)[0])[0]
             model.params[name][idx] = orig
             numeric = (up - down) / (2 * eps)
             analytic = grads[name][idx]
@@ -126,7 +132,9 @@ def test_acceptance_uncertainty_stationarity():
     worst = 0.0
     for _ in range(10):
         L = rng.uniform(0.01, 10.0, size=rng.integers(2, 23))
-        rho = fit_uncertainty(L)
+        rho = np.zeros_like(L)
+        for _ in range(4000):  # gradient descent on rho alone
+            rho = rho - 0.2 * total_loss_grad_rho(L, rho)
         worst = max(worst, float(np.max(np.abs(np.exp(rho) - L))))
     _verdict("sigma^2 converges to task loss", worst <= 1e-6, f"worst |sigma^2 - L| {worst:.2e}")
 
@@ -140,21 +148,22 @@ def test_acceptance_density_weighting():
     details = []
     for trial in range(10):
         y = rng.normal(size=rng.integers(50, 400))
-        dm = fit_density_model(y)
-        mean_dev = abs(dm.weights.mean() - 1.0)
+        mean_dev = abs(fit_density_model(y).mean() - 1.0)
         ok &= mean_dev <= 1e-9
         n = y.size
-        clamp_frac = float((dm.density(y) < dm.epsilon).mean())
+        h = silverman_bandwidth(y)
+        dens = kde_density(y, h, y)
+        clamp_frac = float((dens < np.percentile(dens, EPS_PERCENTILE)).mean())
         ok &= clamp_frac <= 0.05 + 1.0 / n
         query = rng.normal(size=100)
-        fast = kde_density(y, dm.bandwidth, query)
+        fast = kde_density(y, h, query)
         brute = np.array(
             [
                 sum(
-                    math.exp(-0.5 * ((q - yj) / dm.bandwidth) ** 2)
+                    math.exp(-0.5 * ((q - yj) / h) ** 2)
                     for yj in y
                 )
-                / (n * dm.bandwidth * math.sqrt(2 * math.pi))
+                / (n * h * math.sqrt(2 * math.pi))
                 for q in query
             ]
         )

@@ -99,3 +99,19 @@ def test_read_records_requires_header(tmp_path):
     path.write_text("r000\ts0\tTg\t100\t°C\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("r1\ts1\tTg\tabc\t°C", "could not convert string to float: 'abc'"),
+        ("r1\ts1\tTg", "expected 5 columns, got 3"),
+        ("r1\ts1\tTg\t100\t°C\tx", "expected 5 columns, got 6"),
+    ],
+)
+def test_read_records_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"record_id\tsample_id\thead\tvalue\tunit\nr0\ts0\tTg\t100\t°C\n\n{row}\n")
+    with pytest.raises(ValueError, match=message) as err:
+        read_records(path)
+    assert str(err.value).startswith(f"{path}:4: ")

