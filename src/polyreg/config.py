@@ -48,12 +48,19 @@ class TrainConfig:
     freeze_trunk: bool = False
 
     def __post_init__(self):
-        for name in ("lr", "rho_lr"):
+        for name in ("lr", "rho_lr", "grad_clip", "adam_eps", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        # a clip of 0 freezes training and a negative one ascends
+        for name in ("grad_clip", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be above 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.rank < self.dim:
             raise ValueError("low-rank condition requires rank < dim")
         if self.pooling_mode not in POOLING_MODES:

@@ -9,10 +9,13 @@ The embedding table is logical: row r's initial value is a pure function
 of (seed, r) (``init_rows``), so a model stores only the rows it has
 materialized and derives any other row on demand (``model.PropertyModel``).
 
-The projection is linear, so it commutes with pooling: the encoder pools
-the raw embedding rows and projects the pooled (B, d) vectors.  Attention
-scores of the projected rows, q . (W_eff h), are those of the raw rows
-under the projected query W_eff^T q.
+A batch reads each of its k distinct rows E (k, d) once.  C (k, B) sums
+the pooling weights of each row in each prompt, so the pooled vectors are
+C^T E with no per-token (B, T, d) tensor.  The projection is linear, so
+it commutes with pooling: the encoder pools the raw embedding rows and
+projects the pooled (B, d) vectors.  Attention scores of the projected
+rows, q . (W_eff h), are those of the raw rows under the projected query
+W_eff^T q.
 """
 
 from __future__ import annotations
@@ -116,10 +119,7 @@ class RowGrad(NamedTuple):
 
 
 def embed(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Look up embedding rows.  An empty table, which only padding can
-    index, yields all-zero rows."""
-    if table.shape[0] == 0:
-        return np.zeros((ids.size, table.shape[1]))
+    """Look up embedding rows."""
     return table[ids]
 
 
@@ -150,59 +150,60 @@ def lora_project_backward(
 
 
 def pool(
-    H: np.ndarray, mask: np.ndarray, params: dict, cfg: TrainConfig
+    E: np.ndarray, inverse: np.ndarray, mask: np.ndarray, params: dict, cfg: TrainConfig
 ) -> tuple[np.ndarray, dict]:
-    """Pool (B, T, d) embedding rows into (B, d) vectors over unmasked positions.
+    """Pool a batch's tokens into (B, d) vectors over its unmasked positions.
 
-    Mean mode averages unmasked rows.  Attention mode softmaxes, over
-    unmasked rows, the scores the projected rows would get,
+    ``E`` (k, d) holds the batch's distinct embedding rows and ``inverse``
+    the row of each unmasked position of the (B, T) ``mask``, in row-major
+    order.  Mean mode averages unmasked rows.  Attention mode softmaxes,
+    over unmasked rows, the scores the projected rows would get,
     q . (W_eff h_t) = (W_eff^T q) . h_t.  Rows with no unmasked positions
     pool to zero.
     """
     mask = mask.astype(bool)
+    n = mask.shape[0]
     counts = mask.sum(axis=-1)  # (B,)
-    safe = np.maximum(counts, 1)
-    cache = {"mask": mask}
+    cache = {"mask": mask, "inverse": inverse, "E": E}
     if cfg.pooling_mode == "mean":
-        weights = mask / safe[:, None]
+        weights = mask / np.maximum(counts, 1)[:, None]
     else:
         query = lora_transpose(params["attn_q"], params, cfg)
-        scores = H @ query  # (B, T)
-        scores = np.where(mask, scores, -np.inf)
+        scores = np.full(mask.shape, -np.inf)
+        scores[mask] = (E @ query)[inverse]
         shifted = scores - np.where(counts > 0, scores.max(axis=-1, initial=-np.inf), 0.0)[:, None]
         expv = np.where(mask, np.exp(shifted), 0.0)
         denom = expv.sum(axis=-1)
         weights = expv / np.where(denom > 0, denom, 1.0)[:, None]
         cache["query"] = query
-    pooled = np.einsum("bt,btd->bd", weights, H)
-    pooled = np.where((counts > 0)[:, None], pooled, 0.0)
-    cache["weights"] = weights
-    return pooled, cache
+    batch_row = np.nonzero(mask)[0]
+    C = np.bincount(inverse * n + batch_row, weights=weights[mask], minlength=E.shape[0] * n)
+    C = C.reshape(E.shape[0], n)  # C[r, b]: the weight of row r in pooled row b
+    cache["weights"], cache["C"] = weights, C
+    return C.T @ E, cache
 
 
 def pool_backward(
-    dpooled: np.ndarray, H: np.ndarray, ids: np.ndarray, cache: dict, cfg: TrainConfig
+    dpooled: np.ndarray, rows: np.ndarray, cache: dict, cfg: TrainConfig
 ) -> tuple[RowGrad, np.ndarray]:
     """Gradients of the pooling step: the embedding table's, as a ``RowGrad``
-    over the unmasked entries of the (B, T) ``ids``, and the projected
-    query's (zero in mean mode).
+    over ``rows``, the table positions of the batch's distinct rows, and
+    the projected query's (zero in mean mode).
 
     Position (b, t) gets w_bt dpooled_b, plus ds_bt W_eff^T q from the
-    attention scores.  Summed per table row r that is C @ dpooled with
-    C[r, b] = sum_t w_bt [id_bt = r], so no (B, T, d) gradient is formed.
+    attention scores.  Summed per distinct row that is C @ dpooled, so no
+    (B, T, d) gradient is formed.
     """
-    weights, mask = cache["weights"], cache["mask"]
-    n = weights.shape[0]
-    rows, inverse = np.unique(ids[mask], return_inverse=True)
-    batch_row = np.nonzero(mask)[0]
-    C = np.bincount(inverse * n + batch_row, weights=weights[mask], minlength=rows.size * n)
-    values = C.reshape(rows.size, n) @ dpooled
-    dquery = np.zeros(H.shape[-1])
+    E, C, inverse = cache["E"], cache["C"], cache["inverse"]
+    values = C @ dpooled
+    dquery = np.zeros(E.shape[-1])
     if cfg.pooling_mode == "attention":
-        dw = np.einsum("bd,btd->bt", dpooled, H)  # dL/dweights
+        weights, mask = cache["weights"], cache["mask"]
+        dw = np.zeros(mask.shape)  # dL/dweights
+        dw[mask] = (dpooled @ E.T)[np.nonzero(mask)[0], inverse]
         inner = (dw * weights).sum(axis=-1, keepdims=True)
         ds = weights * (dw - inner)  # softmax backward, zero at masked slots
-        dquery = np.einsum("bt,btd->d", ds, H)
-        score_rows = np.bincount(inverse, weights=ds[mask], minlength=rows.size)
+        score_rows = np.bincount(inverse, weights=ds[mask], minlength=E.shape[0])
+        dquery = score_rows @ E
         values += score_rows[:, None] * cache["query"]
     return RowGrad(rows, values), dquery

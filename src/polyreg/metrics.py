@@ -171,16 +171,10 @@ def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
     preds_norm = np.zeros((n, N_HEADS))
     for start in range(0, n, batch_size):
         chunk = instances[start : start + batch_size]
-        batch = make_batch(
-            encode([i.text for i in chunk], model.cfg.vocab_size),
-            np.zeros((len(chunk), N_HEADS)),
-            np.zeros((len(chunk), N_HEADS), dtype=bool),
-            np.zeros((len(chunk), N_HEADS)),
-        )
-        # rows of tokens training never saw are derived, not stored
-        view, positions = model.index(batch.ids[batch.token_mask])
-        batch.ids[batch.token_mask] = positions
-        p, _ = view.forward(batch)
+        no_labels = np.zeros((len(chunk), N_HEADS))
+        ids = encode([i.text for i in chunk], model.cfg.vocab_size)
+        batch = make_batch(ids, no_labels, no_labels.astype(bool), no_labels)
+        p, _ = model.forward(batch)
         preds_norm[start : start + len(chunk)] = p
     preds = np.full((n, N_HEADS), np.nan)
     for t in range(N_HEADS):

@@ -21,7 +21,7 @@ from .registry import N_HEADS
 class Batch:
     """Tokenized prompts plus normalized labels for one mini-batch."""
 
-    ids: np.ndarray  # (B, T) int64 positions in the stored embedding rows, 0 at padding
+    ids: np.ndarray  # (B, T) int64 bucket ids, 0 at padding
     token_mask: np.ndarray  # (B, T) bool
     targets: np.ndarray  # (B, 22) normalized labels, 0 where missing
     label_mask: np.ndarray  # (B, 22) bool
@@ -39,9 +39,7 @@ def make_batch(
     label_mask: np.ndarray,
     weights: np.ndarray,
 ) -> Batch:
-    """Pad encoded prompts (see ``encode``) into one mini-batch.  ``forward``
-    takes their ids as positions in the stored embedding rows (see
-    ``PropertyModel.index``)."""
+    """Pad encoded prompts (see ``encode``) into one mini-batch."""
     if not id_lists:
         raise ValueError("make_batch needs at least one prompt")
     lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
@@ -85,37 +83,30 @@ class PropertyModel:
     def materialize(self, ids: np.ndarray) -> None:
         """Store the rows of the bucket ids ``ids`` that are not stored yet,
         at their initial values."""
-        new = np.setdiff1d(ids, self.embed_rows)
-        if new.size == 0:
-            return
-        rows = np.union1d(self.embed_rows, new)
-        values = np.empty((rows.size, self.cfg.dim))
-        values[np.searchsorted(rows, self.embed_rows)] = self.params["embed"]
-        values[np.searchsorted(rows, new)] = enc.init_rows(self.seed, new, self.cfg.dim)
-        self.embed_rows, self.params["embed"] = rows, values
+        rows = np.union1d(self.embed_rows, ids)
+        self.embed_rows, self.params["embed"] = rows, self.lookup(rows)[1]
 
-    def index(self, ids: np.ndarray) -> tuple["PropertyModel", np.ndarray]:
-        """Positions of the bucket ids ``ids`` in the stored embedding rows,
-        the ids a ``Batch`` holds, with the model to run them on: this one
-        if it stores every row they use, else a copy sharing its tensors
-        that also stores the missing rows at their initial values.  This
-        model stores nothing new."""
-        rows = self.embed_rows
-        # searching each distinct id once is about twice as fast
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        inverse = inverse.reshape(np.shape(ids))
-        pos = np.searchsorted(rows, uniq)
-        if rows.size and np.array_equal(rows[np.minimum(pos, rows.size - 1)], uniq):
-            return self, pos[inverse]
-        model = PropertyModel(self.cfg, self.seed, params=dict(self.params), embed_rows=rows)
-        model.materialize(uniq)
-        return model, np.searchsorted(model.embed_rows, uniq)[inverse]
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the 1-d bucket ids ``ids`` in the stored embedding
+        rows (-1 where a row is not stored) and their values (len(ids), dim):
+        stored rows as they are, the others derived (``encoder.init_rows``)
+        and not stored."""
+        stored = self.embed_rows
+        rows = np.searchsorted(stored, ids)
+        found = rows < stored.size
+        found[found] = stored[rows[found]] == ids[found]
+        if found.all():
+            return rows, enc.embed(rows, self.params["embed"])
+        values = np.empty((ids.size, self.cfg.dim))
+        values[found] = enc.embed(rows[found], self.params["embed"])
+        values[~found] = enc.init_rows(self.seed, ids[~found], self.cfg.dim)
+        rows[~found] = -1
+        return rows, values
 
     def embedding(self, ids: np.ndarray) -> np.ndarray:
-        """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``;
-        rows not stored are derived and not stored."""
-        model, pos = self.index(ids)
-        return model.params["embed"][pos]
+        """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``."""
+        _, values = self.lookup(np.ravel(ids))
+        return values.reshape(np.shape(ids) + (self.cfg.dim,))
 
     FROZEN_ALWAYS = ("w0",)
 
@@ -152,17 +143,16 @@ class PropertyModel:
     def forward(self, batch: Batch):
         """Predictions in normalized space plus the cache for backward."""
         cfg = self.cfg
-        H = enc.embed(batch.ids.reshape(-1), self.params["embed"]).reshape(
-            batch.ids.shape + (cfg.dim,)
-        )
+        ids, inverse = np.unique(batch.ids[batch.token_mask], return_inverse=True)
+        rows, E = self.lookup(ids)
         # the projection is linear: projecting the pooled rows equals pooling
         # the projected rows, up to rounding
-        pooled, pool_cache = enc.pool(H, batch.token_mask, self.params, cfg)
+        pooled, pool_cache = enc.pool(E, inverse, batch.token_mask, self.params, cfg)
         projected = enc.lora_project(pooled, self.params, cfg)
         z, trunk_cache = reg.trunk_forward(projected, self.params, cfg)
         preds = reg.heads_forward(z, self.params)
         cache = {
-            "H": H,
+            "rows": rows,
             "pooled": pooled,
             "pool": pool_cache,
             "trunk": trunk_cache,
@@ -185,8 +175,10 @@ class PropertyModel:
     def backward(self, batch: Batch, cache: dict, terms):
         """Exact gradients of the total objective for every tensor, from the
         forward ``cache`` and the ``loss`` terms; the embedding's is a
-        ``RowGrad`` over the batch's unmasked tokens."""
+        ``RowGrad`` over the batch's rows, which must all be stored."""
         cfg = self.cfg
+        if np.any(cache["rows"] < 0):  # Adam would take a -1 for the last stored row
+            raise ValueError("the batch reads embedding rows the model does not store")
         task_losses, err, counts, present = terms
         rho = self.params["rho"]
         dpred = obj.total_loss_grad_preds(err, batch.weights, counts, rho)
@@ -198,7 +190,7 @@ class PropertyModel:
         dprojected, trunk_grads = reg.trunk_backward(dz, cache["trunk"], self.params, cfg)
         grads.update(trunk_grads)
         dpooled, dA, dB = enc.lora_project_backward(dprojected, cache["pooled"], self.params, cfg)
-        grads["embed"], dquery = enc.pool_backward(dpooled, cache["H"], batch.ids, cache["pool"], cfg)
+        grads["embed"], dquery = enc.pool_backward(dpooled, cache["rows"], cache["pool"], cfg)
         q = self.params["attn_q"]
         if cfg.pooling_mode == "attention":
             # the scores use W_eff^T q: its gradient dquery reaches q as

@@ -128,10 +128,7 @@ def train(
     # every row a batch can touch, stored up front: a row no batch has
     # touched yet has zero moments and zero gradient, so Adam leaves it bit
     # for bit at its init and plain Adam on these rows is exact dense Adam
-    flat = np.concatenate([np.zeros(0, dtype=np.int64), *encoded])
-    model.materialize(flat)
-    _, positions = model.index(flat)
-    encoded = np.split(positions, np.cumsum([len(ids) for ids in encoded])[:-1])
+    model.materialize(np.concatenate([np.zeros(0, dtype=np.int64), *encoded]))
     n = len(instances)
     trainable = model.trainable_names()
     adam_state = {

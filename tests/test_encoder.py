@@ -92,8 +92,9 @@ def test_embed_rows_and_empty():
     table = np.arange(12.0).reshape(4, 3)
     out = embed(np.array([2, 0]), table)
     assert np.array_equal(out, table[[2, 0]])
-    padding_only = embed(np.array([0, 0]), table[:0])
-    assert padding_only.shape == (2, 3) and np.all(padding_only == 0)
+    # padding is never looked up: a model that stores no rows reads none
+    nothing = embed(np.zeros(0, dtype=np.int64), table[:0])
+    assert nothing.shape == (0, 3)
 
 
 # ---- seeded row init ------------------------------------------------------
@@ -151,20 +152,30 @@ def test_model_materializes_rows_at_init_and_derives_the_rest():
     model.materialize(np.array([1, 9, 999]))
     assert model.embed_rows.tolist() == [1, 3, 9, 500, 999]
     assert np.all(model.params["embed"][2] == 1.0)
-    # stored rows only: the model itself, ids as positions
-    same, positions = model.index(np.array([[9, 1], [999, 1]]))
-    assert same is model and positions.tolist() == [[2, 0], [4, 0]]
-    # a row not stored: a copy derives it, the model stores nothing
-    view, pos = model.index(np.array([9, 42, 1]))
-    assert view is not model and view.params["lora_a"] is model.params["lora_a"]
-    assert np.all(view.params["embed"][pos[0]] == 1.0)
-    assert np.array_equal(view.params["embed"][pos[1]], init_rows(4, np.array([42]), 8)[0])
-    assert np.array_equal(view.params["embed"][pos[2]], model.params["embed"][0])
+    # stored rows: their positions, and their values as they are
+    rows, values = model.lookup(np.array([1, 9, 999]))
+    assert rows.tolist() == [0, 2, 4]
+    assert np.array_equal(values, model.params["embed"][[0, 2, 4]])
+    # a row not stored: position -1, derived at its init, and not stored
+    rows, values = model.lookup(np.array([9, 42, 1]))
+    assert rows.tolist() == [2, -1, 0]
+    assert np.all(values[0] == 1.0)
+    assert np.array_equal(values[1], init_rows(4, np.array([42]), 8)[0])
+    assert np.array_equal(values[2], model.params["embed"][0])
     looked_up = model.embedding(np.array([[9, 42], [1, 0]]))
     assert looked_up.shape == (2, 2, 8)
-    assert np.array_equal(looked_up[0], view.params["embed"][pos[:2]])
+    assert np.array_equal(looked_up[0], values[:2])
+    assert np.array_equal(looked_up[1, 1], init_rows(4, np.array([0]), 8)[0])
     assert model.embed_rows.tolist() == [1, 3, 9, 500, 999]
     assert model.params["embed"].shape == (5, 8)
+
+
+def test_lookup_on_a_model_that_stores_no_rows():
+    model = PropertyModel(TrainConfig(vocab_size=64, dim=4, rank=2), seed=3)
+    rows, values = model.lookup(np.array([0, 5, 63]))
+    assert rows.tolist() == [-1, -1, -1]
+    assert np.array_equal(values, init_rows(3, np.array([0, 5, 63]), 4))
+    assert model.embed_rows.size == 0 and model.params["embed"].shape == (0, 4)
 
 
 def test_encoder_init_deterministic():
@@ -256,12 +267,17 @@ def _params(cfg, seed=0):
     return init_encoder_params(cfg, np.random.default_rng(seed))
 
 
+def _pool(H, mask, params, cfg):
+    """Pool the (B, T, d) rows ``H``, each unmasked position its own row."""
+    return pool(H[mask], np.arange(mask.sum()), mask, params, cfg)
+
+
 def test_mean_pool_fixed_point():
     cfg = TrainConfig(vocab_size=16, dim=4, rank=2, pooling_mode="mean")
     row = np.array([1.0, -2.0, 3.0, 0.5])
     H = np.tile(row, (1, 5, 1))
     mask = np.ones((1, 5), dtype=bool)
-    pooled, _ = pool(H, mask, _params(cfg), cfg)
+    pooled, _ = _pool(H, mask, _params(cfg), cfg)
     assert np.allclose(pooled[0], row, atol=1e-15)
 
 
@@ -274,8 +290,8 @@ def test_attention_with_zero_query_equals_mean():
     cfg_m = TrainConfig(vocab_size=16, dim=8, rank=2, pooling_mode="mean")
     params = _params(cfg_a)
     assert np.all(params["attn_q"] == 0)
-    pa, _ = pool(H, mask, params, cfg_a)
-    pm, _ = pool(H, mask, params, cfg_m)
+    pa, _ = _pool(H, mask, params, cfg_a)
+    pm, _ = _pool(H, mask, params, cfg_m)
     assert np.allclose(pa, pm, atol=1e-12)
 
 
@@ -287,7 +303,7 @@ def test_attention_softmax_known_weights():
     params["attn_q"] = np.array([1.0, 0.0])
     H = np.array([[[0.0, 5.0], [math.log(3.0), -1.0]]])
     mask = np.ones((1, 2), dtype=bool)
-    pooled, cache = pool(H, mask, params, cfg)
+    pooled, cache = _pool(H, mask, params, cfg)
     assert np.allclose(cache["weights"][0], [0.25, 0.75], atol=1e-12)
     assert np.allclose(pooled[0], 0.25 * H[0, 0] + 0.75 * H[0, 1], atol=1e-12)
 
@@ -300,7 +316,7 @@ def test_attention_pool_stays_in_convex_hull():
     H = rng.normal(size=(3, 9, 6))
     mask = rng.random((3, 9)) < 0.7
     mask[:, 0] = True
-    pooled, _ = pool(H, mask, params, cfg)
+    pooled, _ = _pool(H, mask, params, cfg)
     for b in range(3):
         rows = H[b][mask[b]]
         assert np.all(pooled[b] <= rows.max(axis=0) + 1e-12)
@@ -315,10 +331,10 @@ def test_pool_padding_invariance():
         params["attn_q"] = rng.normal(size=5)
         H = rng.normal(size=(1, 4, 5))
         mask = np.ones((1, 4), dtype=bool)
-        pooled, _ = pool(H, mask, params, cfg)
+        pooled, _ = _pool(H, mask, params, cfg)
         H_pad = np.concatenate([H, rng.normal(size=(1, 3, 5)) * 100], axis=1)
         mask_pad = np.concatenate([mask, np.zeros((1, 3), dtype=bool)], axis=1)
-        pooled_pad, _ = pool(H_pad, mask_pad, params, cfg)
+        pooled_pad, _ = _pool(H_pad, mask_pad, params, cfg)
         assert np.allclose(pooled, pooled_pad, rtol=0, atol=1e-12)
 
 
@@ -328,7 +344,7 @@ def test_pool_all_masked_gives_zero_vector():
         H = np.random.default_rng(7).normal(size=(2, 4, 3))
         mask = np.zeros((2, 4), dtype=bool)
         mask[0] = True
-        pooled, _ = pool(H, mask, _params(cfg), cfg)
+        pooled, _ = _pool(H, mask, _params(cfg), cfg)
         assert np.all(pooled[1] == 0)
         assert np.all(np.isfinite(pooled))
 
@@ -349,12 +365,13 @@ def test_pool_backward_finite_difference():
         def f(tab, query):
             # the scores use the projected query; hand pool one with W_eff = I
             p = dict(params, w0=np.eye(4), lora_b=np.zeros_like(params["lora_b"]), attn_q=query)
-            out, _ = pool(tab[ids], mask, p, cfg)
+            out, _ = _pool(tab[ids], mask, p, cfg)
             return float((out * G).sum())
 
-        _, cache = pool(table[ids], mask, params, cfg)
+        rows, inverse = np.unique(ids[mask], return_inverse=True)
+        _, cache = pool(table[rows], inverse, mask, params, cfg)
         query = cache.get("query", params["attn_q"])
-        grad, dquery = pool_backward(G, table[ids], ids, cache, cfg)
+        grad, dquery = pool_backward(G, rows, cache, cfg)
         assert np.array_equal(grad.rows, [1, 2, 3, 7, 9])
         eps = 1e-6
         for k, row in enumerate(grad.rows):

@@ -20,9 +20,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CHECKPOINT_SHA256 = "34b366aca7bad671e0f4e99b04a31d1a66267c6c65248f6b487229c07cb78a51"
+CHECKPOINT_SHA256 = "4c6f2fc8b820f6a56e99e6a81ead10841dc8ab399771d22669ac1e9105e52660"
 EVAL_TABLE_SHA256 = "dc9780bfbd120855c5abae63c32ff85afc943dc95f97b6214a77fddfcfd27208"
-EVAL_JSON_SHA256 = "439d2c1897d27525d008e5a3a80b2c8f6be3a8f7c35d1247ba50e0eccca65f83"
+EVAL_JSON_SHA256 = "60d0ae4fb12fe4f764d86f160258803ffef4c3d49f8c494a571b46a17979f926"
 UNCERTAINTY_TABLE_SHA256 = "a5cd27b9139f41a8637d2b7e96929c996819cb0ce0091d5194a74cb188bddfc4"
 ABLATION_TABLE_SHA256 = "271515b8f2dd0e2d8a6bc01225a85bd645e25e588787374466273026ce5b3bdf"
 EXTRACTED_SHA256 = "872dab274cf6e0ec4f5d56de13d09a809c86827334f2fc294dff43a5c052cae3"
@@ -83,16 +83,19 @@ def _digests(tmp_path, threads: int) -> list[str]:
 
 
 def _assert_golden(digests: list[str]) -> None:
-    checkpoint, table, eval_json, uncertainty, ablation, extracted, train_tsv, test_tsv, round_trips = digests
-    assert checkpoint == CHECKPOINT_SHA256
-    assert table == EVAL_TABLE_SHA256
-    assert eval_json == EVAL_JSON_SHA256
-    assert uncertainty == UNCERTAINTY_TABLE_SHA256
-    assert ablation == ABLATION_TABLE_SHA256
-    assert extracted == EXTRACTED_SHA256
-    assert train_tsv == TRAIN_TSV_SHA256
-    assert test_tsv == TEST_TSV_SHA256
-    assert round_trips == "True"
+    """Every digest at once, so one run shows every mismatch."""
+    expected = {
+        "checkpoint": CHECKPOINT_SHA256,
+        "eval table": EVAL_TABLE_SHA256,
+        "eval json": EVAL_JSON_SHA256,
+        "uncertainty table": UNCERTAINTY_TABLE_SHA256,
+        "ablation table": ABLATION_TABLE_SHA256,
+        "observations": EXTRACTED_SHA256,
+        "train tsv": TRAIN_TSV_SHA256,
+        "test tsv": TEST_TSV_SHA256,
+        "round trips": "True",
+    }
+    assert dict(zip(expected, digests)) == expected
 
 
 def test_golden_checkpoint_and_eval_table_digests(tmp_path):

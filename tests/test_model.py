@@ -133,6 +133,61 @@ def test_all_masked_row_pools_and_predicts_from_zero():
     assert np.all(grads["lora_a"] == 0) and np.all(grads["attn_q"] == 0)
 
 
+def _arrays(node):
+    """Every array in a nested cache of dicts, lists and tuples."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _arrays(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _arrays(value)
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+def test_forward_cache_holds_no_per_token_rows(pooling_mode):
+    model, _ = _case(pooling_mode, 1, seed=2)
+    rng = np.random.default_rng(2)
+    id_lists = [rng.integers(0, model.cfg.vocab_size, size=n) for n in (60, 3, 0, 45)]
+    labels = np.zeros((4, N_HEADS))
+    batch = make_batch(id_lists, labels, labels.astype(bool), labels)
+    _, cache = model.forward(batch)
+    sizes = [a.size for a in _arrays(cache)]
+    # the trunk's (B, 128) bottleneck is the largest array, well below B*T*d
+    assert sizes and max(sizes) < batch.ids.size * model.cfg.dim
+
+
+def _partly_stored(pooling_mode: str):
+    """A model that stores every third row, each moved off its init, and a
+    batch that also reads rows it does not store."""
+    model, batch = _case(pooling_mode, 6, seed=3)
+    stored = np.arange(0, model.cfg.vocab_size, 3)
+    params = dict(model.params, embed=model.params["embed"][stored] + 0.5)
+    partial = PropertyModel(model.cfg, model.seed, params=params, embed_rows=stored)
+    assert not np.isin(batch.ids[batch.token_mask], stored).all()
+    return partial, batch
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+def test_forward_derives_unseen_rows_as_a_materialized_copy_would(pooling_mode):
+    partial, batch = _partly_stored(pooling_mode)
+    stored, values = partial.embed_rows.copy(), partial.params["embed"].copy()
+    copy = PropertyModel(partial.cfg, partial.seed, dict(partial.params), partial.embed_rows)
+    copy.materialize(batch.ids[batch.token_mask])
+    preds, _ = partial.forward(batch)
+    assert np.array_equal(preds, copy.forward(batch)[0])
+    assert np.array_equal(partial.embed_rows, stored)
+    assert np.array_equal(partial.params["embed"], values)
+
+
+def test_backward_rejects_a_batch_with_a_row_not_stored():
+    partial, batch = _partly_stored("attention")
+    preds, cache = partial.forward(batch)
+    with pytest.raises(ValueError, match="does not store"):
+        partial.backward(batch, cache, partial.loss(batch, preds)[1])
+
+
 def _padded_loop_reference(id_lists):
     """Ids and token mask padded one prompt at a time."""
     T = max(1, max(len(ids) for ids in id_lists))

@@ -427,6 +427,17 @@ def test_config_rejects_unknown_key(tmp_path):
         ("lr = -0.1", "lr must be at least 0"),
         ("lr = nan", "lr must be finite, got nan"),
         ("rho_lr = inf", "rho_lr must be finite, got inf"),
+        ("grad_clip = 0", r"grad_clip must be above 0, got 0\.0"),
+        ("grad_clip = -1", r"grad_clip must be above 0, got -1\.0"),
+        ("grad_clip = inf", "grad_clip must be finite, got inf"),
+        ("adam_eps = 0", r"adam_eps must be above 0, got 0\.0"),
+        ("adam_eps = nan", "adam_eps must be finite, got nan"),
+        ("beta1 = 1.0", r"beta1 must be in \[0, 1\), got 1\.0"),
+        ("beta1 = -0.1", r"beta1 must be in \[0, 1\), got -0\.1"),
+        ("beta2 = 1.5", r"beta2 must be in \[0, 1\), got 1\.5"),
+        ("beta2 = nan", r"beta2 must be in \[0, 1\), got nan"),
+        ("alpha = nan", "alpha must be finite, got nan"),
+        ("alpha = -inf", "alpha must be finite, got -inf"),
     ],
 )
 def test_config_rejects_an_invalid_combination(tmp_path, line, message):
