@@ -20,7 +20,7 @@ from .records import (
     to_canonical,
 )
 from .audit import AuditRecord, AuditReport, audit, load_bundled_fixture
-from .prompts import build_prompt, leakage_hits, mask_labels
+from .prompts import build_prompt, leakage_hits, mask_labels, target_values
 from .datasets import PromptInstance, build_dataset, load_dataset, save_dataset
 from .model import PropertyModel
 from .trainer import TrainConfig, TrainedModel, load_trained, save_trained, train

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import ExtractedSample, PropertyObservation, Quantity
-from .prompts import build_prompt, leakage_hits, mask_labels
-from .registry import N_HEADS, PropertyRegistry, default_registry
+from .records import ExtractedSample
+from .prompts import build_prompt, leakage_hits, mask_labels, target_values
+from .registry import N_HEADS, PropertyRegistry
 
 
 class LeakageDetected(Exception):
@@ -47,25 +47,30 @@ def build_dataset(
     """Turn extracted samples into masked prompt instances.
 
     Multiple observations of one head average to a single label; limit
-    observations (no canonical value) never become labels.  The leakage
-    guard re-scans every built prompt and refuses to emit leaks.
+    observations (no canonical value) never become labels.  One target
+    value list per sample feeds both the mask and the leakage guard, which
+    re-scans every built prompt and refuses to emit leaks.
     """
-    registry = registry or default_registry()
     instances = []
     for sample in samples:
         labels = np.full(N_HEADS, np.nan)
         mask = np.zeros(N_HEADS, dtype=bool)
+        targets = [
+            (obs.head_id, obs.canonical_value)
+            for obs in sample.observations
+            if obs.canonical_value is not None
+        ]
         per_head: dict[int, list[float]] = {}
-        for obs in sample.observations:
-            if obs.canonical_value is not None:
-                per_head.setdefault(obs.head_id, []).append(obs.canonical_value)
-        for head_id, values in per_head.items():
+        for head_id, value in targets:
+            per_head.setdefault(head_id, []).append(value)
+        for head_id, head_values in per_head.items():
             # np.mean of one value is that value, at many times the cost
-            labels[head_id] = values[0] if len(values) == 1 else np.mean(values)
+            labels[head_id] = head_values[0] if len(head_values) == 1 else np.mean(head_values)
             mask[head_id] = True
         text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
-        text = mask_labels(text, sample.observations, registry)
-        hits = leakage_hits(text, sample.observations, registry)
+        values = target_values(targets, registry)
+        text = mask_labels(text, values)
+        hits = leakage_hits(text, values)
         if hits:
             raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
         instances.append(PromptInstance(sample.sample_id, variant, text, labels, mask))
@@ -76,16 +81,11 @@ def scan_dataset_for_leaks(
     instances: list[PromptInstance], registry: PropertyRegistry | None = None
 ) -> int:
     """Exhaustive leakage scan over a built dataset; returns the hit count."""
-    registry = registry or default_registry()
     total = 0
     for inst in instances:
         labels = inst.labels.tolist()
-        observations = [
-            PropertyObservation(inst.sample_id, h, Quantity("point", labels[h]), labels[h])
-            for h, present in enumerate(inst.label_mask.tolist())
-            if present
-        ]
-        total += len(leakage_hits(inst.text, observations, registry))
+        targets = [(h, labels[h]) for h, present in enumerate(inst.label_mask.tolist()) if present]
+        total += len(leakage_hits(inst.text, target_values(targets, registry)))
     return total
 
 

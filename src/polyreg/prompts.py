@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .records import _NUM_RE, PropertyObservation
+from .records import _NUM_RE
 from .registry import PropertyRegistry, default_registry
 from .units import normalize_unit, units_for_dimension
 
@@ -36,56 +36,48 @@ def build_prompt(sample_desc: str, synthesis_desc: str, variant: str) -> str:
     return f"[Sample]\n{sample_desc}\n[Synthesis]\n{synthesis_desc}"
 
 
-def _target_representations(
-    observations: list[PropertyObservation], registry: PropertyRegistry
+def target_values(
+    targets: list[tuple[int, float]], registry: PropertyRegistry | None = None
 ) -> list[tuple[float, float]]:
-    """Each value a target could take in a registered unit, with its match tolerance."""
-    reps: list[tuple[float, float]] = []
-    for obs in observations:
-        if obs.canonical_value is None:
-            continue
-        head_unit = normalize_unit(registry.spec(obs.head_id).canonical_unit)
+    """Each value a target could take in a registered unit, with its match tolerance.
+
+    ``targets`` are ``(head_id, canonical_value)`` pairs; the returned
+    ``(value, tolerance)`` list is what ``mask_labels`` and
+    ``leakage_hits`` match numbers against.
+    """
+    registry = registry or default_registry()
+    values: list[tuple[float, float]] = []
+    for head_id, canonical_value in targets:
+        head_unit = normalize_unit(registry.spec(head_id).canonical_unit)
         for unit in units_for_dimension(head_unit.dimension):
-            rep = unit.from_canonical(obs.canonical_value)
-            reps.append((rep, MASK_REL_TOL * max(abs(rep), 1e-12)))
-    return reps
+            value = unit.from_canonical(canonical_value)
+            values.append((value, MASK_REL_TOL * max(abs(value), 1e-12)))
+    return values
 
 
-def _is_target_number(value: float, reps: list[tuple[float, float]]) -> bool:
-    for rep, tol in reps:
-        if abs(value - rep) <= tol:
+def _is_target_number(number: float, targets: list[tuple[float, float]]) -> bool:
+    for value, tol in targets:
+        if abs(number - value) <= tol:
             return True
     return False
 
 
-def mask_labels(
-    text: str,
-    observations: list[PropertyObservation],
-    registry: PropertyRegistry | None = None,
-) -> str:
-    """Replace numeric mentions of observed target values with [MASKED].
+def mask_labels(text: str, targets: list[tuple[float, float]]) -> str:
+    """Replace numeric mentions of target values (from ``target_values``) with [MASKED].
 
     Non-target numerics (process temperatures, times, ratios) survive
     unless they coincide with a target value within the tolerance in some
     registered unit of that head's dimension.
     """
-    registry = registry or default_registry()
-    reps = _target_representations(observations, registry)
-    if not reps:
+    if not targets:
         return text
 
     def scrub(m: re.Match) -> str:
-        return MASK_TOKEN if _is_target_number(float(m.group(0)), reps) else m.group(0)
+        return MASK_TOKEN if _is_target_number(float(m.group(0)), targets) else m.group(0)
 
     return _NUM_RE.sub(scrub, text)
 
 
-def leakage_hits(
-    text: str,
-    observations: list[PropertyObservation],
-    registry: PropertyRegistry | None = None,
-) -> list[str]:
-    """Numeric tokens in text that still equal an observed target value."""
-    registry = registry or default_registry()
-    reps = _target_representations(observations, registry)
-    return [num for num in _NUM_RE.findall(text) if _is_target_number(float(num), reps)]
+def leakage_hits(text: str, targets: list[tuple[float, float]]) -> list[str]:
+    """Numeric tokens in text that still equal a target value (from ``target_values``)."""
+    return [num for num in _NUM_RE.findall(text) if _is_target_number(float(num), targets)]

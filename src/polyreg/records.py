@@ -116,10 +116,8 @@ def parse_quantity(text: str) -> Quantity:
     m = _RANGE_RE.match(text)
     if m:
         lo, hi, tail = m.groups()
-        lo, hi = _number(lo, text), _number(hi, text)
-        if not lo < hi:
-            raise ParseFailure(f"range requires lo < hi in {text!r}")
-        return Quantity(kind="range", lo=lo, hi=hi, unit=_unit_tail(tail))
+        # Quantity raises ParseFailure unless lo < hi
+        return Quantity(kind="range", lo=_number(lo, text), hi=_number(hi, text), unit=_unit_tail(tail))
     m = _POINT_RE.match(text)
     if m:
         num, tail = m.groups()

@@ -101,13 +101,9 @@ def _parse_registry_tsv(text: str) -> list[PropertySpec]:
     return specs
 
 
-def load_registry(path=None) -> PropertyRegistry:
-    """Load the registry from a TSV file (bundled table by default)."""
-    if path is None:
-        text = resources.files("polyreg.data").joinpath("properties.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def load_registry() -> PropertyRegistry:
+    """Load the registry from the bundled TSV table."""
+    text = resources.files("polyreg.data").joinpath("properties.tsv").read_text("utf-8")
     return PropertyRegistry(_parse_registry_tsv(text))
 
 

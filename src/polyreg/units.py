@@ -74,19 +74,13 @@ _SPELLINGS = {
     "deg c": "°C",
     "degc": "°C",
     "f": "°F",
-    "kj/m2": "kJ/m²",
-    "j/m2": "J/m²",
     "g/cm3": "g/cm³",
     "g/cc": "g/cm³",
     "g/ml": "g/mL",
     "kg/m3": "kg/m³",
-    "pa.s": "Pa·s",
     "pa s": "Pa·s",
     "pas": "Pa·s",
-    "mpa.s": "mPa·s",
     "mpa s": "mPa·s",
-    "w/(m.k)": "W/(m·K)",
-    "w/m·k": "W/(m·K)",
     "w/m.k": "W/(m·K)",
     "w/mk": "W/(m·K)",
     "w/m k": "W/(m·K)",
@@ -94,28 +88,25 @@ _SPELLINGS = {
     "dimensionless": "-",
 }
 
+
+def _fold(text: str) -> str:
+    """Collapse whitespace, lower-case, and spell ``·`` as ``.`` and ``²`` as ``2``."""
+    return " ".join(text.split()).lower().replace("·", ".").replace("²", "2")
+
+
 _BY_SYMBOL: dict[str, UnitDef] = {u.symbol: u for u in _UNITS}
 _BY_DIMENSION: dict[str, list[UnitDef]] = {}
 _BY_KEY: dict[str, UnitDef] = {}
 for _u in _UNITS:
     _BY_DIMENSION.setdefault(_u.dimension, []).append(_u)
-    _BY_KEY[_u.symbol.lower()] = _u
+    _BY_KEY[_fold(_u.symbol)] = _u
 for _alt, _sym in _SPELLINGS.items():
-    _BY_KEY[_alt] = _BY_SYMBOL[_sym]
+    _BY_KEY[_fold(_alt)] = _BY_SYMBOL[_sym]
 
 
 def normalize_unit(text: str | None) -> UnitDef | None:
     """Resolve a unit spelling to its UnitDef, or None if unknown."""
-    if text is None:
-        text = ""
-    key = " ".join(text.strip().split()).lower().replace("·", ".").replace("²", "2")
-    if key in _BY_KEY:
-        return _BY_KEY[key]
-    # the dot-folded forms of canonical symbols
-    for sym, unit in _BY_SYMBOL.items():
-        if key == sym.lower().replace("·", ".").replace("²", "2"):
-            return unit
-    return None
+    return _BY_KEY.get(_fold(text or ""))
 
 
 def unit_def(symbol: str) -> UnitDef:

@@ -24,26 +24,21 @@ from polyreg.prompts import (
     MASK_TOKEN,
     EmptySample,
     _is_target_number,
-    _target_representations,
     build_prompt,
     leakage_hits,
     mask_labels,
+    target_values,
 )
-from polyreg.records import PropertyObservation, Quantity, extract_document
+from polyreg.records import extract_document
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.units import normalize_unit, units_for_dimension
 
 REG = default_registry()
 
 
-def _obs(head_name, canonical_value):
-    spec = REG.by_name(head_name)
-    return PropertyObservation(
-        sample_id="s",
-        head_id=spec.head_id,
-        quantity=Quantity(kind="point", value=canonical_value),
-        canonical_value=canonical_value,
-    )
+def _values(head_name, canonical_value):
+    """The target-value list of one observed head."""
+    return target_values([(REG.by_name(head_name).head_id, canonical_value)], REG)
 
 
 # ---- build_prompt ---------------------------------------------------------
@@ -77,7 +72,7 @@ def test_build_prompt_unknown_variant():
 
 def test_mask_exact_target_value():
     text = "Tg was measured at 105 °C after annealing at 90 °C."
-    masked = mask_labels(text, [_obs("Tg", 105.0)])
+    masked = mask_labels(text, _values("Tg", 105.0))
     assert "[MASKED] °C" in masked
     assert "90" in masked
     assert "105" not in masked
@@ -86,13 +81,13 @@ def test_mask_exact_target_value():
 def test_mask_cross_unit_kelvin():
     # 105 °C is 378.15 K; a Kelvin mention within 0.5% must be scrubbed
     text = "the transition near 378 K was sharp"
-    masked = mask_labels(text, [_obs("Tg", 105.0)])
+    masked = mask_labels(text, _values("Tg", 105.0))
     assert MASK_TOKEN in masked and "378" not in masked
 
 
 def test_mask_cross_unit_gpa():
     text = "stiffness around 2.4 GPa was retained"
-    masked = mask_labels(text, [_obs("youngs_modulus", 2400.0)])
+    masked = mask_labels(text, _values("youngs_modulus", 2400.0))
     assert MASK_TOKEN in masked
 
 
@@ -102,14 +97,14 @@ def test_mask_no_observations_is_identity():
 
 
 def test_mask_tolerance_boundary():
-    obs = [_obs("tensile_strength", 100.0)]
-    assert MASK_TOKEN in mask_labels("measured 100.4 MPa", obs)
-    assert MASK_TOKEN not in mask_labels("measured 101 MPa", obs)
+    values = _values("tensile_strength", 100.0)
+    assert MASK_TOKEN in mask_labels("measured 100.4 MPa", values)
+    assert MASK_TOKEN not in mask_labels("measured 101 MPa", values)
 
 
 def test_unmasked_text_is_subsequence_of_original():
     text = "blend of 70:30 ratio, Tg 105 °C, cured at 105 min intervals"
-    masked = mask_labels(text, [_obs("Tg", 105.0)])
+    masked = mask_labels(text, _values("Tg", 105.0))
     pieces = masked.split(MASK_TOKEN)
     pos = 0
     for piece in pieces:
@@ -124,10 +119,10 @@ def test_unmasked_text_is_subsequence_of_original():
     extra=st.integers(min_value=0, max_value=999),
 )
 def test_masked_text_never_leaks(value, extra):
-    obs = [_obs("tensile_strength", value)]
+    values = _values("tensile_strength", value)
     text = f"strength {value:.6g} MPa with filler {extra} phr"
-    masked = mask_labels(text, obs)
-    assert leakage_hits(masked, obs) == []
+    masked = mask_labels(text, values)
+    assert leakage_hits(masked, values) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,16 +137,15 @@ def test_target_match_equals_per_pair_tolerance_reference(value, targets):
     # the reference applies the tolerance formula to each (number,
     # representation) pair; computing it once per representation must not
     # move a decision
-    obs = [_obs(REG.spec(h).name, v) for h, v in targets]
     reps = [
-        unit.from_canonical(o.canonical_value)
-        for o in obs
-        for unit in units_for_dimension(normalize_unit(REG.spec(o.head_id).canonical_unit).dimension)
+        unit.from_canonical(v)
+        for h, v in targets
+        for unit in units_for_dimension(normalize_unit(REG.spec(h).canonical_unit).dimension)
     ]
     near = [value] + [rep * (1 + k * MASK_REL_TOL) for rep in reps for k in (-1, 1)]
     for v in near:
         expected = any(abs(v - rep) <= MASK_REL_TOL * max(abs(rep), 1e-12) for rep in reps)
-        assert _is_target_number(v, _target_representations(obs, REG)) == expected
+        assert _is_target_number(v, target_values(targets, REG)) == expected
 
 
 # ---- dataset construction -------------------------------------------------
@@ -336,3 +330,16 @@ def test_dataset_file_round_trip(tmp_path_factory, rows):
     for a, b in zip(instances, loaded):
         assert a.labels.tobytes() == b.labels.tobytes()
         assert np.array_equal(a.label_mask, b.label_mask)
+
+
+def test_scan_counts_target_restated_in_another_unit_after_round_trip(tmp_path):
+    # the scan reads only a loaded dataset's labels: no records objects
+    doc = "== SAMPLE s1 ==\nSample: film.\nTg = 105 °C; Young's modulus = 2400 MPa\n"
+    path = tmp_path / "ds.tsv"
+    save_dataset(build_dataset(extract_document(doc), "sample_only"), path)
+    instances = load_dataset(path)
+    assert scan_dataset_for_leaks(instances) == 0
+    instances[0].text += " softening near 378.15 K"
+    assert scan_dataset_for_leaks(instances) == 1
+    instances[0].text += " and a stiffness of 2.4 GPa"
+    assert scan_dataset_for_leaks(instances) == 2
