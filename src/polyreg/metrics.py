@@ -9,7 +9,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .model import encode, make_batch
 from .objective import sigma_from_rho
@@ -68,13 +67,32 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / denom)
 
 
+def average_ranks(a) -> np.ndarray:
+    """1-based ranks of the flattened input, ties sharing their mean rank.
+
+    Equals ``scipy.stats.rankdata(a)`` bitwise, without importing
+    ``scipy.stats``: any NaN makes every rank NaN, and the result is float64.
+    """
+    arr = np.ravel(np.asarray(a))
+    if np.isnan(arr).any():
+        return np.full(arr.size, np.nan)
+    order = np.argsort(arr, kind="mergesort")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    s = arr[order]
+    first = np.r_[True, s[1:] != s[:-1]]
+    dense = first.cumsum()[inverse]
+    count = np.r_[np.nonzero(first)[0], first.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def rank_correlations(x, y) -> tuple[float, float]:
     """(Pearson, Spearman); Spearman is Pearson on average ranks."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 3:
         raise ValueError("need equal lengths >= 3")
-    return pearson(x, y), pearson(rankdata(x), rankdata(y))
+    return pearson(x, y), pearson(average_ranks(x), average_ranks(y))
 
 
 def calibration_ratio(rmse_per_head, sigma_per_head) -> float:

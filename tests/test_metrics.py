@@ -3,9 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from polyreg.metrics import (
     ZeroVariance,
+    average_ranks,
     calibration_ratio,
     mae,
     pearson,
@@ -114,6 +119,56 @@ def test_spearman_monotone_invariance():
 def test_rank_correlations_validation():
     with pytest.raises(ValueError):
         rank_correlations([1.0, 2.0], [3.0, 4.0])
+
+
+# ---- average ranks against scipy.stats.rankdata ---------------------------
+
+# Small pools make ties common; signed zeros tie, and the infinities sort last
+# and first.
+_RANK_ELEMENTS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300, -5e-324]),
+    st.floats(allow_nan=False),
+)
+_RANK_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+    elements=_RANK_ELEMENTS,
+)
+
+
+def _assert_ranks_match_scipy(a):
+    got, want = average_ranks(a), rankdata(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RANK_ARRAYS)
+def test_average_ranks_match_scipy(a):
+    _assert_ranks_match_scipy(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RANK_ARRAYS.filter(lambda a: a.size > 0), st.data())
+def test_average_ranks_any_nan_gives_all_nan(a, data):
+    a.flat[data.draw(st.integers(0, a.size - 1))] = np.nan
+    _assert_ranks_match_scipy(a)
+    assert np.isnan(average_ranks(a)).all()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[], np.empty((0, 3)), [[3.0, 1.0], [2.0, 2.0]], [0.0, -0.0, np.inf, -np.inf], [7.0]],
+    ids=["empty", "empty-2d", "2d-ties", "signed-zero-inf", "single"],
+)
+def test_average_ranks_edges_match_scipy(a):
+    _assert_ranks_match_scipy(a)
+
+
+def test_rank_correlations_nan_propagates():
+    pearson_r, spearman = rank_correlations([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+    assert math.isnan(pearson_r) and math.isnan(spearman)
 
 
 def test_calibration_ratio_examples():
