@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = evaluate(trained, instances)
-    _write_table(args.output, report.to_table(), trained.config.digest())
+    _write_table(args.output, report.to_table(), trained.model.cfg.digest())
     with open(args.output + ".json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
@@ -123,7 +123,7 @@ def cmd_uncertainty_report(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = run_uncertainty_report(trained, instances)
-    _write_table(args.output, report.to_table(), trained.config.digest())
+    _write_table(args.output, report.to_table(), trained.model.cfg.digest())
     sp = "NA" if report.spearman is None else f"{report.spearman:.4f}"
     print(f"uncertainty spearman = {sp}, calibration ratio = {report.calibration_ratio:.3f}")
     return 0
@@ -134,14 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug", action="store_true", help="re-raise an error with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, doc):
+    def add(name, fn, doc, configured=False):
+        """A subcommand; a ``configured`` one reads ``--config`` and ``--seed``."""
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--seed", type=int, default=None)
+        if configured:
+            p.add_argument("--config", default=None)
+            p.add_argument("--seed", type=int, default=None)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus file")
-    p.add_argument("--config", default=None)
+    p = add("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus file", configured=True)
     p.add_argument("-o", "--output", required=True)
 
     p = add("extract", cmd_extract, "extract observations from a corpus file")
@@ -153,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("sample_synthesis", "sample_only"), default="sample_synthesis")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("train", cmd_train, "train a model on a prompt dataset")
+    p = add("train", cmd_train, "train a model on a prompt dataset", configured=True)
     p.add_argument("dataset")
-    p.add_argument("--config", default=None)
     p.add_argument("-o", "--output", required=True)
 
     p = add("eval", cmd_eval, "evaluate a checkpoint on a dataset")
@@ -163,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("ablate", cmd_ablate, "run the matched synthesis ablation")
-    p.add_argument("--config", default=None)
+    p = add("ablate", cmd_ablate, "run the matched synthesis ablation", configured=True)
     p.add_argument("-o", "--output", required=True)
 
     p = add("audit", cmd_audit, "score extracted records against gold annotations")

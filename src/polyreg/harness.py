@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import MECHANICAL_HEADS, SynthConfig, gen_corpus
+from .corpus import SynthConfig, gen_corpus
 from .datasets import PromptInstance, build_dataset, scan_dataset_for_leaks
 from .metrics import EvalReport, evaluate
 from .records import extract_corpus

@@ -195,10 +195,8 @@ def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
         p, _ = model.forward(batch)
         preds_norm[start : start + len(chunk)] = p
     preds = np.full((n, N_HEADS), np.nan)
-    for t in range(N_HEADS):
-        tr = trained.transforms[t]
-        if tr is not None:
-            preds[:, t] = tr.denormalize(preds_norm[:, t])
+    for t in np.flatnonzero(trained.transforms.valid):
+        preds[:, t] = trained.transforms.denormalize(t, preds_norm[:, t])
     return preds
 
 
@@ -254,16 +252,16 @@ def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> Ev
     labels = np.stack([i.labels for i in instances])
     masks = np.stack([i.label_mask for i in instances])
     sigma = sigma_from_rho(trained.model.params["rho"])
+    tr = trained.transforms
     heads: list[HeadResult] = []
-    for t in range(N_HEADS):
-        tr = trained.transforms[t]
+    for t in np.flatnonzero(tr.valid):
         idx = np.flatnonzero(masks[:, t] & np.isfinite(preds[:, t]))
-        if tr is None or idx.size < MIN_HEAD_N:
+        if idx.size < MIN_HEAD_N:
             continue
         y, p = labels[idx, t], preds[idx, t]
-        keep = y > 0 if tr.log_space else np.ones_like(y, dtype=bool)
+        keep = y > 0 if tr.log_space[t] else np.ones_like(y, dtype=bool)
         rmse_norm = (
-            rmse(tr.normalize(y[keep]), tr.normalize(np.maximum(p[keep], 1e-300)))
+            rmse(tr.normalize(t, y[keep]), tr.normalize(t, np.maximum(p[keep], 1e-300)))
             if keep.sum() >= 2
             else None
         )

@@ -58,18 +58,16 @@ class PropertyModel:
     def __init__(
         self,
         cfg: TrainConfig,
-        seed: int = 0,
         params: dict[str, np.ndarray] | None = None,
         embed_rows: np.ndarray | None = None,
     ):
         """A seeded random initialization with no materialized embedding
         rows, or the given tensors as they are: ``params["embed"]`` holds the
-        values of the sorted bucket ids ``embed_rows``.  ``seed`` also
+        values of the sorted bucket ids ``embed_rows``.  ``cfg.seed`` also
         derives every row not materialized (``encoder.init_rows``)."""
         self.cfg = cfg
-        self.seed = seed
         if params is None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(cfg.seed)
             params = {"embed": np.zeros((0, cfg.dim))}
             params.update(enc.init_encoder_params(cfg, rng))
             params.update(reg.init_trunk_params(cfg, rng))
@@ -99,7 +97,7 @@ class PropertyModel:
             return rows, enc.embed(rows, self.params["embed"])
         values = np.empty((ids.size, self.cfg.dim))
         values[found] = enc.embed(rows[found], self.params["embed"])
-        values[~found] = enc.init_rows(self.seed, ids[~found], self.cfg.dim)
+        values[~found] = enc.init_rows(self.cfg.seed, ids[~found], self.cfg.dim)
         rows[~found] = -1
         return rows, values
 

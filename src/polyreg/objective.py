@@ -6,9 +6,11 @@ multi-task total loss with learned log-variances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .registry import N_HEADS
 
 SILVERMAN_FLOOR = 1e-3
 EPS_PERCENTILE = 5.0
@@ -17,45 +19,49 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _KDE_CHUNK_ELEMENTS = 1 << 17
 
 
-class DegenerateHead(Exception):
-    """Fewer than 2 finite labels or zero variance at transform fit time."""
-
-
 @dataclass
-class LabelTransform:
-    """Per-head z-score transform, in log10 space for log-scale heads."""
+class LabelTransforms:
+    """Per-head z-score transforms, in log10 space for log-scale heads, as
+    four (22,) arrays: the checkpoint tensors ``transform_mu``,
+    ``transform_sigma``, ``transform_log`` and ``transform_valid``.  A head
+    not fitted has NaN ``mu`` and ``sigma`` and a log flag of 0.  Raises
+    ``ValueError`` on a table no fit could have made."""
 
-    log_space: bool
-    mu: float
-    sigma: float
+    mu: np.ndarray = field(default_factory=lambda: np.full(N_HEADS, np.nan))
+    sigma: np.ndarray = field(default_factory=lambda: np.full(N_HEADS, np.nan))
+    log_space: np.ndarray = field(default_factory=lambda: np.zeros(N_HEADS))
+    valid: np.ndarray = field(default_factory=lambda: np.zeros(N_HEADS))
 
-    def normalize(self, y):
-        t = np.log10(y) if self.log_space else np.asarray(y, dtype=np.float64)
-        return (t - self.mu) / self.sigma
+    def __post_init__(self):
+        fitted = self.valid == 1
+        sigma_ok = np.isfinite(self.sigma) & (self.sigma > 0)
+        for what, bad in (
+            ("transform_valid is not 0 or 1", ~fitted & (self.valid != 0)),
+            ("transform_mu is not finite", fitted & ~np.isfinite(self.mu)),
+            ("transform_sigma is not finite and above 0", fitted & ~sigma_ok),
+            ("transform_log is not 0 or 1", fitted & (self.log_space != 0) & (self.log_space != 1)),
+        ):
+            if bad.any():
+                raise ValueError(f"{what} at heads {np.flatnonzero(bad).tolist()}")
 
-    def denormalize(self, z):
-        t = np.asarray(z, dtype=np.float64) * self.sigma + self.mu
-        return np.power(10.0, t) if self.log_space else t
+    def fit(self, t: int, labels: np.ndarray, log_space: bool) -> None:
+        """Fit head ``t`` on its cleaned training labels: finite, and
+        positive on a log-space head.  With fewer than 2 labels or zero
+        variance, ``sigma`` falls back to 1."""
+        y = np.log10(labels) if log_space else labels
+        sigma = y.std()
+        self.mu[t] = y.mean()
+        self.sigma[t] = 1.0 if sigma == 0.0 else sigma
+        self.log_space[t] = log_space
+        self.valid[t] = 1.0
 
+    def normalize(self, t: int, y):
+        v = np.log10(y) if self.log_space[t] else np.asarray(y, dtype=np.float64)
+        return (v - self.mu[t]) / self.sigma[t]
 
-def fit_transform(labels, log_space: bool) -> LabelTransform:
-    """Fit the per-head transform on training labels.
-
-    Non-finite labels, and non-positive ones on log-space heads, are
-    dropped.  Raises DegenerateHead with fewer than 2 usable labels or zero
-    variance.
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    y = y[np.isfinite(y)]
-    if log_space:
-        y = np.log10(y[y > 0])
-    if y.size < 2:
-        raise DegenerateHead(f"need at least 2 labels, got {y.size}")
-    mu = float(y.mean())
-    sigma = float(y.std())
-    if sigma <= 0.0:
-        raise DegenerateHead("zero label variance")
-    return LabelTransform(log_space=log_space, mu=mu, sigma=sigma)
+    def denormalize(self, t: int, z):
+        v = np.asarray(z, dtype=np.float64) * self.sigma[t] + self.mu[t]
+        return np.power(10.0, v) if self.log_space[t] else v
 
 
 def silverman_bandwidth(y: np.ndarray) -> float:

@@ -80,21 +80,21 @@ def init_trunk_params(cfg: TrainConfig, rng: np.random.Generator) -> dict[str, n
 
 
 def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrainConfig):
-    """Input projection, residual blocks, bottleneck.  Returns (z, cache)."""
+    """Input projection, residual blocks, bottleneck.  Returns (z, cache):
+    the cache holds what ``trunk_backward`` reads, the input, each block's
+    activations and the last residual stream ``x{n_blocks}``."""
     if not np.all(np.isfinite(pooled)):
         raise ValueError("non-finite trunk input")
     cache = {"pooled": pooled}
     x = pooled @ params["proj_w"].T + params["proj_b"]
-    cache["x0"] = x
     for i in range(cfg.n_blocks):
         ln_out, ln_cache = layer_norm(x, params[f"block{i}_ln_g"], params[f"block{i}_ln_b"])
         cdf = gelu_cdf(ln_out)
         act = gelu(ln_out, cdf)
         x = x + act @ params[f"block{i}_lin_w"].T + params[f"block{i}_lin_b"]
         cache[f"block{i}"] = (ln_out, ln_cache, act, cdf)
-        cache[f"x{i+1}"] = x
+    cache[f"x{cfg.n_blocks}"] = x
     z = x @ params["bottleneck_w"].T + params["bottleneck_b"]
-    cache["z"] = z
     return z, cache
 
 

@@ -25,8 +25,7 @@ class NonFiniteLoss(Exception):
 @dataclass
 class TrainedModel:
     model: PropertyModel
-    config: TrainConfig
-    transforms: list  # per head: LabelTransform or None
+    transforms: obj.LabelTransforms
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -38,40 +37,31 @@ def fit_label_stats(
 
     Non-finite labels, and non-positive ones on log-space heads, are
     dropped from the returned masks.  Heads with fewer than 2 usable labels
-    or zero variance fall back to an identity-scale transform and unit
-    weights instead of failing the run.
+    or zero variance fall back to a unit-scale transform
+    (``LabelTransforms.fit``), and a lone label to a unit weight, instead
+    of failing the run.
     Returns (transforms, normalized_targets, masks, weights).
     """
     registry = registry or default_registry()
     n = len(instances)
     labels = np.stack([inst.labels for inst in instances]) if n else np.zeros((0, N_HEADS))
     masks = np.stack([inst.label_mask for inst in instances]) if n else np.zeros((0, N_HEADS), bool)
-    masks = masks.copy()
-    transforms: list = [None] * N_HEADS
+    transforms = obj.LabelTransforms()
     targets = np.zeros((n, N_HEADS))
     weights = np.zeros((n, N_HEADS))
     for t in range(N_HEADS):
         log_space = registry.is_log_space(t)
         idx = np.flatnonzero(masks[:, t])
-        if idx.size == 0:
-            continue
         vals = labels[idx, t]
         bad = ~np.isfinite(vals)
         if log_space:
             bad |= vals <= 0
-        if bad.any():
-            masks[idx[bad], t] = False
-            idx = idx[~bad]
-            vals = vals[~bad]
+        masks[idx[bad], t] = False
+        idx, vals = idx[~bad], vals[~bad]
         if idx.size == 0:
             continue
-        try:
-            tr = obj.fit_transform(vals, log_space)
-        except obj.DegenerateHead:
-            mu = float(np.log10(vals).mean() if log_space else vals.mean())
-            tr = obj.LabelTransform(log_space=log_space, mu=mu, sigma=1.0)
-        transforms[t] = tr
-        normed = tr.normalize(vals)
+        transforms.fit(t, vals, log_space)
+        normed = transforms.normalize(t, vals)
         targets[idx, t] = normed
         weights[idx, t] = obj.fit_density_model(normed) if idx.size >= 2 else 1.0
     return transforms, targets, masks, weights
@@ -122,7 +112,7 @@ def train(
 ) -> TrainedModel:
     """Run the training loop and return the trained model plus loss trace."""
     registry = registry or default_registry()
-    model = PropertyModel(cfg, seed=cfg.seed)
+    model = PropertyModel(cfg)
     transforms, targets, masks, weights = fit_label_stats(instances, registry)
     encoded = encode([inst.text for inst in instances], cfg.vocab_size)
     # every row a batch can touch, stored up front: a row no batch has
@@ -161,7 +151,7 @@ def train(
             batch_losses.append(total)
         if batch_losses:
             trace.append(float(np.mean(batch_losses)))
-    return TrainedModel(model=model, config=cfg, transforms=transforms, loss_trace=trace)
+    return TrainedModel(model=model, transforms=transforms, loss_trace=trace)
 
 
 # ---- checkpoint packing ---------------------------------------------------
@@ -171,18 +161,12 @@ _TRANSFORM_TENSORS = ("transform_mu", "transform_sigma", "transform_log", "trans
 
 
 def save_trained(trained: TrainedModel, path) -> None:
+    cfg, tr = trained.model.cfg, trained.transforms
     tensors = {"embed_rows": trained.model.embed_rows, **trained.model.params}
-    mu = np.full(N_HEADS, np.nan)
-    sigma = np.full(N_HEADS, np.nan)
-    log_flags = np.zeros(N_HEADS)
-    valid = np.zeros(N_HEADS)
-    for t, tr in enumerate(trained.transforms):
-        if tr is not None:
-            mu[t], sigma[t], log_flags[t], valid[t] = tr.mu, tr.sigma, float(tr.log_space), 1.0
-    tensors.update(zip(_TRANSFORM_TENSORS, (mu, sigma, log_flags, valid)))
+    tensors.update(zip(_TRANSFORM_TENSORS, (tr.mu, tr.sigma, tr.log_space, tr.valid)))
     metadata = {
-        "config": asdict(trained.config),
-        "config_digest": trained.config.digest(),
+        "config": asdict(cfg),
+        "config_digest": cfg.digest(),
         "loss_trace": [float(x) for x in trained.loss_trace],
     }
     save_checkpoint(path, tensors, metadata)
@@ -200,14 +184,15 @@ def _shapes(tensors: dict) -> dict:
 
 def load_trained(path) -> TrainedModel:
     """The model ``save_trained`` wrote to ``path``.  A checkpoint whose
-    config, tensor names or tensor shapes are not those of that model raises
-    ``ValueError`` naming the file."""
+    config, tensor names or tensor shapes are not those of that model, or
+    whose label table no fit could have made, raises ``ValueError`` naming
+    the file."""
     tensors, metadata = load_checkpoint(path)
     try:
         cfg = TrainConfig(**metadata["config"])
         # a fresh model's tensors are the ones to expect; its embedding rows
         # are lazy, so it costs next to nothing
-        fresh = PropertyModel(cfg, seed=cfg.seed).params
+        fresh = PropertyModel(cfg).params
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: bad config: {exc}") from None
     expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
@@ -218,19 +203,8 @@ def load_trained(path) -> TrainedModel:
     # the parameters in the order the model holds them
     params = {name: tensors[name] for name in fresh}
     try:
-        model = PropertyModel(cfg, cfg.seed, params, tensors.get("embed_rows"))
+        model = PropertyModel(cfg, params, tensors.get("embed_rows"))
+        transforms = obj.LabelTransforms(*(tensors[name] for name in _TRANSFORM_TENSORS))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    mu, sigma, log_flags, valid = (tensors[name] for name in _TRANSFORM_TENSORS)
-    transforms: list = [None] * N_HEADS
-    for t in range(N_HEADS):
-        if valid[t]:
-            transforms[t] = obj.LabelTransform(
-                log_space=bool(log_flags[t]), mu=float(mu[t]), sigma=float(sigma[t])
-            )
-    return TrainedModel(
-        model=model,
-        config=cfg,
-        transforms=transforms,
-        loss_trace=list(metadata.get("loss_trace", [])),
-    )
+    return TrainedModel(model, transforms, list(metadata.get("loss_trace", [])))

@@ -81,9 +81,9 @@ def test_acceptance_full_model_gradient_check():
         rng = np.random.default_rng(seed)
         cfg = TrainConfig(
             vocab_size=256, dim=12, rank=3, hidden_dim=14, n_blocks=2,
-            pooling_mode="attention" if seed % 2 else "mean",
+            pooling_mode="attention" if seed % 2 else "mean", seed=seed,
         )
-        model = PropertyModel(cfg, seed=seed)
+        model = PropertyModel(cfg)
         model.params["lora_b"] = rng.normal(0.0, 0.05, size=model.params["lora_b"].shape)
         model.params["attn_q"] = rng.normal(0.0, 0.1, size=model.params["attn_q"].shape)
         model.params["rho"] = rng.normal(0.0, 0.3, size=N_HEADS)
@@ -294,7 +294,7 @@ def test_acceptance_low_rank_adapter():
     dense = params["w0"] + scale * params["lora_b"] @ params["lora_a"]
     dense_err = float(np.max(np.abs(lora_project(H, params, cfg) - H @ dense.T)))
 
-    model = PropertyModel(TrainConfig(freeze_embeddings=True), seed=0)
+    model = PropertyModel(TrainConfig(freeze_embeddings=True))
     trainable, total = model.parameter_counts()
     fraction = trainable / total
     ok = zero_b_exact and dense_err <= 1e-12 and fraction < 0.02

@@ -1,8 +1,13 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from polyreg.audit import bundled_fixture_paths
-from polyreg.cli import main
+from polyreg.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
@@ -143,3 +148,34 @@ def test_debug_reraises_and_default_prints_one_line(capsys, tmp_path):
 def test_unknown_subcommand_exits_nonzero(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code != 0
+
+
+def _readme_commands() -> list[str]:
+    """The ``polyreg ...`` lines of the README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("polyreg ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 8
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "corpus.txt"],
+        ["build-dataset", "observations.jsonl"],
+        ["eval", "model.ckpt", "dataset.tsv"],
+        ["audit", "extracted.tsv", "gold.tsv"],
+        ["uncertainty-report", "model.ckpt", "dataset.tsv"],
+    ],
+)
+def test_seed_is_refused_where_no_seed_is_read(capsys, argv):
+    code, _, err = _run(capsys, *argv, "--seed", "1", "-o", "out.tsv")
+    assert code == 2 and "unrecognized arguments: --seed 1" in err

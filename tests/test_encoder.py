@@ -143,7 +143,7 @@ def test_init_rows_uniform_with_std_point_one():
 
 
 def test_model_materializes_rows_at_init_and_derives_the_rest():
-    model = PropertyModel(TrainConfig(vocab_size=1000, dim=8, rank=2), seed=4)
+    model = PropertyModel(TrainConfig(vocab_size=1000, dim=8, rank=2, seed=4))
     assert model.embed_rows.size == 0 and model.params["embed"].shape == (0, 8)
     model.materialize(np.array([[9, 3], [9, 500]]))
     assert model.embed_rows.tolist() == [3, 9, 500]
@@ -171,7 +171,7 @@ def test_model_materializes_rows_at_init_and_derives_the_rest():
 
 
 def test_lookup_on_a_model_that_stores_no_rows():
-    model = PropertyModel(TrainConfig(vocab_size=64, dim=4, rank=2), seed=3)
+    model = PropertyModel(TrainConfig(vocab_size=64, dim=4, rank=2, seed=3))
     rows, values = model.lookup(np.array([0, 5, 63]))
     assert rows.tolist() == [-1, -1, -1]
     assert np.array_equal(values, init_rows(3, np.array([0, 5, 63]), 4))
@@ -405,7 +405,7 @@ def test_config_validation():
 
 def test_trainable_fraction_under_two_percent_with_frozen_embeddings():
     cfg = TrainConfig(freeze_embeddings=True)
-    model = PropertyModel(cfg, seed=0)
+    model = PropertyModel(cfg)
     trainable, total = model.parameter_counts()
     assert "embed" not in model.trainable_names()
     assert "w0" not in model.trainable_names()

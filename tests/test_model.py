@@ -71,9 +71,9 @@ def _case(pooling_mode: str, n_rows: int, seed: int):
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(
         vocab_size=24, dim=10, rank=3, alpha=5.0, hidden_dim=12, n_blocks=2,
-        pooling_mode=pooling_mode,
+        pooling_mode=pooling_mode, seed=seed,
     )
-    model = PropertyModel(cfg, seed=seed)
+    model = PropertyModel(cfg)
     model.params["lora_b"] = rng.normal(0.0, 0.2, size=model.params["lora_b"].shape)
     model.params["attn_q"] = rng.normal(0.0, 0.5, size=cfg.dim)
     model.params["rho"] = rng.normal(0.0, 0.3, size=N_HEADS)
@@ -164,7 +164,7 @@ def _partly_stored(pooling_mode: str):
     model, batch = _case(pooling_mode, 6, seed=3)
     stored = np.arange(0, model.cfg.vocab_size, 3)
     params = dict(model.params, embed=model.params["embed"][stored] + 0.5)
-    partial = PropertyModel(model.cfg, model.seed, params=params, embed_rows=stored)
+    partial = PropertyModel(model.cfg, params=params, embed_rows=stored)
     assert not np.isin(batch.ids[batch.token_mask], stored).all()
     return partial, batch
 
@@ -173,7 +173,7 @@ def _partly_stored(pooling_mode: str):
 def test_forward_derives_unseen_rows_as_a_materialized_copy_would(pooling_mode):
     partial, batch = _partly_stored(pooling_mode)
     stored, values = partial.embed_rows.copy(), partial.params["embed"].copy()
-    copy = PropertyModel(partial.cfg, partial.seed, dict(partial.params), partial.embed_rows)
+    copy = PropertyModel(partial.cfg, dict(partial.params), partial.embed_rows)
     copy.materialize(batch.ids[batch.token_mask])
     preds, _ = partial.forward(batch)
     assert np.array_equal(preds, copy.forward(batch)[0])

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreg.datasets import PromptInstance
 from polyreg.objective import (
     EPS_PERCENTILE,
-    DegenerateHead,
+    LabelTransforms,
     density_weights,
     fit_density_model,
-    fit_transform,
     kde_density,
     sigma_from_rho,
     silverman_bandwidth,
@@ -19,53 +19,77 @@ from polyreg.objective import (
     total_loss_grad_preds,
     total_loss_grad_rho,
 )
+from polyreg.registry import N_HEADS, default_registry
+from polyreg.trainer import fit_label_stats
 
 
 # ---- label transforms -----------------------------------------------------
 
 
+def _fit(labels, log_space: bool) -> LabelTransforms:
+    """A table with only head 3 fitted, on ``labels``."""
+    t = LabelTransforms()
+    t.fit(3, np.asarray(labels, dtype=np.float64), log_space)
+    return t
+
+
 def test_fit_transform_linear_example():
     # labels {0, 2}: mu = 1, sigma = 1 (population std)
-    t = fit_transform([0.0, 2.0], log_space=False)
-    assert (t.mu, t.sigma) == (1.0, 1.0)
-    assert np.allclose(t.normalize([0.0, 2.0]), [-1.0, 1.0])
-    assert np.allclose(t.denormalize([-1.0, 1.0]), [0.0, 2.0])
+    t = _fit([0.0, 2.0], log_space=False)
+    assert (t.mu[3], t.sigma[3]) == (1.0, 1.0)
+    assert np.allclose(t.normalize(3, [0.0, 2.0]), [-1.0, 1.0])
+    assert np.allclose(t.denormalize(3, [-1.0, 1.0]), [0.0, 2.0])
+    # only head 3 is fitted
+    others = np.arange(N_HEADS) != 3
+    assert t.valid.tolist() == [float(not o) for o in others]
+    assert np.isnan(t.mu[others]).all() and np.isnan(t.sigma[others]).all()
 
 
 def test_fit_transform_log_example():
     # labels {10, 1000} in log10 are {1, 3}: mu = 2, sigma = 1
-    t = fit_transform([10.0, 1000.0], log_space=True)
-    assert (t.mu, t.sigma) == (2.0, 1.0)
-    assert np.allclose(t.normalize([10.0, 1000.0]), [-1.0, 1.0])
-    assert np.allclose(t.denormalize([0.0]), [100.0])
+    t = _fit([10.0, 1000.0], log_space=True)
+    assert (t.mu[3], t.sigma[3]) == (2.0, 1.0)
+    assert np.allclose(t.normalize(3, [10.0, 1000.0]), [-1.0, 1.0])
+    assert np.allclose(t.denormalize(3, [0.0]), [100.0])
 
 
 def test_fit_transform_drops_nonpositive_for_log_heads():
-    t = fit_transform([10.0, 1000.0, -5.0, 0.0], log_space=True)
-    assert (t.mu, t.sigma) == (2.0, 1.0)
+    # cleaning happens once, where the labels are gathered
+    head = default_registry().by_name("tensile_strength").head_id
+    instances = []
+    for i, value in enumerate([10.0, 1000.0, -5.0, 0.0]):
+        labels = np.full(N_HEADS, np.nan)
+        labels[head] = value
+        instances.append(PromptInstance(f"s{i}", "sample_only", "x", labels, ~np.isnan(labels)))
+    t = fit_label_stats(instances)[0]
+    assert (t.mu[head], t.sigma[head]) == (2.0, 1.0)
 
 
 def test_fit_transform_degenerate_cases():
-    with pytest.raises(DegenerateHead):
-        fit_transform([5.0], log_space=False)
-    with pytest.raises(DegenerateHead):
-        fit_transform([5.0, 5.0, 5.0], log_space=False)
-    with pytest.raises(DegenerateHead):
-        fit_transform([-1.0, -2.0, 3.0], log_space=True)
+    # fewer than 2 labels or zero variance: the mean in the head's space
+    # and a unit sigma
+    for labels, log_space, mu in (
+        ([5.0], False, 5.0),
+        ([5.0, 5.0, 5.0], False, 5.0),
+        ([1000.0], True, 3.0),
+        ([100.0, 100.0], True, 2.0),
+    ):
+        t = _fit(labels, log_space)
+        assert (t.mu[3], t.sigma[3], t.log_space[3], t.valid[3]) == (mu, 1.0, float(log_space), 1.0)
 
 
 def test_denormalized_log_head_predictions_are_positive():
-    t = fit_transform([10.0, 1000.0], log_space=True)
+    t = _fit([10.0, 1000.0], log_space=True)
     z = np.linspace(-50, 50, 101)
-    assert np.all(t.denormalize(z) > 0)
+    assert np.all(t.denormalize(3, z) > 0)
 
 
 def test_transform_round_trip_property():
     rng = np.random.default_rng(0)
     y = rng.lognormal(2.0, 1.0, size=50)
     for log_space in (False, True):
-        t = fit_transform(y, log_space=log_space)
-        assert np.allclose(t.denormalize(t.normalize(y)), y, rtol=1e-10)
+        t = _fit(y, log_space=log_space)
+        assert np.allclose(t.denormalize(3, t.normalize(3, y)), y, rtol=1e-10)
 
 
 # ---- KDE and weights ------------------------------------------------------

@@ -127,7 +127,7 @@ def test_zeroed_block_weights_make_blocks_identity():
         params[f"block{i}_lin_w"] = np.zeros_like(params[f"block{i}_lin_w"])
         params[f"block{i}_lin_b"] = np.zeros_like(params[f"block{i}_lin_b"])
     z, cache = trunk_forward(pooled, params, cfg)
-    x0 = cache["x0"]
+    x0 = pooled @ params["proj_w"].T + params["proj_b"]
     assert np.array_equal(cache[f"x{cfg.n_blocks}"], x0)
     assert np.allclose(z, x0 @ params["bottleneck_w"].T + params["bottleneck_b"], atol=1e-15)
 

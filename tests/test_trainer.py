@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,12 +71,14 @@ def _small_cfg(**kw):
 def test_fit_label_stats_shapes_and_weights():
     instances = _toy_dataset()
     transforms, targets, masks, weights = fit_label_stats(instances)
-    assert transforms[TG] is not None and transforms[TS] is not None
-    assert transforms[TS].log_space and not transforms[TG].log_space
+    assert transforms.valid[TG] == 1 and transforms.valid[TS] == 1
+    assert transforms.log_space[TS] == 1 and transforms.log_space[TG] == 0
     got = weights[masks[:, TG], TG]
     assert abs(got.mean() - 1.0) <= 1e-9 and got.std() > 0  # KDE weights, not unit ones
     unused = [t for t in range(N_HEADS) if t not in (TG, TS)]
-    assert all(transforms[t] is None for t in unused)
+    assert np.all(transforms.valid[unused] == 0)
+    assert np.all(np.isnan(transforms.mu[unused])) and np.all(np.isnan(transforms.sigma[unused]))
+    assert np.all(transforms.log_space[unused] == 0)
     assert np.all(weights[:, unused] == 0)
 
 
@@ -85,7 +88,7 @@ def test_fit_label_stats_single_label_fallback():
     solo = _instance("solo", "[Sample]\nlone", {REG.by_name("Tm").head_id: 170.0})
     tm = REG.by_name("Tm").head_id
     transforms, targets, masks, weights = fit_label_stats(instances + [solo])
-    assert transforms[tm] is not None and transforms[tm].sigma == 1.0
+    assert transforms.valid[tm] == 1 and (transforms.mu[tm], transforms.sigma[tm]) == (170.0, 1.0)
     assert weights[-1, tm] == 1.0
 
 
@@ -106,7 +109,7 @@ def test_fit_label_stats_drops_non_finite_labels():
     assert not masks[-2:, [TG, TS]].any()
     assert np.all(weights[-2:] == 0) and np.all(targets[-2:] == 0)
     clean = fit_label_stats(instances)
-    assert (transforms[TG].mu, transforms[TG].sigma) == (clean[0][TG].mu, clean[0][TG].sigma)
+    assert (transforms.mu[TG], transforms.sigma[TG]) == (clean[0].mu[TG], clean[0].sigma[TG])
     assert np.isfinite(weights).all() and np.isfinite(targets).all()
 
 
@@ -119,7 +122,7 @@ def _dense_reference(cfg, instances):
     into a dense table and a dense Adam step over the whole table, each
     prompt re-encoded in every batch.  Returns the model and, per step, the
     batch's embedding rows and a copy of the table after the step."""
-    model = PropertyModel(cfg, seed=cfg.seed)
+    model = PropertyModel(cfg)
     model.materialize(np.arange(cfg.vocab_size))  # a bucket id is its own position
     _, targets, masks, weights = fit_label_stats(instances)
     trainable = model.trainable_names()
@@ -217,7 +220,7 @@ def test_predict_derives_unseen_rows_without_storing_them(text):
     assert not np.isin(ids, model.embed_rows).all()
     rows, values = model.embed_rows.copy(), model.params["embed"].copy()
     got = predict(trained, [unseen, data[0]])
-    want = predict(TrainedModel(reference, cfg, trained.transforms), [unseen, data[0]])
+    want = predict(TrainedModel(reference, trained.transforms), [unseen, data[0]])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(model.embed_rows, rows)
     assert np.array_equal(model.params["embed"], values)
@@ -246,14 +249,14 @@ def test_frozen_embeddings_stay_at_init():
     model = trained.model
     assert model.embed_rows.size > 0
     assert np.array_equal(model.params["embed"], enc.init_rows(cfg.seed, model.embed_rows, cfg.dim))
-    fresh = PropertyModel(cfg, seed=cfg.seed)
+    fresh = PropertyModel(cfg)
     assert not np.array_equal(model.params["lora_a"], fresh.params["lora_a"])
 
 
 def test_zero_epochs_leaves_parameters_at_init():
     cfg = _small_cfg(epochs=0)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg, seed=cfg.seed)
+    fresh = PropertyModel(cfg)
     every_id = np.arange(cfg.vocab_size)
     assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
     for name in fresh.params:
@@ -283,14 +286,14 @@ def test_different_seed_changes_parameters():
 def test_frozen_base_projection_never_moves():
     cfg = _small_cfg(epochs=3)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg, seed=cfg.seed)
+    fresh = PropertyModel(cfg)
     assert np.array_equal(trained.model.params["w0"], fresh.params["w0"])
 
 
 def test_freeze_flags_respected():
     cfg = _small_cfg(epochs=2, freeze_embeddings=True, freeze_encoder=True)
     trained = train(cfg, _toy_dataset())
-    fresh = PropertyModel(cfg, seed=cfg.seed)
+    fresh = PropertyModel(cfg)
     every_id = np.arange(cfg.vocab_size)
     assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
     for name in ("lora_a", "lora_b"):
@@ -314,8 +317,8 @@ def test_small_dataset_memorization():
     assert np.all(trained.model.params["rho"] == 0)
     preds = predict(trained, instances)
     targets = np.array([60.0, 100.0, 140.0, 180.0])
-    normed = trained.transforms[TG].normalize(targets)
-    got = trained.transforms[TG].normalize(preds[:, TG])
+    normed = trained.transforms.normalize(TG, targets)
+    got = trained.transforms.normalize(TG, preds[:, TG])
     assert float(np.mean((got - normed) ** 2)) < 1e-6
 
 
@@ -506,18 +509,18 @@ def test_trained_model_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_trained(trained, path)
     loaded = load_trained(path)
-    assert loaded.config == cfg
+    assert loaded.model.cfg == cfg
     assert loaded.loss_trace == trained.loss_trace
     assert list(loaded.model.params) == list(trained.model.params)
     for name in trained.model.params:
         assert np.array_equal(loaded.model.params[name], trained.model.params[name]), name
     assert np.array_equal(loaded.model.embed_rows, trained.model.embed_rows)
     assert loaded.model.embed_rows.dtype == np.int64
-    for t in range(N_HEADS):
-        a, b = trained.transforms[t], loaded.transforms[t]
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert (a.mu, a.sigma, a.log_space) == (b.mu, b.sigma, b.log_space)
+    # the label table bit for bit, NaN at the heads not fitted included
+    assert np.isnan(trained.transforms.mu).any() and np.isnan(trained.transforms.sigma).any()
+    for name in ("mu", "sigma", "log_space", "valid"):
+        a, b = getattr(trained.transforms, name), getattr(loaded.transforms, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     preds_a = predict(trained, data)
     preds_b = predict(loaded, data)
     valid = ~np.isnan(preds_a)
@@ -574,6 +577,11 @@ def test_version_one_checkpoint_is_refused(tmp_path):
         load_trained(old)
 
 
+def _set_entry(tensors, name, head, value):
+    tensors[name] = tensors[name].copy()
+    tensors[name][head] = value
+
+
 def _set_rows(tensors, rows):
     tensors["embed_rows"] = np.asarray(rows, dtype=np.int64)
 
@@ -614,10 +622,23 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
         lambda t, m: m["config"].update(learning_rate=0.1),  # unknown config key
         lambda t, m: m["config"].update(dim=24),  # config that does not fit the tensors
         lambda t, m: m.pop("config"),
+        # label tables no fit could make: TG and TS are fitted, head 0 is not
+        lambda t, m: _set_entry(t, "transform_valid", 0, 0.5),
+        lambda t, m: _set_entry(t, "transform_valid", TG, np.nan),
+        lambda t, m: _set_entry(t, "transform_mu", TG, np.nan),
+        lambda t, m: _set_entry(t, "transform_mu", TS, -np.inf),
+        lambda t, m: _set_entry(t, "transform_sigma", TG, 0.0),
+        lambda t, m: _set_entry(t, "transform_sigma", TS, -1.0),
+        lambda t, m: _set_entry(t, "transform_sigma", TG, np.inf),
+        lambda t, m: _set_entry(t, "transform_sigma", TS, np.nan),
+        lambda t, m: _set_entry(t, "transform_log", TS, 0.5),
+        lambda t, m: _set_entry(t, "transform_log", TG, 2.0),
     ],
     ids=[
         "no_transform_valid", "no_transform_mu", "no_rho", "stray_tensor", "rho_shape",
         "head_w_shape", "transform_shape", "unknown_config_key", "config_mismatch", "no_config",
+        "valid_half", "valid_nan", "mu_nan", "mu_inf", "sigma_zero", "sigma_negative",
+        "sigma_inf", "sigma_nan", "log_half", "log_two",
     ],
 )
 def test_malformed_checkpoint_names_the_file(tmp_path, corrupt):
@@ -627,6 +648,24 @@ def test_malformed_checkpoint_names_the_file(tmp_path, corrupt):
     save_checkpoint(path, tensors, metadata)
     with pytest.raises(ValueError, match="model.ckpt"):
         load_trained(path)
+
+
+def test_reloaded_model_derives_unseen_rows_from_its_config_seed(tmp_path):
+    # rows no training prompt has are not in the checkpoint: the reloaded
+    # model derives them from the saved config's seed, as the trained one did
+    cfg = _small_cfg(epochs=2, seed=7)
+    data = _toy_dataset()
+    trained = train(cfg, data)
+    prompts = [_instance("u", "omega kappa 42", {TG: 80.0}), data[0]]
+    ids = enc.bucket_ids(enc.tokenize(prompts[0].text), cfg.vocab_size)
+    assert not np.isin(ids, trained.model.embed_rows).any()
+    before = predict(trained, prompts)
+    path = tmp_path / "model.ckpt"
+    save_trained(trained, path)
+    after = predict(load_trained(path), prompts)
+    assert before.tobytes() == after.tobytes()
+    seed0 = PropertyModel(replace(cfg, seed=0), dict(trained.model.params), trained.model.embed_rows)
+    assert predict(TrainedModel(seed0, trained.transforms), prompts[:1]).tobytes() != before[:1].tobytes()
 
 
 def test_checkpoint_unchanged_by_evaluate(tmp_path):
