@@ -5,6 +5,7 @@ carrying the label transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -182,11 +183,16 @@ def _shapes(tensors: dict) -> dict:
     }
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def load_trained(path) -> TrainedModel:
     """The model ``save_trained`` wrote to ``path``.  A checkpoint whose
-    config, tensor names or tensor shapes are not those of that model, or
-    whose label table no fit could have made, raises ``ValueError`` naming
-    the file."""
+    config does not match its ``config_digest``, whose loss trace is not a
+    list of finite numbers, whose config, tensor names or tensor shapes are
+    not those of that model, or whose label table no fit could have made,
+    raises ``ValueError`` naming the file."""
     tensors, metadata = load_checkpoint(path)
     try:
         cfg = TrainConfig(**metadata["config"])
@@ -195,6 +201,11 @@ def load_trained(path) -> TrainedModel:
         fresh = PropertyModel(cfg).params
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: bad config: {exc}") from None
+    if metadata.get("config_digest") != cfg.digest():
+        raise ValueError(f"checkpoint {path}: config_digest does not match its config")
+    trace = metadata.get("loss_trace", [])
+    if not isinstance(trace, list) or not all(_is_finite_number(x) for x in trace):
+        raise ValueError(f"checkpoint {path}: loss_trace is not a list of finite numbers")
     expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
     found = _shapes(tensors)
     if found != expected:
@@ -207,4 +218,4 @@ def load_trained(path) -> TrainedModel:
         transforms = obj.LabelTransforms(*(tensors[name] for name in _TRANSFORM_TENSORS))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    return TrainedModel(model, transforms, list(metadata.get("loss_trace", [])))
+    return TrainedModel(model, transforms, trace)

@@ -2,6 +2,8 @@
 checkpoint, eval-table, eval-JSON, uncertainty-table and ablation-table
 bytes, and the same extracted-observation file and train/test dataset
 files; each intermediate file must also read back as what was written.
+The same training set also trains an attention-pooled model, whose
+checkpoint and eval-table bytes are pinned too.
 
 Run-against-run comparisons only show that one version of the code is
 deterministic; these digests also catch a change that silently alters
@@ -28,6 +30,9 @@ ABLATION_TABLE_SHA256 = "271515b8f2dd0e2d8a6bc01225a85bd645e25e58878737446627302
 EXTRACTED_SHA256 = "872dab274cf6e0ec4f5d56de13d09a809c86827334f2fc294dff43a5c052cae3"
 TRAIN_TSV_SHA256 = "924e3120f699c02a5ea18c51e5520907ee090682dc6f50de04ffd254ff16f65d"
 TEST_TSV_SHA256 = "7053ce9bdd97d66f60a34886884326830b02d150f2d9dec78747692b1acb8f40"
+# the same run's model trained with attention pooling
+ATTENTION_CHECKPOINT_SHA256 = "e8b806e3b3e16465feb5009954ce5fff0053fc65eddf03d8c92acf143cbc15a9"
+ATTENTION_EVAL_TABLE_SHA256 = "4a4ecddb3c0b5df5c5048ba46a5480d8042bf2176823f63831ccf9321edd6df2"
 
 _PIPELINE = """
 import hashlib, sys
@@ -62,12 +67,18 @@ trainer.save_trained(trained, out / "model.ckpt")
 report = metrics.evaluate(trained, test_set, reg)
 uncertainty = harness.run_uncertainty_report(trained, test_set, reg)
 ablation = harness.run_ablation(cfg, corpus.SynthConfig(seed=0, n_docs=120, obs_prob=0.5), reg)
+attention_cfg = trainer.TrainConfig(seed=0, epochs=3, batch_size=16, vocab_size=2048, pooling_mode="attention")
+attended = trainer.train(attention_cfg, train_set, reg)
+trainer.save_trained(attended, out / "attention.ckpt")
+attended_table = metrics.evaluate(attended, test_set, reg).to_table()
 with open(out / "model.ckpt", "rb") as fh:
     print(hashlib.sha256(fh.read()).hexdigest())
 for text in (report.to_table(), report.to_json(), uncertainty.to_table(), ablation.to_table()):
     print(hashlib.sha256(text.encode("utf-8")).hexdigest())
 for name in ("observations.jsonl", "train.tsv", "test.tsv"):
     print(hashlib.sha256((out / name).read_bytes()).hexdigest())
+print(hashlib.sha256((out / "attention.ckpt").read_bytes()).hexdigest())
+print(hashlib.sha256(attended_table.encode("utf-8")).hexdigest())
 print(all(round_trips))
 """
 
@@ -93,6 +104,8 @@ def _assert_golden(digests: list[str]) -> None:
         "observations": EXTRACTED_SHA256,
         "train tsv": TRAIN_TSV_SHA256,
         "test tsv": TEST_TSV_SHA256,
+        "attention checkpoint": ATTENTION_CHECKPOINT_SHA256,
+        "attention eval table": ATTENTION_EVAL_TABLE_SHA256,
         "round trips": "True",
     }
     assert dict(zip(expected, digests)) == expected

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreg import objective
 from polyreg.datasets import PromptInstance
 from polyreg.objective import (
     EPS_PERCENTILE,
@@ -21,6 +26,8 @@ from polyreg.objective import (
 )
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.trainer import fit_label_stats
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---- label transforms -----------------------------------------------------
@@ -134,6 +141,12 @@ def test_kde_matches_brute_force_oracle():
         assert fast[i] == pytest.approx(acc / (train.size * h), rel=0, abs=1e-12)
 
 
+def _one_shot_kde(train, h, query):
+    u = (query[:, None] - train[None, :]) / h
+    phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    return phi.sum(axis=1) / (train.size * h)
+
+
 def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     # 1000 labels give chunks of 131 query rows; 1000 queries leave a
     # partial last chunk
@@ -141,11 +154,77 @@ def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     train = rng.normal(size=1000)
     query = rng.normal(size=1000)
     h = silverman_bandwidth(train)
-    u = (query[:, None] - train[None, :]) / h
-    phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    one_shot = phi.sum(axis=1) / (train.size * h)
-    assert query.size % ((1 << 17) // train.size) != 0
+    one_shot = _one_shot_kde(train, h, query)
+    assert query.size % (objective._KDE_CHUNK_ELEMENTS // train.size) != 0
     assert np.array_equal(kde_density(train, h, query), one_shot)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n_train, n_query",
+    [
+        (1000, 1000),  # a partial last chunk
+        (objective._KDE_CHUNK_ELEMENTS + 5, 7),  # one query row per chunk
+        (1000, 5),  # fewer query rows than one chunk
+        (300, 2000),  # query and train of different lengths
+    ],
+    ids=["partial_last_chunk", "one_row_per_chunk", "under_one_chunk", "unequal_lengths"],
+)
+def test_kde_is_bitwise_the_one_shot_formula_at_any_worker_count(monkeypatch, cpus, n_train, n_query):
+    rng = np.random.default_rng([n_train, n_query, cpus])
+    train = rng.normal(size=n_train)
+    query = rng.normal(size=n_query)
+    h = silverman_bandwidth(train)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: cpus)
+    assert np.array_equal(kde_density(train, h, query), _one_shot_kde(train, h, query))
+
+
+@pytest.mark.parametrize("h", [1.0, 1e-300, 1e300])
+def test_kde_is_bitwise_the_one_shot_formula_at_extreme_distances(h):
+    # distances whose square underflows, overflows or turns subnormal
+    far = np.array([0.0, 5e-324, 1e-160, 1.5e-154, 2.0**-511, 1e-20, 1.0, 38.6, 1.3e154, 1.4e154, 1e300])
+    train = np.concatenate([far, -far])
+    query = np.concatenate([train, train + 1e-300, train * 0.999])
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(kde_density(train, h, query), _one_shot_kde(train, h, query))
+
+
+def test_kde_workers_follow_the_affinity_mask_not_the_host(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU host starts no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert objective._usable_cpus() == 1
+
+
+_THREADS_AROUND_FIT = """
+import threading
+import numpy as np
+from polyreg import objective
+from polyreg.datasets import PromptInstance
+from polyreg.registry import N_HEADS
+from polyreg.trainer import fit_label_stats
+
+# 600 labels a head make 3 chunks of 218 query rows, shared by 2 workers
+# even on a host with one CPU
+objective._usable_cpus = lambda: 2
+rng = np.random.default_rng(5)
+instances = [
+    PromptInstance(f"s{i}", "sample_only", "x", rng.uniform(1.0, 100.0, N_HEADS), np.ones(N_HEADS, bool))
+    for i in range(600)
+]
+before = threading.active_count()
+weights = fit_label_stats(instances)[3]
+print(before, threading.active_count(), bool((weights > 0).all()))
+"""
+
+
+def test_fit_label_stats_leaves_no_worker_thread():
+    # in a fresh interpreter: a pool kept across calls would otherwise hide
+    # behind threads an earlier test had already started
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _THREADS_AROUND_FIT], env=env, capture_output=True, text=True, check=True)
+    before, after, weighted = done.stdout.split()
+    assert (after, weighted) == (before, "True")
 
 
 def test_kde_validation():

@@ -582,6 +582,13 @@ def _set_entry(tensors, name, head, value):
     tensors[name][head] = value
 
 
+def _set_config(metadata, **fields):
+    """Edit the stored config and re-digest it, so the load gets past the
+    digest check to the checks after it."""
+    metadata["config"].update(fields)
+    metadata["config_digest"] = TrainConfig(**metadata["config"]).digest()
+
+
 def _set_rows(tensors, rows):
     tensors["embed_rows"] = np.asarray(rows, dtype=np.int64)
 
@@ -620,8 +627,16 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
         lambda t, m: t.update(head_w=t["head_w"].T.copy()),
         lambda t, m: t.update(transform_sigma=t["transform_sigma"][:5]),
         lambda t, m: m["config"].update(learning_rate=0.1),  # unknown config key
-        lambda t, m: m["config"].update(dim=24),  # config that does not fit the tensors
+        lambda t, m: _set_config(m, dim=24),  # config that does not fit the tensors
         lambda t, m: m.pop("config"),
+        lambda t, m: m.pop("config_digest"),
+        lambda t, m: m.update(loss_trace="abc"),  # not a list
+        lambda t, m: m.update(loss_trace={"0": 1.0}),
+        lambda t, m: m.update(loss_trace=[1.0, "2.0"]),  # entries not finite numbers
+        lambda t, m: m.update(loss_trace=[1.0, None]),
+        lambda t, m: m.update(loss_trace=[True]),
+        lambda t, m: m.update(loss_trace=[1.0, float("nan")]),
+        lambda t, m: m.update(loss_trace=[float("inf")]),
         # label tables no fit could make: TG and TS are fitted, head 0 is not
         lambda t, m: _set_entry(t, "transform_valid", 0, 0.5),
         lambda t, m: _set_entry(t, "transform_valid", TG, np.nan),
@@ -637,6 +652,8 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
     ids=[
         "no_transform_valid", "no_transform_mu", "no_rho", "stray_tensor", "rho_shape",
         "head_w_shape", "transform_shape", "unknown_config_key", "config_mismatch", "no_config",
+        "no_config_digest", "trace_str", "trace_dict", "trace_str_entry", "trace_null_entry",
+        "trace_bool_entry", "trace_nan_entry", "trace_inf_entry",
         "valid_half", "valid_nan", "mu_nan", "mu_inf", "sigma_zero", "sigma_negative",
         "sigma_inf", "sigma_nan", "log_half", "log_two",
     ],
@@ -648,6 +665,20 @@ def test_malformed_checkpoint_names_the_file(tmp_path, corrupt):
     save_checkpoint(path, tensors, metadata)
     with pytest.raises(ValueError, match="model.ckpt"):
         load_trained(path)
+
+
+def test_edited_config_with_stale_digest_names_the_file(tmp_path):
+    # a config edited after saving loads no more: its digest is the old one
+    path = _trained_checkpoint(tmp_path)
+    tensors, metadata = load_checkpoint(path)
+    assert metadata["config_digest"] == TrainConfig(**metadata["config"]).digest()
+    metadata["config"]["lr"] = metadata["config"]["lr"] * 2
+    save_checkpoint(path, tensors, metadata)
+    with pytest.raises(ValueError, match="model.ckpt.*config_digest"):
+        load_trained(path)
+    _set_config(metadata)
+    save_checkpoint(path, tensors, metadata)
+    assert load_trained(path).model.cfg.lr == metadata["config"]["lr"]
 
 
 def test_reloaded_model_derives_unseen_rows_from_its_config_seed(tmp_path):
