@@ -182,16 +182,19 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def predict(trained, instances, batch_size: int = 256) -> np.ndarray:
+PREDICT_CHUNK = 256  # prompts a forward pass of ``predict`` takes
+
+
+def predict(trained, instances) -> np.ndarray:
     """Canonical-unit predictions (n, 22) for a list of prompt instances."""
     n = len(instances)
     model = trained.model
+    encoded = encode([i.text for i in instances], model.cfg.vocab_size)
     preds_norm = np.zeros((n, N_HEADS))
-    for start in range(0, n, batch_size):
-        chunk = instances[start : start + batch_size]
+    for start in range(0, n, PREDICT_CHUNK):
+        chunk = encoded[start : start + PREDICT_CHUNK]
         no_labels = np.zeros((len(chunk), N_HEADS))
-        ids = encode([i.text for i in chunk], model.cfg.vocab_size)
-        batch = make_batch(ids, no_labels, no_labels.astype(bool), no_labels)
+        batch = make_batch(chunk, no_labels, no_labels.astype(bool), no_labels)
         p, _ = model.forward(batch)
         preds_norm[start : start + len(chunk)] = p
     preds = np.full((n, N_HEADS), np.nan)

@@ -7,6 +7,7 @@ tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,8 +30,27 @@ class Batch:
 
 
 def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
-    """Bucket ids of each text's tokens."""
-    return [enc.bucket_ids(enc.tokenize(t), vocab_size) for t in texts]
+    """Bucket ids of each text's tokens, ``bucket_ids(tokenize(t))`` for each t.
+
+    No token holds a whitespace character, so a text's tokens are those of
+    its whitespace pieces in order.  Prompts repeat few pieces: each
+    distinct piece of the call is tokenized once, and all of their tokens
+    are hashed in one ``bucket_ids`` call.  Each text is split a second
+    time to gather its ids: holding every piece of a large call at once
+    took more memory than the ids themselves.
+    """
+    distinct = dict.fromkeys(chain.from_iterable(map(str.split, texts)))
+    tokens = list(map(enc.tokenize, distinct))
+    ids = enc.bucket_ids(list(chain.from_iterable(tokens)), vocab_size).tolist()
+    start = 0
+    for piece, piece_tokens in zip(distinct, tokens):
+        distinct[piece] = ids[start : start + len(piece_tokens)]
+        start += len(piece_tokens)
+    piece_ids = distinct.__getitem__
+    return [
+        np.array(list(chain.from_iterable(map(piece_ids, t.split()))), dtype=np.int64)
+        for t in texts
+    ]
 
 
 def make_batch(

@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from polyreg.config import TrainConfig
+from polyreg.corpus import SynthConfig
 from polyreg.encoder import (
+    _TOKEN_RE,
     bucket_ids,
     embed,
     fnv1a64,
@@ -16,7 +19,8 @@ from polyreg.encoder import (
     pool_backward,
     tokenize,
 )
-from polyreg.model import PropertyModel
+from polyreg.harness import prepare_variant_datasets
+from polyreg.model import PropertyModel, encode
 
 
 # ---- tokenizer and hashing ------------------------------------------------
@@ -83,6 +87,73 @@ def test_hash_collision_rate_fine_grained():
             hits += 1
     expected = 1.0 - math.exp(-k * (k - 1) / (2 * V))
     assert abs(hits / trials - expected) <= 0.15
+
+
+# ---- model.encode ----------------------------------------------------------
+
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+def _assert_encodes_like_each_text(texts, vocab_size):
+    got = encode(texts, vocab_size)
+    assert len(got) == len(texts)
+    for text, ids in zip(texts, got):
+        want = bucket_ids(tokenize(text), vocab_size)
+        assert ids.dtype == np.int64 and ids.shape == want.shape, text
+        assert np.array_equal(ids, want), text
+
+
+def test_no_token_holds_a_whitespace_character():
+    # encode tokenizes each whitespace piece alone: this holds for every
+    # code point str.split() splits at, which are exactly the isspace ones
+    assert len(_WHITESPACE) > 20
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert (f"a{c}b".split() == ["a", "b"]) == c.isspace(), hex(ord(c))
+    for c in _WHITESPACE:
+        assert _TOKEN_RE.match(c) is None, hex(ord(c))
+        # nor does a match started before it run on through it
+        for head in ("a", "Ab", "1", "1.5", "1.", "1e", "1.5E+", "[Sample", "[MASKED"):
+            found = _TOKEN_RE.search(head + c + "5")
+            assert found is not None and found.end() <= len(head), (head, hex(ord(c)))
+
+
+def test_encode_matches_per_text_encoding_on_golden_prompts():
+    variants = prepare_variant_datasets(SynthConfig(seed=0, n_docs=120, obs_prob=0.5), 0)
+    texts = [inst.text for pair in variants.values() for part in pair for inst in part]
+    assert len(texts) > 100
+    for vocab_size in (2048, 4096):
+        _assert_encodes_like_each_text(texts, vocab_size)
+
+
+def test_encode_matches_per_text_encoding_on_fuzzed_text():
+    fragments = [
+        "[Sample]", "[MASKED]", "[Synthesis]", "[Sample", "MASKED]", "[", "]",
+        "1.5e3", "2E-4", "7e+12", "3.", ".5", "1e", "e", "E", "-", "+", "0",
+        "a_b", "_", "__x", "°", "°C", "İ", "İstanbul", "ß", "STRASSE", "ΟΔΟΣ", "οδός",
+        "Tg", "x1y", ",", ";", "(", ")", "μm", "高分子",
+    ]
+    separators = _WHITESPACE + ["", "", "", "  ", "\r\n"]
+    rng = np.random.default_rng(0)
+    texts = []
+    for _ in range(2000):
+        parts = rng.choice(fragments, size=rng.integers(1, 12)).tolist()
+        seps = rng.choice(separators, size=len(parts) + 1).tolist()
+        texts.append(seps[0] + "".join(p + s for p, s in zip(parts, seps[1:])))
+    _assert_encodes_like_each_text(texts, 4096)
+
+
+def test_encode_texts_without_tokens():
+    texts = ["", " ", "\t\n　", ",;: - _ °", "a", "", "__ ,", "x y"]
+    _assert_encodes_like_each_text(texts, 4096)
+    assert encode([], 4096) == []
+    assert [ids.size for ids in encode(texts, 4096)] == [0, 0, 0, 0, 1, 0, 0, 2]
+
+
+def test_encode_keeps_no_state_between_calls():
+    texts = ["[Sample]\nPLA film, Tg [MASKED] °C", "cured 150 minutes", "", "Tg 2.5e3 Pa"]
+    for vocab_size in (4096, 65536, 4096):
+        _assert_encodes_like_each_text(texts, vocab_size)
+    assert not np.array_equal(encode(texts, 4096)[0], encode(texts, 65536)[0])
 
 
 # ---- embedding lookup -----------------------------------------------------

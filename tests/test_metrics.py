@@ -294,3 +294,68 @@ def test_prediction_file_scores_equal_evaluate(tmp_path):
     assert (scored.macro_r2_linear, scored.macro_r2_log, scored.macro_primary_r2) == (
         report.macro_r2_linear, report.macro_r2_log, report.macro_primary_r2
     )
+
+
+# ---- predict --------------------------------------------------------------
+
+
+def _predict_reference(trained, instances):
+    """Predictions of 256-row chunks, each encoded one text at a time."""
+    from polyreg.encoder import bucket_ids, tokenize
+    from polyreg.model import make_batch
+    from polyreg.registry import N_HEADS
+
+    model, tr = trained.model, trained.transforms
+    parts = []
+    for start in range(0, len(instances), 256):
+        chunk = instances[start : start + 256]
+        ids = [bucket_ids(tokenize(i.text), model.cfg.vocab_size) for i in chunk]
+        none = np.zeros((len(chunk), N_HEADS))
+        parts.append(model.forward(make_batch(ids, none, none.astype(bool), none))[0])
+    norm = np.concatenate(parts)
+    return np.stack([tr.denormalize(t, norm[:, t]) for t in range(N_HEADS)], axis=1)
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(pooling_mode):
+    # 300 prompts: the first chunk of 256 pads to longer prompts than the
+    # last 44 do, and one prompt holds no token at all
+    from polyreg.datasets import PromptInstance
+    from polyreg.encoder import tokenize
+    from polyreg.metrics import PREDICT_CHUNK, predict
+    from polyreg.model import PropertyModel
+    from polyreg.objective import LabelTransforms
+    from polyreg.registry import N_HEADS
+    from polyreg.trainer import TrainConfig, TrainedModel
+
+    rng = np.random.default_rng(7)
+    cfg = TrainConfig(seed=3, vocab_size=4096, dim=16, rank=4, hidden_dim=16, pooling_mode=pooling_mode)
+    model = PropertyModel(cfg)
+    model.params["lora_b"] = rng.normal(0.0, 0.3, size=model.params["lora_b"].shape)
+    model.params["attn_q"] = rng.normal(0.0, 1.0, size=cfg.dim)
+    transforms = LabelTransforms(
+        mu=rng.normal(size=N_HEADS),
+        sigma=rng.uniform(0.5, 2.0, size=N_HEADS),
+        log_space=(np.arange(N_HEADS) % 3 == 0).astype(float),
+        valid=np.ones(N_HEADS),
+    )
+    words = ["[Sample]", "[Synthesis]", "[MASKED]", "PLA", "film", "Tg", "°C", "cured", "at", "2.5e3", "150"]
+    lengths = np.r_[rng.integers(9, 61, size=256), rng.integers(3, 21, size=44)]
+    texts = [
+        "".join(w + ("\n" if rng.random() < 0.2 else " ") for w in rng.choice(words, size=n))
+        for n in lengths
+    ]
+    texts[100] = ", ;"
+    n_tokens = [len(tokenize(t)) for t in texts]
+    assert max(n_tokens) >= 3 * min(n for n in n_tokens if n) and n_tokens[100] == 0
+    assert max(n_tokens[:256]) > max(n_tokens[256:]) and PREDICT_CHUNK == 256
+    none = np.full(N_HEADS, np.nan)
+    instances = [
+        PromptInstance(f"s{i}", "sample_synthesis", t, none, np.zeros(N_HEADS, dtype=bool))
+        for i, t in enumerate(texts)
+    ]
+    trained = TrainedModel(model, transforms)
+    got = predict(trained, instances)
+    want = _predict_reference(trained, instances)
+    assert got.shape == (300, N_HEADS) and np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
