@@ -93,13 +93,6 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
 # tabular file format: record_id <tab> sample_id <tab> head <tab> value <tab> unit
 
 
-def write_records(records: list[AuditRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("record_id\tsample_id\thead\tvalue\tunit\n")
-        for r in records:
-            fh.write(f"{r.record_id}\t{r.sample_id}\t{r.head}\t{r.value:.10g}\t{r.unit}\n")
-
-
 def read_records(path) -> list[AuditRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:

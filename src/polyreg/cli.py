@@ -1,8 +1,9 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: gen-corpus, extract, build-dataset, train, eval, ablate,
-audit, uncertainty-report.  All exit 0 on success and 1 with a one-line
-diagnostic on any error; ``polyreg --debug ...`` re-raises it instead.
+audit, uncertainty-report, score-responses.  All exit 0 on success and 1
+with a one-line diagnostic on any error; ``polyreg --debug ...``
+re-raises it instead.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from .audit import audit as run_audit
 from .audit import read_records
 from .config import read_config
 from .datasets import build_dataset, load_dataset, save_dataset, scan_dataset_for_leaks
-from .harness import run_ablation, run_uncertainty_report, split_samples
-from .metrics import evaluate
+from .harness import run_ablation, run_uncertainty_report
+from .metrics import evaluate, score_prediction_file
 from .records import extract_corpus, load_extracted, save_extracted
-from .registry import default_registry
 from .trainer import TrainConfig, load_trained, save_trained, train
 
 
@@ -36,10 +36,10 @@ def _load_configs(path, seed=None) -> tuple[corpus_mod.SynthConfig, TrainConfig]
     return corpus_mod.SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
-def _write_table(path, table: str, digest: str) -> None:
-    """A report table followed by the digest of the config that made it."""
+def _write_table(path, table: str, key: str, value: str) -> None:
+    """A report table followed by one ``# key<TAB>value`` footer line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{table}# config_digest\t{digest}\n")
+        fh.write(f"{table}# {key}\t{value}\n")
 
 
 def cmd_gen_corpus(args) -> int:
@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = evaluate(trained, instances)
-    _write_table(args.output, report.to_table(), trained.model.cfg.digest())
+    _write_table(args.output, report.to_table(), "config_digest", trained.model.cfg.digest())
     with open(args.output + ".json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
-    _write_table(args.output, report.to_table(), train_cfg.digest())
+    _write_table(args.output, report.to_table(), "config_digest", train_cfg.digest())
     print(f"ablation mean delta = {report.mean_delta:.4f} over {len(report.rows)} heads")
     return 0
 
@@ -123,9 +123,18 @@ def cmd_uncertainty_report(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = run_uncertainty_report(trained, instances)
-    _write_table(args.output, report.to_table(), trained.model.cfg.digest())
+    _write_table(args.output, report.to_table(), "config_digest", trained.model.cfg.digest())
     sp = "NA" if report.spearman is None else f"{report.spearman:.4f}"
     print(f"uncertainty spearman = {sp}, calibration ratio = {report.calibration_ratio:.3f}")
+    return 0
+
+
+def cmd_score_responses(args) -> int:
+    instances = load_dataset(args.dataset)
+    report, retention = score_prediction_file(args.responses, instances)
+    _write_table(args.output, report.to_table(), "retention", f"{retention:.6f}")
+    macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
+    print(f"scored {len(report.heads)} heads; macro primary R2 = {macro}; retention = {retention:.3f}")
     return 0
 
 
@@ -174,6 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("uncertainty-report", cmd_uncertainty_report, "task-level uncertainty vs error")
     p.add_argument("checkpoint")
+    p.add_argument("dataset")
+    p.add_argument("-o", "--output", required=True)
+
+    p = add("score-responses", cmd_score_responses, "score a model's text answers on a dataset")
+    p.add_argument("responses")
     p.add_argument("dataset")
     p.add_argument("-o", "--output", required=True)
 

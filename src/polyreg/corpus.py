@@ -60,6 +60,14 @@ class SynthConfig:
     tail_skew: float = 0.6
     obs_prob: float = 0.35
 
+    def __post_init__(self):
+        # one document has no spread to z-score its labels by
+        if self.n_docs < 2:
+            raise ValueError(f"n_docs must be at least 2, got {self.n_docs}")
+        heads = list(self.heads)
+        if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
+            raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")
+
     def eta_for(self, head_id: int) -> float:
         if isinstance(self.eta, dict):
             return float(self.eta.get(head_id, 0.08))

@@ -290,14 +290,15 @@ def score_prediction_file(
     """Score an external baseline file of (sample_id, head, response text).
 
     Responses pass through strict numeric parsing; the retention fraction
-    (parsed / total) is returned alongside the report.  A line without the
-    three tab-separated columns, or with an empty head, raises
-    ``ValueError`` naming the file and the line.
+    (parsed / total) is returned alongside the report, which scores the
+    parsed responses whose sample has a label for the head.  A line without
+    the three tab-separated columns, with a head the registry does not know
+    or a sample not in ``instances``, or a second response for one sample
+    and head raises ``ValueError`` naming the file and the line.
     """
     registry = registry or default_registry()
     by_sample = {inst.sample_id: inst for inst in instances}
-    values: dict[int, list[tuple[float, float]]] = {}
-    total = kept = 0
+    parsed: dict[tuple[str, int], float | None] = {}  # by (sample_id, head_id)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.lower().startswith("sample_id"):
@@ -310,22 +311,24 @@ def score_prediction_file(
             if len(parts) != 3 or not parts[1].strip():
                 raise ValueError(f"{path}:{lineno}: expected sample_id, head, response; got {line!r}")
             sid, head_name, response = parts
-            total += 1
             spec = registry.lookup(head_name)
-            if spec is None or sid not in by_sample:
-                continue
-            value = strict_numeric_parse(response, spec)
-            if value is None:
-                continue
-            inst = by_sample[sid]
-            if not inst.label_mask[spec.head_id]:
-                continue
-            kept += 1
-            values.setdefault(spec.head_id, []).append((inst.labels[spec.head_id], value))
+            if spec is None:
+                raise ValueError(f"{path}:{lineno}: unknown head {head_name!r}")
+            if sid not in by_sample:
+                raise ValueError(f"{path}:{lineno}: sample {sid!r} is not in the dataset")
+            if (sid, spec.head_id) in parsed:
+                raise ValueError(f"{path}:{lineno}: a second response for {sid!r}, {spec.name}")
+            parsed[sid, spec.head_id] = strict_numeric_parse(response, spec)
+    values: dict[int, list[tuple[float, float]]] = {}
+    for (sid, t), value in parsed.items():
+        inst = by_sample[sid]
+        if value is not None and inst.label_mask[t]:
+            values.setdefault(t, []).append((inst.labels[t], value))
     heads = [
         _head_result(registry.spec(t), np.array([y for y, _ in pairs]), np.array([p for _, p in pairs]))
         for t, pairs in sorted(values.items())
         if len(pairs) >= MIN_HEAD_N
     ]
-    retention = kept / total if total else 0.0
+    kept = sum(value is not None for value in parsed.values())
+    retention = kept / len(parsed) if parsed else 0.0
     return _macro_report(heads), retention

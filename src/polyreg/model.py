@@ -121,11 +121,6 @@ class PropertyModel:
         rows[~found] = -1
         return rows, values
 
-    def embedding(self, ids: np.ndarray) -> np.ndarray:
-        """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``."""
-        _, values = self.lookup(np.ravel(ids))
-        return values.reshape(np.shape(ids) + (self.cfg.dim,))
-
     FROZEN_ALWAYS = ("w0",)
 
     def trainable_names(self) -> list[str]:
@@ -144,17 +139,6 @@ class PropertyModel:
                 continue
             names.append(name)
         return names
-
-    def parameter_counts(self) -> tuple[int, int]:
-        """Trainable and total parameters, counting the whole logical
-        vocab_size x dim embedding table."""
-
-        def size(name):
-            return self.cfg.vocab_size * self.cfg.dim if name == "embed" else self.params[name].size
-
-        trainable = sum(size(n) for n in self.trainable_names())
-        total = sum(size(n) for n in self.params)
-        return trainable, total
 
     # ---- forward -----------------------------------------------------
 

@@ -60,12 +60,6 @@ class PropertyRegistry:
             raise KeyError(f"unknown head_id {head_id}")
         return self._specs[head_id]
 
-    def by_name(self, name: str) -> PropertySpec:
-        spec = self.lookup(name)
-        if spec is None:
-            raise KeyError(f"unknown property name {name!r}")
-        return spec
-
     def lookup(self, alias: str) -> PropertySpec | None:
         """Resolve an alias to its spec after case/whitespace folding.
 

@@ -7,7 +7,6 @@ from polyreg.audit import (
     audit,
     load_bundled_fixture,
     read_records,
-    write_records,
 )
 
 
@@ -90,7 +89,8 @@ def test_strict_precision_bounded_by_components():
 def test_records_round_trip(tmp_path):
     records = [_record(i) for i in range(5)]
     path = tmp_path / "records.tsv"
-    write_records(records, path)
+    rows = [f"{r.record_id}\t{r.sample_id}\t{r.head}\t{r.value:.10g}\t{r.unit}\n" for r in records]
+    path.write_text("record_id\tsample_id\thead\tvalue\tunit\n" + "".join(rows), encoding="utf-8")
     assert read_records(path) == records
 
 

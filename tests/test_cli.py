@@ -1,3 +1,4 @@
+import re
 import shlex
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 
 from polyreg.audit import bundled_fixture_paths
 from polyreg.cli import build_parser, main
+from polyreg.datasets import PromptInstance, save_dataset
+from polyreg.registry import N_HEADS, default_registry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -97,6 +100,61 @@ def test_gen_corpus_rejects_misspelled_config_key(capsys, tmp_path):
     assert not corpus.exists()
 
 
+@pytest.mark.parametrize("line", ["n_docs = 1", "heads = 5, 5", "heads = 99"])
+def test_gen_corpus_rejects_an_invalid_corpus_config(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    corpus = tmp_path / "corpus.txt"
+    code, _, err = _run(capsys, "gen-corpus", "--config", str(cfg), "-o", str(corpus))
+    assert code == 1
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert not corpus.exists()
+
+
+def _tg_dataset(path) -> None:
+    """Four samples, each labelled with one Tg."""
+    tg = default_registry().lookup("Tg").head_id
+    instances = []
+    for i, value in enumerate([60.0, 100.0, 140.0, 180.0]):
+        labels, mask = np.full(N_HEADS, np.nan), np.zeros(N_HEADS, dtype=bool)
+        labels[tg], mask[tg] = value, True
+        instances.append(PromptInstance(f"s{i}", "sample_only", "[Sample]\nx", labels, mask))
+    save_dataset(instances, path)
+
+
+def test_score_responses_subcommand(capsys, tmp_path):
+    dataset = tmp_path / "dataset.tsv"
+    _tg_dataset(dataset)
+    responses = tmp_path / "responses.tsv"
+    responses.write_text(
+        "sample_id\thead\tresponse\n"
+        "s0\tglass transition temperature\t61 °C\n"
+        "s1\tTg\t99\n"
+        "s2\tTg\taround 140 or so\n"  # rejected by strict parsing
+        "s3\tTg\t181 °C\n"
+        "s0\tTm\t170\n"  # parsed, but s0 has no Tm label
+    )
+    out_path = tmp_path / "scores.tsv"
+    code, out, err = _run(capsys, "score-responses", str(responses), str(dataset), "-o", str(out_path))
+    assert code == 0, err
+    assert out == "scored 1 heads; macro primary R2 = 0.9996; retention = 0.800\n"
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "head_id\tname\tn\tr2_linear\tr2_log\tmae\trmse\tprimary"
+    assert lines[1:] == ["0\tTg\t3\t0.999598\t0.999330\t1\t1\tlinear", "# retention\t0.800000"]
+
+
+def test_score_responses_names_a_malformed_line(capsys, tmp_path):
+    dataset = tmp_path / "dataset.tsv"
+    _tg_dataset(dataset)
+    responses = tmp_path / "responses.tsv"
+    responses.write_text("sample_id\thead\tresponse\ns1\tTg\t99\ns2\tTg\n")
+    out_path = tmp_path / "scores.tsv"
+    code, out, err = _run(capsys, "score-responses", str(responses), str(dataset), "-o", str(out_path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(f"error: {re.escape(str(responses))}:3: .*\n", err)
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -159,7 +217,7 @@ def _readme_commands() -> list[str]:
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) == 8
+    assert len(commands) == 9
     parser = build_parser()
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
@@ -174,6 +232,7 @@ def test_readme_commands_parse():
         ["eval", "model.ckpt", "dataset.tsv"],
         ["audit", "extracted.tsv", "gold.tsv"],
         ["uncertainty-report", "model.ckpt", "dataset.tsv"],
+        ["score-responses", "r.tsv", "dataset.tsv"],
     ],
 )
 def test_seed_is_refused_where_no_seed_is_read(capsys, argv):

@@ -47,6 +47,21 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_docs=1), "n_docs must be at least 2, got 1"),
+        (dict(n_docs=-1), "n_docs must be at least 2, got -1"),
+        (dict(heads=()), r"heads must be distinct head ids in 0\.\.21, got \(\)"),
+        (dict(heads=(99,)), r"heads must be distinct head ids in 0\.\.21, got \(99,\)"),
+        (dict(heads=(5, 5)), r"heads must be distinct head ids in 0\.\.21, got \(5, 5\)"),
+    ],
+)
+def test_synth_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SynthConfig(**kwargs)
+
+
 def test_default_config_digest_is_pinned():
     # the digest ends every report table
     assert TrainConfig().digest() == (

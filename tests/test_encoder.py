@@ -23,6 +23,22 @@ from polyreg.harness import prepare_variant_datasets
 from polyreg.model import PropertyModel, encode
 
 
+def _embedding(model: PropertyModel, ids) -> np.ndarray:
+    """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``."""
+    _, values = model.lookup(np.ravel(ids))
+    return values.reshape(np.shape(ids) + (model.cfg.dim,))
+
+
+def _parameter_counts(model: PropertyModel) -> tuple[int, int]:
+    """Trainable and total parameters, counting the whole logical
+    vocab_size x dim embedding table."""
+
+    def size(name):
+        return model.cfg.vocab_size * model.cfg.dim if name == "embed" else model.params[name].size
+
+    return sum(map(size, model.trainable_names())), sum(map(size, model.params))
+
+
 # ---- tokenizer and hashing ------------------------------------------------
 
 
@@ -233,7 +249,7 @@ def test_model_materializes_rows_at_init_and_derives_the_rest():
     assert np.all(values[0] == 1.0)
     assert np.array_equal(values[1], init_rows(4, np.array([42]), 8)[0])
     assert np.array_equal(values[2], model.params["embed"][0])
-    looked_up = model.embedding(np.array([[9, 42], [1, 0]]))
+    looked_up = _embedding(model, np.array([[9, 42], [1, 0]]))
     assert looked_up.shape == (2, 2, 8)
     assert np.array_equal(looked_up[0], values[:2])
     assert np.array_equal(looked_up[1, 1], init_rows(4, np.array([0]), 8)[0])
@@ -477,7 +493,7 @@ def test_config_validation():
 def test_trainable_fraction_under_two_percent_with_frozen_embeddings():
     cfg = TrainConfig(freeze_embeddings=True)
     model = PropertyModel(cfg)
-    trainable, total = model.parameter_counts()
+    trainable, total = _parameter_counts(model)
     assert "embed" not in model.trainable_names()
     assert "w0" not in model.trainable_names()
     assert trainable / total < 0.02

@@ -74,7 +74,7 @@ def test_every_sample_has_at_least_one_observation():
 
 def test_linear_head_labels_are_right_skewed():
     # the exponential tail transform makes linear-head labels long-tailed
-    tg = REG.by_name("Tg").head_id
+    tg = REG.lookup("Tg").head_id
     corpus = gen_corpus(SynthConfig(seed=0, n_docs=2000, heads=(tg,), obs_prob=1.0))
     vals = np.array([t.value for t in corpus.truths])
     z = (vals - vals.mean()) / vals.std()

@@ -188,17 +188,17 @@ def test_strict_parse_accepts_plain_number():
 
 
 def test_strict_parse_converts_units():
-    tg = REG.by_name("Tg")
+    tg = REG.lookup("Tg")
     assert strict_numeric_parse("105 °C", tg) == pytest.approx(105.0)
     assert strict_numeric_parse("378.15 K", tg) == pytest.approx(105.0)
-    ym = REG.by_name("youngs_modulus")
+    ym = REG.lookup("youngs_modulus")
     assert strict_numeric_parse("2.4 GPa", ym) == pytest.approx(2400.0)
     # bare number reads in the canonical unit
     assert strict_numeric_parse("2400", ym) == pytest.approx(2400.0)
 
 
 def test_strict_parse_rejections():
-    tg = REG.by_name("Tg")
+    tg = REG.lookup("Tg")
     assert strict_numeric_parse("around 100 to 110", tg) is None
     assert strict_numeric_parse("100-110 °C", tg) is None
     assert strict_numeric_parse(">100 °C", tg) is None
@@ -217,7 +217,7 @@ def _instances():
     from polyreg.registry import N_HEADS
 
     out = []
-    tg = REG.by_name("Tg").head_id
+    tg = REG.lookup("Tg").head_id
     for i, value in enumerate([60.0, 100.0, 140.0, 180.0]):
         labels = np.full(N_HEADS, np.nan)
         mask = np.zeros(N_HEADS, dtype=bool)
@@ -261,6 +261,33 @@ def test_score_prediction_file_names_a_malformed_line(tmp_path, bad):
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: ") as err:
         score_prediction_file(path, _instances())
     assert repr(bad) in str(err.value)
+
+
+def test_retention_counts_every_parsed_response(tmp_path):
+    # the Tm answers parse but no sample has a Tm label: retained, not scored
+    path = tmp_path / "preds.tsv"
+    rows = ["sample_id\thead\tresponse"]
+    rows += [f"s{i}\tTg\t{60 + 40 * i + 1} °C" for i in range(4)]
+    rows += [f"s{i}\tTm\t{150 + i} °C" for i in range(4)]
+    path.write_text("\n".join(rows) + "\n")
+    report, retention = score_prediction_file(path, _instances())
+    assert retention == 1.0
+    assert [(h.name, h.n) for h in report.heads] == [("Tg", 4)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("s2\tboiling point\t99", "unknown head 'boiling point'"),
+        ("s9\tTg\t99", "sample 's9' is not in the dataset"),
+        ("s1\tglass transition temperature\t500", "a second response for 's1', Tg"),
+    ],
+)
+def test_score_prediction_file_rejects_a_line_the_dataset_cannot_match(tmp_path, bad, message):
+    path = tmp_path / "preds.tsv"
+    path.write_text("sample_id\thead\tresponse\ns1\tTg\t99\n" + bad + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: {message}"):
+        score_prediction_file(path, _instances())
 
 
 def test_prediction_file_scores_equal_evaluate(tmp_path):

@@ -17,6 +17,12 @@ from polyreg.registry import N_HEADS
 RTOL = 1e-10
 
 
+def _embedding(model: PropertyModel, ids) -> np.ndarray:
+    """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``."""
+    _, values = model.lookup(np.ravel(ids))
+    return values.reshape(np.shape(ids) + (model.cfg.dim,))
+
+
 def _token_wise_reference(model: PropertyModel, batch: Batch):
     """Predictions and gradients with the projection applied to each token
     before pooling."""
@@ -24,7 +30,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     scale = cfg.alpha / cfg.rank
     A, B, w0, q = p["lora_a"], p["lora_b"], p["w0"], p["attn_q"]
     mask = batch.token_mask
-    H = model.embedding(batch.ids)  # (B, T, d), read by bucket id
+    H = _embedding(model, batch.ids)  # (B, T, d), read by bucket id
     H2 = H @ w0.T + scale * (H @ A.T) @ B.T
     counts = mask.sum(axis=1)
     if cfg.pooling_mode == "mean":

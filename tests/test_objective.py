@@ -62,7 +62,7 @@ def test_fit_transform_log_example():
 
 def test_fit_transform_drops_nonpositive_for_log_heads():
     # cleaning happens once, where the labels are gathered
-    head = default_registry().by_name("tensile_strength").head_id
+    head = default_registry().lookup("tensile_strength").head_id
     instances = []
     for i, value in enumerate([10.0, 1000.0, -5.0, 0.0]):
         labels = np.full(N_HEADS, np.nan)

@@ -38,7 +38,7 @@ REG = default_registry()
 
 def _values(head_name, canonical_value):
     """The target-value list of one observed head."""
-    return target_values([(REG.by_name(head_name).head_id, canonical_value)], REG)
+    return target_values([(REG.lookup(head_name).head_id, canonical_value)], REG)
 
 
 # ---- build_prompt ---------------------------------------------------------
@@ -188,19 +188,19 @@ def test_build_dataset_labels_and_masks():
     instances = build_dataset(samples, "sample_synthesis")
     assert len(instances) == 2
     inst = instances[0]
-    tg = REG.by_name("Tg").head_id
-    ts = REG.by_name("tensile_strength").head_id
+    tg = REG.lookup("Tg").head_id
+    ts = REG.lookup("tensile_strength").head_id
     assert inst.label_mask.sum() == 2
     assert inst.labels[tg] == pytest.approx(105.0)
     assert inst.labels[ts] == pytest.approx(55.0)
-    assert np.isnan(inst.labels[REG.by_name("Tm").head_id])
+    assert np.isnan(inst.labels[REG.lookup("Tm").head_id])
     assert "[Synthesis]" in inst.text and "150" in inst.text
 
 
 def test_build_dataset_averages_repeated_head():
     doc = "== SAMPLE s1 ==\nSample: rep.\nTg = 100 °C; Tg = 110 °C\n"
     inst = build_dataset(extract_document(doc), "sample_only")[0]
-    assert inst.labels[REG.by_name("Tg").head_id] == pytest.approx(105.0)
+    assert inst.labels[REG.lookup("Tg").head_id] == pytest.approx(105.0)
 
 
 def test_build_dataset_leakage_guard(monkeypatch):

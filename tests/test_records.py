@@ -103,39 +103,39 @@ def test_parse_quantity_never_panics(text):
 
 def test_point_gpa_to_mpa():
     q = parse_quantity("2.4 GPa")
-    assert to_canonical(q, REG.by_name("youngs_modulus")) == pytest.approx(2400.0)
+    assert to_canonical(q, REG.lookup("youngs_modulus")) == pytest.approx(2400.0)
 
 
 def test_range_midpoint_rule():
     q = parse_quantity("150–160 °C")
-    assert to_canonical(q, REG.by_name("Tm")) == pytest.approx(155.0)
+    assert to_canonical(q, REG.lookup("Tm")) == pytest.approx(155.0)
 
 
 def test_limit_is_rejected_value():
     q = parse_quantity(">200 MPa")
-    assert to_canonical(q, REG.by_name("tensile_strength")) is None
+    assert to_canonical(q, REG.lookup("tensile_strength")) is None
 
 
 def test_kelvin_affine_offset():
     q = parse_quantity("378.15 K")
-    assert to_canonical(q, REG.by_name("Tg")) == pytest.approx(105.0)
+    assert to_canonical(q, REG.lookup("Tg")) == pytest.approx(105.0)
 
 
 def test_incompatible_unit_raises():
     q = parse_quantity("100 °C")
     with pytest.raises(IncompatibleUnit):
-        to_canonical(q, REG.by_name("youngs_modulus"))
+        to_canonical(q, REG.lookup("youngs_modulus"))
 
 
 def test_missing_unit_on_dimensional_head_raises():
     q = parse_quantity("105")
     with pytest.raises(IncompatibleUnit):
-        to_canonical(q, REG.by_name("Tg"))
+        to_canonical(q, REG.lookup("Tg"))
 
 
 def test_dimensionless_head_accepts_bare_number():
     q = parse_quantity("2.3")
-    assert to_canonical(q, REG.by_name("dispersity")) == pytest.approx(2.3)
+    assert to_canonical(q, REG.lookup("dispersity")) == pytest.approx(2.3)
 
 
 def test_unit_consistency_across_registered_units():
@@ -165,7 +165,7 @@ def test_single_sample_single_record():
     assert len(samples) == 1
     obs = samples[0].observations
     assert len(obs) == 1
-    assert obs[0].head_id == REG.by_name("Tg").head_id
+    assert obs[0].head_id == REG.lookup("Tg").head_id
     assert obs[0].canonical_value == pytest.approx(105.0)
 
 

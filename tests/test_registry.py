@@ -73,9 +73,9 @@ def test_log_space_partition():
 
 
 def test_is_log_space_examples():
-    assert REG.is_log_space(REG.by_name("youngs_modulus").head_id)
-    assert not REG.is_log_space(REG.by_name("Tg").head_id)
-    assert not REG.is_log_space(REG.by_name("density").head_id)
+    assert REG.is_log_space(REG.lookup("youngs_modulus").head_id)
+    assert not REG.is_log_space(REG.lookup("Tg").head_id)
+    assert not REG.is_log_space(REG.lookup("density").head_id)
 
 
 def test_is_log_space_unknown_head():

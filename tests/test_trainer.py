@@ -33,8 +33,14 @@ from polyreg.metrics import evaluate, predict
 
 REG = default_registry()
 
-TG = REG.by_name("Tg").head_id
-TS = REG.by_name("tensile_strength").head_id
+TG = REG.lookup("Tg").head_id
+TS = REG.lookup("tensile_strength").head_id
+
+
+def _embedding(model: PropertyModel, ids) -> np.ndarray:
+    """Embedding rows (ids.shape + (dim,)) of the bucket ids ``ids``."""
+    _, values = model.lookup(np.ravel(ids))
+    return values.reshape(np.shape(ids) + (model.cfg.dim,))
 
 
 def _instance(sid, text, values: dict):
@@ -85,8 +91,8 @@ def test_fit_label_stats_shapes_and_weights():
 def test_fit_label_stats_single_label_fallback():
     # one lone label must not kill the run: identity-scale transform, unit weight
     instances = _toy_dataset()[:4]
-    solo = _instance("solo", "[Sample]\nlone", {REG.by_name("Tm").head_id: 170.0})
-    tm = REG.by_name("Tm").head_id
+    solo = _instance("solo", "[Sample]\nlone", {REG.lookup("Tm").head_id: 170.0})
+    tm = REG.lookup("Tm").head_id
     transforms, targets, masks, weights = fit_label_stats(instances + [solo])
     assert transforms.valid[tm] == 1 and (transforms.mu[tm], transforms.sigma[tm]) == (170.0, 1.0)
     assert weights[-1, tm] == 1.0
@@ -172,7 +178,7 @@ def test_row_sparse_training_equals_dense_reference_bitwise(pooling_mode):
     seen = np.unique(np.concatenate([enc.bucket_ids(enc.tokenize(i.text), cfg.vocab_size) for i in data]))
     assert np.array_equal(model.embed_rows, seen)
     assert np.array_equal(model.params["embed"], reference.params["embed"][seen])
-    assert np.array_equal(model.embedding(every_id), reference.params["embed"])
+    assert np.array_equal(_embedding(model, every_id), reference.params["embed"])
     for name in reference.params:
         if name != "embed":
             assert np.array_equal(model.params[name], reference.params[name]), name
@@ -240,7 +246,7 @@ def test_row_touched_only_in_first_step_keeps_its_momentum_step():
     assert not np.array_equal(after1[only_first], init[only_first])
     assert not np.array_equal(after2[only_first], after1[only_first])
     trained = train(cfg, instances)
-    assert np.array_equal(trained.model.embedding(np.arange(cfg.vocab_size)), after2)
+    assert np.array_equal(_embedding(trained.model, np.arange(cfg.vocab_size)), after2)
 
 
 def test_frozen_embeddings_stay_at_init():
@@ -258,7 +264,7 @@ def test_zero_epochs_leaves_parameters_at_init():
     trained = train(cfg, _toy_dataset())
     fresh = PropertyModel(cfg)
     every_id = np.arange(cfg.vocab_size)
-    assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
+    assert np.array_equal(_embedding(trained.model, every_id), _embedding(fresh, every_id))
     for name in fresh.params:
         if name != "embed":
             assert np.array_equal(trained.model.params[name], fresh.params[name]), name
@@ -295,7 +301,7 @@ def test_freeze_flags_respected():
     trained = train(cfg, _toy_dataset())
     fresh = PropertyModel(cfg)
     every_id = np.arange(cfg.vocab_size)
-    assert np.array_equal(trained.model.embedding(every_id), fresh.embedding(every_id))
+    assert np.array_equal(_embedding(trained.model, every_id), _embedding(fresh, every_id))
     for name in ("lora_a", "lora_b"):
         assert np.array_equal(trained.model.params[name], fresh.params[name]), name
     assert not np.array_equal(trained.model.params["proj_w"], fresh.params["proj_w"])
