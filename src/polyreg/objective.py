@@ -20,6 +20,13 @@ EPS_PERCENTILE = 5.0
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _KDE_CHUNK_ELEMENTS = 1 << 17
 
+# Heads with more labels than this take the binned KDE in ``label_density``:
+# the exact sum costs about 11 ms at 2,048 labels and grows as n².
+BINNED_KDE_ABOVE = 2048
+_BINS_PER_H = 64
+_KERNEL_CUT_H = 10
+_MAX_GRID = 1 << 20
+
 
 @dataclass
 class LabelTransforms:
@@ -128,6 +135,41 @@ def kde_density(train: np.ndarray, h: float, y) -> np.ndarray:
     return sums / (train.size * h)
 
 
+def label_density(y: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian KDE of the labels ``y`` at each label, bandwidth ``h``.
+
+    Up to BINNED_KDE_ABOVE labels this is the exact sum ``kde_density``.
+    Above, the labels are binned linearly onto a grid of spacing
+    ``h / _BINS_PER_H`` over ``[min - 10h, max + 10h]``, convolved by FFT
+    with the Gaussian cut at ``±10h`` and read back at each label by linear
+    interpolation (Silverman 1982, AS 176; Wand 1994): O(n + G log G) in
+    place of O(n²).  The binned density errs by the order of (1/64)²
+    relative (at most 8.8e-5 over normal, log-normal, Student-t(2) and
+    60%-tied samples of 2,049 to 30,000 labels).  A grid of more than
+    _MAX_GRID points (tails far wider than ``h``) takes the exact sum.
+    """
+    half = _BINS_PER_H * _KERNEL_CUT_H
+    delta = h / _BINS_PER_H
+    grid = np.ceil((y.max() - y.min()) / delta) + 2 * half + 1
+    if y.size <= BINNED_KDE_ABOVE or not grid <= _MAX_GRID:
+        return kde_density(y, h, y)
+    grid = int(grid)
+    x = (y - (y.min() - _KERNEL_CUT_H * h)) / delta
+    i = x.astype(np.int64)  # x >= 0, so this is the floor
+    frac = x - i
+    counts = np.bincount(i, 1.0 - frac, grid) + np.bincount(i + 1, frac, grid)
+    # every label sits at least ``half`` empty bins from either end, so a
+    # circular convolution of length >= grid adds no wrapped term at a label
+    n_fft = 1 << (grid - 1).bit_length()
+    u = np.arange(half + 1) / _BINS_PER_H
+    side = np.exp(-0.5 * u * u) / _SQRT_2PI
+    kernel = np.zeros(n_fft)
+    kernel[: half + 1] = side
+    kernel[n_fft - half :] = side[:0:-1]
+    smooth = np.fft.irfft(np.fft.rfft(counts, n_fft) * np.fft.rfft(kernel), n_fft)
+    return ((1.0 - frac) * smooth[i] + frac * smooth[i + 1]) / (y.size * h)
+
+
 def density_weights(densities, eps: float) -> np.ndarray:
     """Inverse-density weights, clamped at eps, normalized to mean 1."""
     p = np.asarray(densities, dtype=np.float64)
@@ -142,8 +184,7 @@ def fit_density_model(normalized_labels) -> np.ndarray:
     density at the Silverman bandwidth, clamped at eps, the 5th percentile
     of those densities, and normalized to mean 1."""
     y = np.asarray(normalized_labels, dtype=np.float64)
-    h = silverman_bandwidth(y)
-    dens = kde_density(y, h, y)
+    dens = label_density(y, silverman_bandwidth(y))
     eps = float(np.percentile(dens, EPS_PERCENTILE))
     if eps <= 0:
         eps = max(float(dens.min()), 1e-300)

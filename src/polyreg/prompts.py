@@ -12,7 +12,6 @@ import re
 
 from .records import _NUM_RE
 from .registry import PropertyRegistry, default_registry
-from .units import normalize_unit, units_for_dimension
 
 VARIANTS = ("sample_synthesis", "sample_only")
 
@@ -48,8 +47,7 @@ def target_values(
     registry = registry or default_registry()
     values: list[tuple[float, float]] = []
     for head_id, canonical_value in targets:
-        head_unit = normalize_unit(registry.spec(head_id).canonical_unit)
-        for unit in units_for_dimension(head_unit.dimension):
+        for unit in registry.units(head_id):
             value = unit.from_canonical(canonical_value)
             values.append((value, MASK_REL_TOL * max(abs(value), 1e-12)))
     return values

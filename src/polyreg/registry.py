@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .units import UnitDef, unit_def, units_for_dimension
+
 GROUPS = ("thermal", "mechanical", "electrical_transport", "physicochemical")
 
 N_HEADS = 22
@@ -48,6 +50,9 @@ class PropertyRegistry:
                 if key in self._by_alias:
                     raise ValueError(f"alias {key!r} maps to more than one head")
                 self._by_alias[key] = spec
+        self._units = {
+            s.head_id: tuple(units_for_dimension(unit_def(s.canonical_unit).dimension)) for s in self._specs
+        }
 
     def __iter__(self):
         return iter(self._specs)
@@ -59,6 +64,10 @@ class PropertyRegistry:
         if not 0 <= head_id < N_HEADS:
             raise KeyError(f"unknown head_id {head_id}")
         return self._specs[head_id]
+
+    def units(self, head_id: int) -> tuple[UnitDef, ...]:
+        """Every registered unit of the head's dimension, in table order."""
+        return self._units[head_id]
 
     def lookup(self, alias: str) -> PropertySpec | None:
         """Resolve an alias to its spec after case/whitespace folding.

@@ -148,6 +148,17 @@ def test_target_match_equals_per_pair_tolerance_reference(value, targets):
         assert _is_target_number(v, target_values(targets, REG)) == expected
 
 
+def test_target_values_are_bitwise_the_per_target_unit_resolution():
+    # each head's unit list is resolved once per registry, not per target
+    targets = [(spec.head_id, v) for spec in REG for v in (-40.0, -0.0, 1e-9, 3.7, 250.0, 1.5e6)]
+    reference = []
+    for h, v in targets:
+        for unit in units_for_dimension(normalize_unit(REG.spec(h).canonical_unit).dimension):
+            value = unit.from_canonical(v)
+            reference.append((value, MASK_REL_TOL * max(abs(value), 1e-12)))
+    assert np.array(target_values(targets, REG)).tobytes() == np.array(reference).tobytes()
+
+
 # ---- dataset construction -------------------------------------------------
 
 

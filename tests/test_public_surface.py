@@ -3,11 +3,12 @@
 A definition is a top-level function, class or module-level assigned name,
 or a method, in ``src/polyreg/*.py``.  It is used when ``src/polyreg/``,
 ``demos/*.py`` or ``perfbench/*.py`` refers to it outside its own
-definition: by a name, an attribute, an import, or a string that is a
-whole dotted identifier path (perfbench's hook strings such as
-``"PropertyModel.forward"``).  Tests, perfbench's own tests, the package's
-re-exports, docstrings and prose strings do not count, so API that only a
-test calls shows up here.  Only dunder names are exempt.
+definition: by a name, an attribute, an import whose bound name the
+importing module also uses, or a string that is a whole dotted identifier
+path (perfbench's hook strings such as ``"PropertyModel.forward"``).
+Tests, perfbench's own tests, the package's re-exports, docstrings and
+prose strings do not count, so API that only a test calls shows up here.
+Only dunder names are exempt.
 """
 
 import ast
@@ -41,7 +42,9 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of each reference a module makes."""
+    """(name, line) of each reference a module makes.  An import refers
+    to what it names only when the module uses the name it binds."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     bare_strings = {
         id(node.value)
         for node in ast.walk(tree)
@@ -54,8 +57,9 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                for part in alias.name.split("."):
-                    yield part, node.lineno
+                if (alias.asname or alias.name.split(".")[0]) in used:
+                    for part in alias.name.split("."):
+                        yield part, node.lineno
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -137,7 +141,8 @@ class Box:
 
 
 def test_the_checker_flags_an_unused_definition_and_passes_a_used_one():
-    callers = {"caller.py": "from planted import Box\nBox().used()\n"}
+    # importing unused_helper without using it is no reference
+    callers = {"caller.py": "from planted import Box, unused_helper\nBox().used()\n"}
     assert unused_definitions({"planted": PLANTED}, callers) == [
         "planted:unused_helper",
         "planted:unused",
