@@ -94,7 +94,10 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
 
 
 def read_records(path) -> list[AuditRecord]:
+    """Records of an audit file; a malformed row or a repeated record_id
+    raises ``ValueError`` naming the file and the line."""
     records = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("record_id"):
@@ -107,6 +110,9 @@ def read_records(path) -> list[AuditRecord]:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
             rid, sid, head, value, unit = parts
+            if rid in seen:
+                raise ValueError(f"{path}:{lineno}: record_id {rid!r} appears a second time")
+            seen.add(rid)
             try:
                 value = float(value)
             except ValueError as exc:

