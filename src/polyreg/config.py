@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 POOLING_MODES = ("mean", "attention")
 # the least value of each TrainConfig field that has one
-_MINIMUMS = dict(batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
+_MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
 
 
 @dataclass

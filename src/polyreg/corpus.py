@@ -10,6 +10,7 @@ are long-tailed by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +62,20 @@ class SynthConfig:
     obs_prob: float = 0.35
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         # one document has no spread to z-score its labels by
         if self.n_docs < 2:
             raise ValueError(f"n_docs must be at least 2, got {self.n_docs}")
         heads = list(self.heads)
         if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
             raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")
+        etas = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
+        for name, values in (("eta", etas), ("gamma", [self.gamma]), ("tail_skew", [self.tail_skew])):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.obs_prob <= 1:
+            raise ValueError(f"obs_prob must be in [0, 1], got {self.obs_prob}")
 
     def eta_for(self, head_id: int) -> float:
         if isinstance(self.eta, dict):
@@ -160,6 +169,8 @@ def gen_corpus(cfg: SynthConfig, registry: PropertyRegistry | None = None) -> Sy
             values[k] = np.power(10.0, a + b * s)
         else:
             values[k] = a + b * np.exp(cfg.tail_skew * s)
+        if not np.isfinite(values[k]).all():
+            raise ValueError(f"head {head_id} ({spec.name}): a generated label is not finite")
 
     observe = rng.random(size=(nh, n)) < cfg.obs_prob
     fallback = rng.integers(0, nh, size=n)

@@ -6,13 +6,13 @@ parsing for scoring external prediction files.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import objective
 from . import regressor as reg
 from .model import encode, make_batch
 from .objective import sigma_from_rho
@@ -190,6 +190,14 @@ PREDICT_CHUNK = 256  # prompts a forward pass of ``predict`` takes
 _QUEUED_PER_THREAD = 2  # chunks ``predict`` deals ahead to each pool thread
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one (so taskset and cpusets count), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict(trained, instances) -> np.ndarray:
     """Canonical-unit predictions (n, 22) for a list of prompt instances.
 
@@ -209,7 +217,7 @@ def predict(trained, instances) -> np.ndarray:
     encoded = encode([i.text for i in instances], cfg.vocab_size)
     preds_norm = np.empty((n, N_HEADS))
     starts = range(0, n, PREDICT_CHUNK)
-    workers = max(1, min(objective._usable_cpus(), len(starts)))
+    workers = max(1, min(_usable_cpus(), len(starts)))
     queued = _QUEUED_PER_THREAD * (workers - 1)
 
     def run(start: int, projected: np.ndarray) -> None:

@@ -6,8 +6,6 @@ multi-task total loss with learned log-variances.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,18 +82,8 @@ def silverman_bandwidth(y: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), SILVERMAN_FLOOR)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps
-    one (so taskset and cpusets count), else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def kde_density(train: np.ndarray, h: float, y) -> np.ndarray:
-    """Gaussian KDE: p(y) = (1/(n h)) sum_j phi((y - y_j)/h).  The query
-    rows are split across up to one thread per usable CPU; the result does
-    not depend on how many."""
+    """Gaussian KDE: p(y) = (1/(n h)) sum_j phi((y - y_j)/h)."""
     train = np.asarray(train, dtype=np.float64)
     if train.size == 0:
         raise ValueError("empty training set")
@@ -105,33 +93,20 @@ def kde_density(train: np.ndarray, h: float, y) -> np.ndarray:
     # query rows in chunks of about 1 MiB; each row is summed whole, so its
     # sum is the same as over the whole (len(y), n) matrix at once
     step = max(1, _KDE_CHUNK_ELEMENTS // train.size)
-    starts = range(0, y.size, step)
-    workers = max(1, min(_usable_cpus(), len(starts)))
-    # every worker's buffer, as one array from the calling thread, so no
-    # worker thread's own malloc arena comes to hold it
-    buffers = np.empty((workers, step, train.size))
+    buffer = np.empty((min(step, y.size), train.size))
     sums = np.empty(y.size)
-
-    def run(worker: int) -> None:
-        for start in starts[worker::workers]:
-            rows = slice(start, min(start + step, y.size))
-            p = buffers[worker, : rows.stop - start]
-            np.subtract(y[rows, None], train, out=p)
-            p /= h
-            # (u * u) * -0.5 has the bits of -0.5 * u * u: halving is exact,
-            # and where u * u underflows or overflows exp gives 1 or 0 anyway
-            p *= p
-            p *= -0.5
-            np.exp(p, out=p)
-            p /= _SQRT_2PI
-            p.sum(axis=1, out=sums[rows])
-
-    if workers == 1:
-        run(0)
-    else:
-        # numpy releases the GIL in these loops, so the threads overlap
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(workers)))
+    for start in range(0, y.size, step):
+        rows = slice(start, min(start + step, y.size))
+        p = buffer[: rows.stop - start]
+        np.subtract(y[rows, None], train, out=p)
+        p /= h
+        # (u * u) * -0.5 has the bits of -0.5 * u * u: halving is exact,
+        # and where u * u underflows or overflows exp gives 1 or 0 anyway
+        p *= p
+        p *= -0.5
+        np.exp(p, out=p)
+        p /= _SQRT_2PI
+        p.sum(axis=1, out=sums[rows])
     return sums / (train.size * h)
 
 

@@ -111,10 +111,13 @@ def train(
     instances: list[PromptInstance],
     registry: PropertyRegistry | None = None,
 ) -> TrainedModel:
-    """Run the training loop and return the trained model plus loss trace."""
+    """Run the training loop and return the trained model plus loss trace.
+    Raises ``ValueError`` if no instance has a usable label."""
     registry = registry or default_registry()
     model = PropertyModel(cfg)
     transforms, targets, masks, weights = fit_label_stats(instances, registry)
+    if not masks.any():
+        raise ValueError(f"train: none of the {len(instances)} instances has a usable label")
     encoded = encode([inst.text for inst in instances], cfg.vocab_size)
     # every row a batch can touch, stored up front: a row no batch has
     # touched yet has zero moments and zero gradient, so Adam leaves it bit

@@ -39,7 +39,7 @@ def test_benchmark_hook_resolves(module_name, attr):
 
 
 def test_predict_runs_every_hooked_name_on_the_calling_thread(monkeypatch):
-    from polyreg import metrics, objective, regressor
+    from polyreg import metrics, regressor
     from polyreg.datasets import PromptInstance
     from polyreg.model import PropertyModel
     from polyreg.objective import LabelTransforms
@@ -70,7 +70,7 @@ def test_predict_runs_every_hooked_name_on_the_calling_thread(monkeypatch):
         (getattr(importlib.import_module(m), a.split(".")[0]), a.split(".")[1]) for m, a in HOOKS if "." in a
     ]
     saved_methods = [(cls, name, getattr(cls, name)) for cls, name in methods]
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(regressor, "infer", recording("infer", regressor.infer))
     try:
         for module_name, attr in HOOKS:

@@ -28,6 +28,9 @@ def test_command_line_seed_overrides_both(tmp_path):
     assert synth.seed == train.seed == 9
     synth, train = _load_configs(None, seed=2)
     assert (synth, train) == (SynthConfig(seed=2), TrainConfig(seed=2))
+    # as gen-corpus and train read --seed: the field is named, not numpy's error
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        _load_configs(None, seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -55,6 +58,14 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
         (dict(heads=()), r"heads must be distinct head ids in 0\.\.21, got \(\)"),
         (dict(heads=(99,)), r"heads must be distinct head ids in 0\.\.21, got \(99,\)"),
         (dict(heads=(5, 5)), r"heads must be distinct head ids in 0\.\.21, got \(5, 5\)"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
+        (dict(eta=float("nan")), "eta must be finite, got nan"),
+        (dict(heads=(5, 6), eta={5: 0.1, 6: float("nan")}), r"eta must be finite, got \{5: 0\.1, 6: nan\}"),
+        (dict(gamma=float("inf")), "gamma must be finite, got inf"),
+        (dict(tail_skew=float("-inf")), "tail_skew must be finite, got -inf"),
+        (dict(obs_prob=float("nan")), r"obs_prob must be in \[0, 1\], got nan"),
+        (dict(obs_prob=1.5), r"obs_prob must be in \[0, 1\], got 1\.5"),
+        (dict(obs_prob=-0.1), r"obs_prob must be in \[0, 1\], got -0\.1"),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs, message):

@@ -41,6 +41,12 @@ def test_gen_corpus_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_gen_corpus_names_the_head_of_a_label_that_overflows():
+    with pytest.raises(ValueError, match=r"head 7 \(elongation_at_break\): a generated label is not finite"):
+        with np.errstate(over="ignore"):
+            gen_corpus(SynthConfig(seed=0, n_docs=50, tail_skew=400.0))
+
+
 def test_gen_corpus_seed_changes_content():
     a = gen_corpus(SynthConfig(seed=0, n_docs=30))
     b = gen_corpus(SynthConfig(seed=1, n_docs=30))

@@ -422,7 +422,7 @@ def _chunked_predict_case(pooling_mode="mean"):
 @pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
 def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(monkeypatch, pooling_mode):
     # the chunks' trunk and heads run on 1, 2 and 3 threads, switching often
-    from polyreg import objective
+    from polyreg import metrics
     from polyreg.metrics import PREDICT_CHUNK, predict
     from polyreg.registry import N_HEADS
 
@@ -433,7 +433,7 @@ def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(monkeypat
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(objective, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda cpus=cpus: cpus)
             got = predict(trained, instances)
             assert got.shape == (600, N_HEADS) and np.isfinite(got).all()
             assert got.tobytes() == want.tobytes(), f"{cpus} workers"
@@ -469,7 +469,7 @@ def test_predict_raises_the_earliest_failed_chunks_error(monkeypatch, failing):
     # pool thread chunk 1, dealt before chunk 0 runs
     import threading
 
-    from polyreg import metrics, objective, regressor
+    from polyreg import metrics, regressor
 
     caller = threading.get_ident()
 
@@ -484,7 +484,7 @@ def test_predict_raises_the_earliest_failed_chunks_error(monkeypatch, failing):
             raise ValueError(f"{where} chunk of {len(projected)} rows")
         return np.zeros((len(projected), 22))
 
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(regressor, "infer", infer)
     trained, instances, _ = _chunked_predict_case()
     want = "caller chunk of 256" if failing == "caller_then_pool" else "pool chunk of 256"
@@ -495,7 +495,7 @@ def test_predict_raises_the_earliest_failed_chunks_error(monkeypatch, failing):
 _THREADS_AROUND_PREDICT = """
 import threading
 import numpy as np
-from polyreg import objective
+from polyreg import metrics
 from polyreg.datasets import PromptInstance
 from polyreg.metrics import predict
 from polyreg.model import PropertyModel
@@ -512,9 +512,9 @@ instances = [
     PromptInstance(f"s{i}", "sample_only", f"[Sample] PLA film {i} cured at {i % 7}", none, none > 0)
     for i in range(2000)
 ]
-objective._usable_cpus = lambda: 1
+metrics._usable_cpus = lambda: 1
 alone = predict(trained, instances)
-objective._usable_cpus = lambda: 2
+metrics._usable_cpus = lambda: 2
 before = threading.active_count()
 shared = predict(trained, instances)
 print(before, threading.active_count(), alone.tobytes() == shared.tobytes())

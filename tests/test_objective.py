@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,6 @@ def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     assert np.array_equal(kde_density(train, h, query), one_shot)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize(
     "n_train, n_query",
     [
@@ -170,12 +170,11 @@ def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     ],
     ids=["partial_last_chunk", "one_row_per_chunk", "under_one_chunk", "unequal_lengths"],
 )
-def test_kde_is_bitwise_the_one_shot_formula_at_any_worker_count(monkeypatch, cpus, n_train, n_query):
-    rng = np.random.default_rng([n_train, n_query, cpus])
+def test_kde_is_bitwise_the_one_shot_formula_at_any_worker_count(n_train, n_query):
+    rng = np.random.default_rng([n_train, n_query])
     train = rng.normal(size=n_train)
     query = rng.normal(size=n_query)
     h = silverman_bandwidth(train)
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: cpus)
     assert np.array_equal(kde_density(train, h, query), _one_shot_kde(train, h, query))
 
 
@@ -189,42 +188,20 @@ def test_kde_is_bitwise_the_one_shot_formula_at_extreme_distances(h):
         assert np.array_equal(kde_density(train, h, query), _one_shot_kde(train, h, query))
 
 
-def test_kde_workers_follow_the_affinity_mask_not_the_host(monkeypatch):
-    # a process pinned to one CPU of a 64-CPU host starts no pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert objective._usable_cpus() == 1
+def test_fit_label_stats_leaves_no_worker_thread(monkeypatch):
+    # 600 labels a head make 3 chunks of 218 query rows, enough to share
+    # over the CPUs of any multi-CPU host if the exact KDE kept a pool
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} started")
 
-
-_THREADS_AROUND_FIT = """
-import threading
-import numpy as np
-from polyreg import objective
-from polyreg.datasets import PromptInstance
-from polyreg.registry import N_HEADS
-from polyreg.trainer import fit_label_stats
-
-# 600 labels a head make 3 chunks of 218 query rows, shared by 2 workers
-# even on a host with one CPU
-objective._usable_cpus = lambda: 2
-rng = np.random.default_rng(5)
-instances = [
-    PromptInstance(f"s{i}", "sample_only", "x", rng.uniform(1.0, 100.0, N_HEADS), np.ones(N_HEADS, bool))
-    for i in range(600)
-]
-before = threading.active_count()
-weights = fit_label_stats(instances)[3]
-print(before, threading.active_count(), bool((weights > 0).all()))
-"""
-
-
-def test_fit_label_stats_leaves_no_worker_thread():
-    # in a fresh interpreter: a pool kept across calls would otherwise hide
-    # behind threads an earlier test had already started
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", _THREADS_AROUND_FIT], env=env, capture_output=True, text=True, check=True)
-    before, after, weighted = done.stdout.split()
-    assert (after, weighted) == (before, "True")
+    rng = np.random.default_rng(5)
+    instances = [
+        PromptInstance(f"s{i}", "sample_only", "x", rng.uniform(1.0, 100.0, N_HEADS), np.ones(N_HEADS, bool))
+        for i in range(600)
+    ]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    weights = fit_label_stats(instances)[3]
+    assert (weights > 0).all()
 
 
 def test_kde_validation():
@@ -283,7 +260,9 @@ def test_rare_labels_get_larger_weights():
 BINNED_DENSITY_RTOL = 2e-4
 BINNED_WEIGHT_RTOL = 1e-4
 # fit_density_model's weights on 5,000 seeded normal labels (the binned path)
+# and on 1,000 (the exact path, as the heads of a 2,000-instance split)
 BINNED_WEIGHTS_SHA256 = "d837164f26805e790686086c34ff0a934e6bd57b47d33427386f4f7523692a80"
+EXACT_WEIGHTS_SHA256 = "fc20f1b924bf46d06479d8bcdde8c5d5e356a5f21576f3686dbc119f28413a5d"
 
 
 LABEL_KINDS = ("normal", "lognormal", "student_t2", "tied_60pct")
@@ -357,8 +336,9 @@ import hashlib
 import numpy as np
 from polyreg.objective import fit_density_model
 
-y = np.random.default_rng(19).normal(size=5000)
-print(hashlib.sha256(fit_density_model(y).tobytes()).hexdigest())
+for n in (5000, 1000):
+    y = np.random.default_rng(19).normal(size=n)
+    print(hashlib.sha256(fit_density_model(y).tobytes()).hexdigest())
 """
 
 
@@ -367,7 +347,7 @@ def test_binned_kde_weights_keep_their_digest(threads):
     # as tests/test_golden.py: a stored digest, under one and two BLAS threads
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     done = subprocess.run([sys.executable, "-c", _BINNED_DIGEST], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == BINNED_WEIGHTS_SHA256
+    assert done.stdout.split() == [BINNED_WEIGHTS_SHA256, EXACT_WEIGHTS_SHA256]
 
 
 def test_weight_spread_shrinks_as_eps_grows():

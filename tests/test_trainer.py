@@ -334,6 +334,20 @@ def test_evaluate_rejects_empty_instance_list():
         evaluate(trained, [])
 
 
+def test_train_rejects_instances_with_no_usable_label():
+    none = np.full(N_HEADS, np.nan)
+    nonpositive = np.zeros(N_HEADS)  # finite, but not on log-space heads
+    only_log_heads = np.array([spec.log_space for spec in default_registry()])
+    with pytest.raises(ValueError, match="none of the 0 instances has a usable label"):
+        train(_small_cfg(epochs=0), [])
+    unusable = [
+        PromptInstance("s0", "sample_only", "x", none, np.ones(N_HEADS, bool)),
+        PromptInstance("s1", "sample_only", "x", nonpositive, only_log_heads),
+    ]
+    with pytest.raises(ValueError, match="none of the 2 instances has a usable label"):
+        train(_small_cfg(epochs=0), unusable)
+
+
 def test_loss_trace_roughly_decreases():
     # at lr 3e-3 minibatch noise breaks this for over half of the seeds
     # (22 of 40); at lr 1e-3 it held for 59 of 60
@@ -447,6 +461,8 @@ def test_config_rejects_unknown_key(tmp_path):
         ("beta2 = nan", r"beta2 must be in \[0, 1\), got nan"),
         ("alpha = nan", "alpha must be finite, got nan"),
         ("alpha = -inf", "alpha must be finite, got -inf"),
+        ("seed = -1", "seed must be at least 0, got -1"),
+        ("train.seed = -1", "seed must be at least 0, got -1"),
     ],
 )
 def test_config_rejects_an_invalid_combination(tmp_path, line, message):
