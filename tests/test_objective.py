@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,7 @@ def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     assert np.array_equal(kde_density(train, h, query), one_shot)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "n_train, n_query",
     [
@@ -170,12 +172,23 @@ def test_kde_chunked_rows_equal_one_shot_formula_bitwise():
     ],
     ids=["partial_last_chunk", "one_row_per_chunk", "under_one_chunk", "unequal_lengths"],
 )
-def test_kde_is_bitwise_the_one_shot_formula_at_any_worker_count(n_train, n_query):
-    rng = np.random.default_rng([n_train, n_query])
+def test_kde_is_bitwise_the_one_shot_formula_at_any_worker_count(workers, n_train, n_query):
+    # kde_density holds its chunk buffer per call, so callers on several
+    # threads at once each get the one-shot bytes
+    rng = np.random.default_rng([n_train, n_query, workers])
     train = rng.normal(size=n_train)
     query = rng.normal(size=n_query)
     h = silverman_bandwidth(train)
-    assert np.array_equal(kde_density(train, h, query), _one_shot_kde(train, h, query))
+    start = threading.Barrier(workers)
+
+    def density(_):
+        start.wait()
+        return kde_density(train, h, query)
+
+    with ThreadPoolExecutor(workers) as pool:
+        results = list(pool.map(density, range(workers)))
+    expected = _one_shot_kde(train, h, query)
+    assert all(np.array_equal(result, expected) for result in results)
 
 
 @pytest.mark.parametrize("h", [1.0, 1e-300, 1e300])
