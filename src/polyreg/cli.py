@@ -18,6 +18,7 @@ from .config import read_config
 from .datasets import build_dataset, load_dataset, save_dataset, scan_dataset_for_leaks
 from .harness import run_ablation, run_uncertainty_report
 from .metrics import evaluate, score_prediction_file
+from .prompts import VARIANTS
 from .records import extract_corpus, load_extracted, save_extracted
 from .trainer import TrainConfig, load_trained, save_trained, train
 
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("build-dataset", cmd_build_dataset, "build masked prompt datasets")
     p.add_argument("observations")
-    p.add_argument("--variant", choices=("sample_synthesis", "sample_only"), default="sample_synthesis")
+    p.add_argument("--variant", choices=VARIANTS, default="sample_synthesis")
     p.add_argument("-o", "--output", required=True)
 
     p = add("train", cmd_train, "train a model on a prompt dataset", configured=True)

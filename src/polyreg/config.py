@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .prompts import VARIANTS
+
 POOLING_MODES = ("mean", "attention")
 # the least value of each TrainConfig field that has one
 _MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
@@ -65,6 +67,8 @@ class TrainConfig:
             raise ValueError("low-rank condition requires rank < dim")
         if self.pooling_mode not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling_mode!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.n_blocks < 1:
             raise ValueError("at least one residual block required")
 

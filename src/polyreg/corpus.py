@@ -70,6 +70,9 @@ class SynthConfig:
         heads = list(self.heads)
         if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
             raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")
+        unknown = sorted(set(self.eta) - set(heads)) if isinstance(self.eta, dict) else []
+        if unknown:
+            raise ValueError(f"eta names heads {unknown} that are not in heads {self.heads}")
         etas = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
         for name, values in (("eta", etas), ("gamma", [self.gamma]), ("tail_skew", [self.tail_skew])):
             if not all(math.isfinite(v) for v in values):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import ExtractedSample
+from .records import ExtractedSample, finite_label
 from .prompts import build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
 
@@ -138,7 +138,7 @@ def load_dataset(path) -> list[PromptInstance]:
             slots = parts[3:]
             mask = [slot != "NA" for slot in slots]
             try:
-                labels = [float(slot) if present else np.nan for slot, present in zip(slots, mask)]
+                labels = [finite_label(float(slot)) if present else np.nan for slot, present in zip(slots, mask)]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             instances.append(PromptInstance(sid, variant, text, labels, mask))

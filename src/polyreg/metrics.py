@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -187,7 +186,6 @@ class EvalReport:
 
 
 PREDICT_CHUNK = 256  # prompts a forward pass of ``predict`` takes
-_QUEUED_PER_THREAD = 2  # chunks ``predict`` deals ahead to each pool thread
 
 
 def _usable_cpus() -> int:
@@ -202,14 +200,14 @@ def predict(trained, instances) -> np.ndarray:
     """Canonical-unit predictions (n, 22) for a list of prompt instances.
 
     The calling thread encodes the instances, then pools and projects each
-    chunk of PREDICT_CHUNK prompts.  Each chunk's trunk and heads run with
-    no backward cache (``regressor.infer``), dealt round-robin over one
-    thread per usable CPU, at most one per chunk: of each round of
-    ``workers`` chunks the calling thread takes the first, and runs it
-    once a pool has the others.  A chunk takes the same operations on any
-    thread, so the predictions are those of ``PropertyModel.forward``
-    bitwise at any worker count.  If chunks fail, the earliest one's
-    exception is raised.
+    chunk of PREDICT_CHUNK prompts in order.  Each chunk's trunk and heads
+    run with no backward cache (``regressor.infer``) on one of ``workers``
+    threads, one per usable CPU and at most one per chunk: the calling
+    thread runs every ``workers``-th chunk, the last chunk among them, and
+    deals the rest to a pool of ``workers - 1`` threads.  A chunk takes
+    the same operations on any thread, so the predictions are those of
+    ``PropertyModel.forward`` bitwise at any worker count.  If chunks
+    fail, the earliest one's exception is raised.
     """
     n = len(instances)
     model = trained.model
@@ -218,37 +216,28 @@ def predict(trained, instances) -> np.ndarray:
     preds_norm = np.empty((n, N_HEADS))
     starts = range(0, n, PREDICT_CHUNK)
     workers = max(1, min(_usable_cpus(), len(starts)))
-    queued = _QUEUED_PER_THREAD * (workers - 1)
 
     def run(start: int, projected: np.ndarray) -> None:
         # numpy only, and nothing a tracer rebinds: it runs on pool threads
         preds_norm[start : start + len(projected)] = reg.infer(projected, params, cfg)
 
-    dealt: list[tuple[int, Future]] = []
-    failed_at = len(starts)  # the chunk the calling thread raised on, if any
-    try:
-        with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+    dealt = []
+    # the pool starts its threads on the first submit, so one worker starts none
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        try:
             for chunk, start in enumerate(starts):
-                failed_at = chunk
                 ids = encoded[start : start + PREDICT_CHUNK]
                 no_labels = np.zeros((len(ids), N_HEADS))
                 batch = make_batch(ids, no_labels, no_labels.astype(bool), no_labels)
                 projected = model.pool_project(batch)[3]
-                if chunk % workers == 0:
-                    mine = start, projected
+                if (len(starts) - 1 - chunk) % workers == 0:
+                    run(start, projected)
                 else:
-                    if len(dealt) >= queued:  # hold a few chunks' rows, not n
-                        wait([dealt[-queued][1]])
-                    dealt.append((chunk, pool.submit(run, start, projected)))
-                if chunk % workers == workers - 1 or chunk == len(starts) - 1:
-                    failed_at = chunk - chunk % workers
-                    run(*mine)
-            failed_at = len(starts)
-    finally:
-        # pool chunks after the one the calling thread raised on come later
-        failures = [exc for c, f in dealt if c < failed_at and (exc := f.exception()) is not None]
-        if failures:
-            raise failures[0]
+                    dealt.append(pool.submit(run, start, projected))
+        finally:
+            # every chunk dealt so far precedes one the calling thread raised on
+            for future in dealt:
+                future.result()
     preds = np.full((n, N_HEADS), np.nan)
     for t in np.flatnonzero(trained.transforms.valid):
         preds[:, t] = trained.transforms.denormalize(t, preds_norm[:, t])

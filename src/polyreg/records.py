@@ -130,7 +130,8 @@ def to_canonical(q: Quantity, head: PropertySpec) -> float | None:
 
     Points convert directly, ranges convert endpoint-wise and collapse to
     the midpoint, limits give None (they carry no regression label).
-    Raises IncompatibleUnit on a dimension mismatch.
+    Raises IncompatibleUnit on a dimension mismatch and ParseFailure when
+    the converted value overflows to a non-finite one.
     """
     if q.kind == "limit":
         return None
@@ -140,10 +141,21 @@ def to_canonical(q: Quantity, head: PropertySpec) -> float | None:
     if unit is None:
         unit = "-"
     if q.kind == "point":
-        return convert(q.value, unit, head.canonical_unit)
-    lo = convert(q.lo, unit, head.canonical_unit)
-    hi = convert(q.hi, unit, head.canonical_unit)
-    return 0.5 * (lo + hi)
+        value = convert(q.value, unit, head.canonical_unit)
+    else:
+        lo = convert(q.lo, unit, head.canonical_unit)
+        hi = convert(q.hi, unit, head.canonical_unit)
+        value = 0.5 * (lo + hi)
+    if not math.isfinite(value):
+        raise ParseFailure(f"{head.name} is not finite in {head.canonical_unit}: {value}")
+    return value
+
+
+def finite_label(value: float | None) -> float | None:
+    """``value`` unless it is a non-finite number, which raises ValueError."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"label {value!r} is not finite")
+    return value
 
 
 _SAMPLE_RE = re.compile(r"^== SAMPLE (\S+) ==$")
@@ -188,11 +200,10 @@ def _extract_clauses(
             continue
         try:
             quantity = parse_quantity(rhs)
+            canonical = to_canonical(quantity, spec)
         except ParseFailure:
             counters.parse_failures += 1
             continue
-        try:
-            canonical = to_canonical(quantity, spec)
         except IncompatibleUnit:
             counters.incompatible_units += 1
             continue
@@ -321,7 +332,7 @@ def load_extracted(path) -> list[ExtractedSample]:
                                 sample_id=row["sample_id"],
                                 head_id=o["head_id"],
                                 quantity=Quantity(**{name: o[name] for name in _QUANTITY_FIELDS}),
-                                canonical_value=o["canonical_value"],
+                                canonical_value=finite_label(o["canonical_value"]),
                                 source_span=tuple(o["span"]),
                             )
                             for o in row["observations"]

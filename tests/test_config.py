@@ -66,6 +66,7 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
         (dict(obs_prob=float("nan")), r"obs_prob must be in \[0, 1\], got nan"),
         (dict(obs_prob=1.5), r"obs_prob must be in \[0, 1\], got 1\.5"),
         (dict(obs_prob=-0.1), r"obs_prob must be in \[0, 1\], got -0\.1"),
+        (dict(heads=(5, 6), eta={99: 5.0, 7: 3.0}), r"eta names heads \[7, 99\] that are not in heads \(5, 6\)"),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs, message):

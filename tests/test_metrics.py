@@ -442,24 +442,38 @@ def test_predict_matches_per_chunk_reference_across_the_chunk_boundary(monkeypat
 
 
 def test_predict_workers_follow_the_affinity_mask_up_to_one_a_chunk(monkeypatch):
-    from polyreg import metrics
+    import threading
 
-    pools = []
+    from polyreg import metrics, regressor
 
-    class RecordedPool(metrics.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    caller, infer = threading.get_ident(), regressor.infer
+    threads, caller_ran = [], threading.Event()
 
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordedPool)
+    def recorded_infer(projected, params, cfg):
+        # a pool thread stays busy until the calling thread runs its chunk, so
+        # the pool cannot hand a second chunk to a thread that finished one
+        if threading.get_ident() == caller:
+            caller_ran.set()
+        else:
+            caller_ran.wait(timeout=10)
+        threads.append(threading.get_ident())
+        return infer(projected, params, cfg)
+
+    monkeypatch.setattr(regressor, "infer", recorded_infer)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     trained, instances, _ = _chunked_predict_case()  # 3 chunks
-    got = []
+    got, used = [], []
     for mask in ({0}, {0, 1}, set(range(64))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+        threads.clear()
+        caller_ran.clear()
         got.append(metrics.predict(trained, instances).tobytes())
-    # pinned to one CPU of 64 starts no pool; 64 CPUs for 3 chunks use 3 threads
-    assert pools == [1, 2]
+        assert len(threads) == 3
+        used.append(len(set(threads)))
+        if len(mask) == 1:  # pinned to one CPU of 64: every chunk on the calling thread
+            assert set(threads) == {caller}
+    # 64 CPUs for 3 chunks use 3 threads
+    assert used == [1, 2, 3]
     assert got[0] == got[1] == got[2]
 
 
@@ -492,6 +506,62 @@ def test_predict_raises_the_earliest_failed_chunks_error(monkeypatch, failing):
         metrics.predict(trained, instances)
 
 
+def test_predict_raises_a_pool_chunks_error_over_a_later_projection_error(monkeypatch):
+    # chunk 1 fails in ``infer`` on the pool thread, then the calling thread
+    # fails projecting chunk 2 (88 rows): chunk 1 comes first
+    import threading
+
+    from polyreg import metrics, regressor
+    from polyreg.model import PropertyModel
+
+    caller = threading.get_ident()
+    pool_project = PropertyModel.pool_project
+
+    def infer(projected, params, cfg):
+        if threading.get_ident() != caller:
+            raise ValueError(f"pool chunk of {len(projected)} rows")
+        return np.zeros((len(projected), 22))
+
+    def failing_pool_project(self, batch):
+        out = pool_project(self, batch)
+        if len(out[3]) == 88:
+            raise ValueError("projecting chunk 2")
+        return out
+
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(regressor, "infer", infer)
+    monkeypatch.setattr(PropertyModel, "pool_project", failing_pool_project)
+    trained, instances, _ = _chunked_predict_case()
+    with pytest.raises(ValueError, match="pool chunk of 256"):
+        metrics.predict(trained, instances)
+
+
+def test_predict_raises_the_earlier_of_two_failed_pool_chunks(monkeypatch):
+    # with 3 workers the pool runs chunks 0 and 1, the calling thread chunk 2
+    from polyreg import metrics, regressor
+    from polyreg.model import PropertyModel
+
+    chunk_of, pool_project = {}, PropertyModel.pool_project
+
+    def numbered_pool_project(self, batch):
+        out = pool_project(self, batch)
+        chunk_of[id(out[3])] = len(chunk_of)
+        return out
+
+    def infer(projected, params, cfg):
+        chunk = chunk_of[id(projected)]
+        if chunk < 2:
+            raise ValueError(f"chunk {chunk} failed")
+        return np.zeros((len(projected), 22))
+
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(regressor, "infer", infer)
+    monkeypatch.setattr(PropertyModel, "pool_project", numbered_pool_project)
+    trained, instances, _ = _chunked_predict_case()
+    with pytest.raises(ValueError, match="chunk 0 failed"):
+        metrics.predict(trained, instances)
+
+
 _THREADS_AROUND_PREDICT = """
 import threading
 import numpy as np
@@ -507,7 +577,7 @@ cfg = TrainConfig(seed=3, vocab_size=4096, dim=16, rank=4, hidden_dim=16)
 table = LabelTransforms(np.zeros(N_HEADS), np.ones(N_HEADS), np.zeros(N_HEADS), np.ones(N_HEADS))
 trained = TrainedModel(PropertyModel(cfg), table)
 none = np.full(N_HEADS, np.nan)
-# 8 chunks: the pool thread gets 4, more than it may hold queued at once
+# 8 chunks over two workers: the pool thread runs chunks 0, 2, 4 and 6
 instances = [
     PromptInstance(f"s{i}", "sample_only", f"[Sample] PLA film {i} cured at {i % 7}", none, none > 0)
     for i in range(2000)

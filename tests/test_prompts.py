@@ -230,6 +230,20 @@ def test_build_dataset_leakage_guard(monkeypatch):
         build_dataset(samples, "sample_only")
 
 
+def test_an_overflowing_label_leaves_the_prompts_numbers_unmasked():
+    # 1e306 GPa is inf MPa: as a label its masking tolerance was inf too
+    doc = (
+        "== SAMPLE s1 ==\n"
+        "Sample: PP, 30 % talc.\n"
+        "Synthesis: annealed 2 h at 180 °C, then 80 °C.\n"
+        "youngs modulus = 1e306 GPa; Tg = 105 °C\n"
+    )
+    inst = build_dataset(extract_document(doc), "sample_synthesis")[0]
+    assert inst.label_mask.sum() == 1 and np.isfinite(inst.labels[inst.label_mask]).all()
+    for kept in ("30 % talc", "2 h", "180 °C", "80 °C"):
+        assert kept in inst.text
+
+
 def test_dataset_round_trip(tmp_path):
     samples = extract_document(_doc())
     instances = build_dataset(samples, "sample_synthesis")
@@ -277,8 +291,11 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         (lambda line: line.replace("\tNA", "\tabc", 1), "could not convert string to float: 'abc'"),
         (lambda line: line.rsplit("\t", 1)[0], "expected 25 columns, got 24"),
         (lambda line: "s9", "expected 25 columns, got 1"),
+        (lambda line: line.replace("\tNA", "\tinf", 1), "label inf is not finite"),
+        (lambda line: line.replace("\tNA", "\t-Infinity", 1), "label -inf is not finite"),
+        (lambda line: line.replace("\tNA", "\tnan", 1), "label nan is not finite"),
     ],
-    ids=["non_numeric_label", "missing_slot", "one_column"],
+    ids=["non_numeric_label", "missing_slot", "one_column", "infinite_label", "negative_infinite_label", "nan_label"],
 )
 def test_load_dataset_names_file_and_line_of_a_malformed_row(tmp_path, corrupt, message):
     path = tmp_path / "ds.tsv"

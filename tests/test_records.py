@@ -86,6 +86,19 @@ def test_non_finite_value_counted_as_parse_failure():
     assert counters.parse_failures == 1
 
 
+@pytest.mark.parametrize("rhs", ["1e306 GPa", "1e300 - 1.7e308 GPa"], ids=["point", "range"])
+def test_value_that_overflows_in_the_canonical_unit_is_a_parse_failure(rhs):
+    # finite as written, inf in MPa: the label would poison its prompt's masking
+    spec = REG.lookup("youngs modulus")
+    with pytest.raises(ParseFailure, match="not finite in MPa: inf"):
+        to_canonical(parse_quantity(rhs), spec)
+    doc = f"== SAMPLE s1 ==\nSample: resin, 30 % talc.\nyoungs modulus = {rhs}; Tg = 105 °C\n"
+    counters = ExtractionCounters()
+    samples = extract_document(doc, counters=counters)
+    assert [o.head_id for o in samples[0].observations] == [REG.lookup("Tg").head_id]
+    assert counters.parse_failures == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=60))
 def test_parse_quantity_never_panics(text):
@@ -256,8 +269,27 @@ def test_extracted_file_bytes_and_round_trip(tmp_path):
         ),
         ('{"observations": [], "sample_id": "s2", "sample_text": "PS"}', "missing field 'synthesis_text'"),
         ('["s2"]', "list indices must be integers"),
+        (
+            '{"observations": [{"bound": null, "canonical_value": Infinity, "direction": null, '
+            '"head_id": 6, "hi": null, "kind": "point", "lo": null, "span": [0, 9], '
+            '"unit": "GPa", "value": 2.0}], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
+            "label inf is not finite",
+        ),
+        (
+            '{"observations": [{"bound": null, "canonical_value": 1e999, "direction": null, '
+            '"head_id": 6, "hi": null, "kind": "point", "lo": null, "span": [0, 9], '
+            '"unit": "GPa", "value": 2.0}], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
+            "label inf is not finite",
+        ),
     ],
-    ids=["bad_json", "observation_missing_fields", "sample_missing_field", "not_an_object"],
+    ids=[
+        "bad_json",
+        "observation_missing_fields",
+        "sample_missing_field",
+        "not_an_object",
+        "infinite_label",
+        "overflowing_label",
+    ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):
     path = tmp_path / "obs.jsonl"

@@ -463,6 +463,7 @@ def test_config_rejects_unknown_key(tmp_path):
         ("alpha = -inf", "alpha must be finite, got -inf"),
         ("seed = -1", "seed must be at least 0, got -1"),
         ("train.seed = -1", "seed must be at least 0, got -1"),
+        ("variant = sample_synth", "unknown variant 'sample_synth'"),
     ],
 )
 def test_config_rejects_an_invalid_combination(tmp_path, line, message):
