@@ -86,7 +86,7 @@ class SynthConfig:
         return float(self.eta)
 
 
-@dataclass
+@dataclass(slots=True)
 class TruthRow:
     sample_id: str
     head_id: int

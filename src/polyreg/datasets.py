@@ -116,7 +116,8 @@ def save_dataset(instances: list[PromptInstance], path) -> None:
         fh.write(f"sample_id\tvariant\ttext\t{heads}\n")
         for inst in instances:
             slots = "\t".join(
-                f"{inst.labels[i]:.17g}" if inst.label_mask[i] else "NA" for i in range(N_HEADS)
+                f"{value:.17g}" if present else "NA"
+                for value, present in zip(inst.labels.tolist(), inst.label_mask.tolist())
             )
             fh.write(f"{inst.sample_id}\t{inst.variant}\t{_escape(inst.text)}\t{slots}\n")
 

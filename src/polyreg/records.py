@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
-from .registry import PropertyRegistry, PropertySpec, default_registry
+from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
 
 
@@ -34,7 +36,7 @@ _TOL_RE = re.compile(rf"^\s*({_NUM})\s*(?:±|\+/-|\+-)\s*({_NUM})\s*(.*)$")
 _POINT_RE = re.compile(rf"^\s*({_NUM})\s*(.*)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantity:
     kind: str  # point | range | limit
     value: float | None = None
@@ -51,9 +53,10 @@ class Quantity:
 
 # all scalars: the file IO copies them by name, not by asdict's deep copy
 _QUANTITY_FIELDS = tuple(f.name for f in fields(Quantity))
+_QUANTITY_KINDS = ("point", "range", "limit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyObservation:
     sample_id: str
     head_id: int
@@ -62,7 +65,7 @@ class PropertyObservation:
     source_span: tuple[int, int] = (0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractedSample:
     sample_id: str
     sample_text: str = ""
@@ -104,16 +107,18 @@ def parse_quantity(text: str) -> Quantity:
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseFailure("empty span")
-    m = _LIMIT_RE.match(text)
+    # Each of the first three patterns needs a literal that most spans lack;
+    # testing for it first skips a failing regex match.
+    m = (">" in text or "<" in text or "≥" in text or "≤" in text) and _LIMIT_RE.match(text)
     if m:
         op, num, tail = m.groups()
         direction = "greater" if op in (">", ">=", "≥") else "less"
         return Quantity(kind="limit", bound=_number(num, text), direction=direction, unit=_unit_tail(tail))
-    m = _TOL_RE.match(text)
+    m = ("±" in text or "+-" in text or "+/-" in text) and _TOL_RE.match(text)
     if m:
         num, _tol, tail = m.groups()
         return Quantity(kind="point", value=_number(num, text), unit=_unit_tail(tail))
-    m = _RANGE_RE.match(text)
+    m = ("-" in text or "–" in text or "—" in text or "‐" in text or "to" in text) and _RANGE_RE.match(text)
     if m:
         lo, hi, tail = m.groups()
         # Quantity raises ParseFailure unless lo < hi
@@ -167,13 +172,11 @@ def _match_alias(lhs: str, registry: PropertyRegistry) -> PropertySpec | None:
     Tries the whole phrase first, then progressively shorter word suffixes
     ("measured tensile strength" -> "tensile strength").
     """
-    words = lhs.strip().split()
+    words = lhs.split()
     for start in range(len(words)):
-        candidate = " ".join(words[start:])
-        if candidate:
-            spec = registry.lookup(candidate)
-            if spec is not None:
-                return spec
+        spec = registry.lookup(" ".join(words[start:]))
+        if spec is not None:
+            return spec
     return None
 
 
@@ -259,40 +262,56 @@ def extract_document(
     return samples
 
 
-def split_corpus(text: str) -> list[str]:
-    """Split a corpus file into documents on ``== DOC <id> ==`` headers."""
-    docs: list[str] = []
+def split_corpus(text: str) -> Iterator[str]:
+    """Yield the documents of a corpus file, split on ``== DOC <id> ==``
+    header lines; a blank trailing document is dropped."""
     current: list[str] = []
     for line in text.splitlines(keepends=True):
-        if line.strip().startswith("== DOC "):
+        if "== DOC " in line and line.strip().startswith("== DOC "):
             if current:
-                docs.append("".join(current))
+                yield "".join(current)
             current = []
         else:
             current.append(line)
-    if current and "".join(current).strip():
-        docs.append("".join(current))
-    return docs
+    if current:
+        doc = "".join(current)
+        if doc.strip():
+            yield doc
 
 
 def extract_corpus(
     text: str, registry: PropertyRegistry | None = None
 ) -> tuple[list[ExtractedSample], ExtractionCounters]:
-    """Extract every document in a corpus file, in document order."""
+    """Extract every document in a corpus file, in document order.
+
+    Raises MalformedDocument when a sample id appears in more than one
+    document, as extract_document does for a repeat within one."""
     registry = registry or default_registry()
     counters = ExtractionCounters()
     samples: list[ExtractedSample] = []
+    seen_ids: set[str] = set()
     for doc in split_corpus(text):
         if not doc.strip():
             continue
-        samples.extend(extract_document(doc, registry, counters))
+        for sample in extract_document(doc, registry, counters):
+            if sample.sample_id in seen_ids:
+                raise MalformedDocument(f"sample id {sample.sample_id!r} appears in more than one document")
+            seen_ids.add(sample.sample_id)
+            samples.append(sample)
     return samples, counters
 
 
 # ---- extracted-sample file IO (one JSON record per line) ------------------
 
 
+# json.dumps builds a new encoder on every call that passes sort_keys
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_quantity_values = operator.attrgetter(*_QUANTITY_FIELDS)
+_quantity_args = operator.itemgetter(*_QUANTITY_FIELDS)
+
+
 def save_extracted(samples: list[ExtractedSample], path) -> None:
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
             row = {
@@ -300,16 +319,30 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
                 "sample_text": s.sample_text,
                 "synthesis_text": s.synthesis_text,
                 "observations": [
-                    {
-                        "head_id": o.head_id,
-                        **{name: getattr(o.quantity, name) for name in _QUANTITY_FIELDS},
-                        "canonical_value": o.canonical_value,
-                        "span": list(o.source_span),
-                    }
+                    dict(
+                        zip(_QUANTITY_FIELDS, _quantity_values(o.quantity)),
+                        head_id=o.head_id,
+                        canonical_value=o.canonical_value,
+                        span=list(o.source_span),
+                    )
                     for o in s.observations
                 ],
             }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
+
+
+def _head_id(value) -> int:
+    # not isinstance: True is an int, and as a numpy index it selects every head
+    if type(value) is not int or not 0 <= value < N_HEADS:
+        raise ValueError(f"head_id {value!r} is not an int in 0..{N_HEADS - 1}")
+    return value
+
+
+def _quantity(o: dict) -> Quantity:
+    args = _quantity_args(o)  # kind first, as Quantity declares it
+    if args[0] not in _QUANTITY_KINDS:
+        raise ValueError(f"quantity kind {args[0]!r} is not one of {', '.join(_QUANTITY_KINDS)}")
+    return Quantity(*args)
 
 
 def load_extracted(path) -> list[ExtractedSample]:
@@ -330,8 +363,8 @@ def load_extracted(path) -> list[ExtractedSample]:
                         observations=[
                             PropertyObservation(
                                 sample_id=row["sample_id"],
-                                head_id=o["head_id"],
-                                quantity=Quantity(**{name: o[name] for name in _QUANTITY_FIELDS}),
+                                head_id=_head_id(o["head_id"]),
+                                quantity=_quantity(o),
                                 canonical_value=finite_label(o["canonical_value"]),
                                 source_span=tuple(o["span"]),
                             )

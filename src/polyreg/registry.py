@@ -7,7 +7,6 @@ TSV data file so aliases can be edited without code changes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,7 +29,7 @@ class PropertySpec:
 
 def _fold(text: str) -> str:
     """Case-fold and collapse internal whitespace."""
-    return re.sub(r"\s+", " ", text.strip().lower())
+    return " ".join(text.lower().split())
 
 
 class PropertyRegistry:
@@ -74,9 +73,10 @@ class PropertyRegistry:
 
         Returns None for unmapped aliases (a value, not an error).
         """
-        if not alias or not alias.strip():
+        key = _fold(alias) if alias else ""
+        if not key:
             raise ValueError("alias must be non-empty text")
-        return self._by_alias.get(_fold(alias))
+        return self._by_alias.get(key)
 
     def is_log_space(self, head_id: int) -> bool:
         return self.spec(head_id).log_space

@@ -8,6 +8,7 @@ everything else is multiplicative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class IncompatibleUnit(Exception):
@@ -104,6 +105,8 @@ for _alt, _sym in _SPELLINGS.items():
     _BY_KEY[_fold(_alt)] = _BY_SYMBOL[_sym]
 
 
+# extraction resolves the same few spellings once per observation
+@lru_cache(maxsize=1024)
 def normalize_unit(text: str | None) -> UnitDef | None:
     """Resolve a unit spelling to its UnitDef, or None if unknown."""
     return _BY_KEY.get(_fold(text or ""))

@@ -278,6 +278,17 @@ def test_save_dataset_rejects_tab_or_newline_in_ids(tmp_path, field, bad):
     assert not path.exists()
 
 
+def test_save_dataset_formats_labels_as_numpy_scalars_do(tmp_path):
+    labels = np.full(N_HEADS, np.nan)
+    labels[:6] = [0.1, -0.0, 5e-324, 1e-300, 1.7e308, 105.0]
+    inst = PromptInstance("s1", "sample_only", "text", labels, ~np.isnan(labels))
+    path = tmp_path / "ds.tsv"
+    save_dataset([inst], path)
+    slots = "\t".join(f"{inst.labels[i]:.17g}" if inst.label_mask[i] else "NA" for i in range(N_HEADS))
+    assert path.read_bytes().split(b"\n")[1] == f"s1\tsample_only\ttext\t{slots}".encode()
+    assert slots.startswith("0.10000000000000001\t-0\t4.9406564584124654e-324\t1e-300\t1.6999999999999999e+308\t105\tNA")
+
+
 def test_load_dataset_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.tsv"
     path.write_text("record_id\tsample_id\n")

@@ -1,22 +1,30 @@
+import copy
+import dataclasses
+import json
 import math
+import pickle
 import re
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyreg import records
 from polyreg.records import (
     ExtractedSample,
     MalformedDocument,
     ParseFailure,
     PropertyObservation,
     Quantity,
+    extract_corpus,
     extract_document,
     ExtractionCounters,
     load_extracted,
     parse_quantity,
     save_extracted,
+    split_corpus,
     to_canonical,
 )
 from polyreg.registry import default_registry
@@ -109,6 +117,98 @@ def test_parse_quantity_never_panics(text):
     assert q.kind in ("point", "range", "limit")
     numbers = [x for x in (q.value, q.lo, q.hi, q.bound) if x is not None]
     assert all(math.isfinite(x) for x in numbers)
+
+
+def _unguarded_parse(text):
+    """parse_quantity as it was before its literal guards: every pattern
+    is tried in order, limit, tolerance, range, point."""
+    if not isinstance(text, str) or not text.strip():
+        raise ParseFailure("empty span")
+    m = records._LIMIT_RE.match(text)
+    if m:
+        op, num, tail = m.groups()
+        direction = "greater" if op in (">", ">=", "≥") else "less"
+        return Quantity(
+            kind="limit", bound=records._number(num, text), direction=direction, unit=records._unit_tail(tail)
+        )
+    m = records._TOL_RE.match(text)
+    if m:
+        num, _tol, tail = m.groups()
+        return Quantity(kind="point", value=records._number(num, text), unit=records._unit_tail(tail))
+    m = records._RANGE_RE.match(text)
+    if m:
+        lo, hi, tail = m.groups()
+        return Quantity(
+            kind="range", lo=records._number(lo, text), hi=records._number(hi, text), unit=records._unit_tail(tail)
+        )
+    m = records._POINT_RE.match(text)
+    if m:
+        num, tail = m.groups()
+        return Quantity(kind="point", value=records._number(num, text), unit=records._unit_tail(tail))
+    raise ParseFailure(f"no number found in {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseFailure as exc:
+        return ("ParseFailure", str(exc))
+
+
+_SPAN_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e999", "-2.5e-3", "0.0", "+7"]),
+)
+_SPAN_GAPS = st.sampled_from(["", " ", "  ", "\t"])
+_SPAN_LIMITS = ["<", ">", "<=", ">=", "≥", "≤"]
+_SPAN_SEPARATORS = ["±", "+/-", "+-", "-", "–", "—", "‐", "to"]
+_SPAN_UNITS = ["MPa", "°C", "%", "g/cm³", "kJ/m²", "to", "top"]
+_SPANS = st.one_of(
+    # shaped like a quantity: [limit] number [separator number] [unit]
+    st.tuples(
+        st.sampled_from(["", *_SPAN_LIMITS]), _SPAN_GAPS, _SPAN_NUMBERS, _SPAN_GAPS,
+        st.sampled_from(["", "/", "x", *_SPAN_SEPARATORS]), _SPAN_GAPS, st.just("") | _SPAN_NUMBERS,
+        _SPAN_GAPS, st.sampled_from(["", ".", *_SPAN_UNITS]),
+    ).map("".join),
+    # the same pieces in any order
+    st.lists(
+        _SPAN_NUMBERS | _SPAN_GAPS | st.sampled_from([*_SPAN_LIMITS, *_SPAN_SEPARATORS, *_SPAN_UNITS, "\n", "e", "+", "."]),
+        max_size=7,
+    ).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_SPANS)
+@example("5 +/- 1 MPa")
+@example("5 +- 1")
+@example("5±1 °C")
+@example("5 to 6 MPa")
+@example("5 – 6")
+@example("5—6")
+@example("5‐6")
+@example("5-6")
+@example("≥ 5")
+@example("≤5 %")
+@example(">=5")
+@example("<= 5")
+@example("> 5")
+@example("<5")
+def test_guarded_parse_quantity_agrees_with_the_unguarded_chain(span):
+    assert _outcome(parse_quantity, span) == _outcome(_unguarded_parse, span)
+
+
+def test_records_stay_frozen_and_hashable():
+    q = Quantity(kind="range", lo=1.0, hi=2.0, unit="MPa")
+    obs = PropertyObservation("s1", 3, q, 1.5, (0, 9))
+    for record, name in ((q, "unit"), (obs, "canonical_value")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        assert not hasattr(record, "__dict__")
+        assert hash(record) == hash(copy.deepcopy(record))
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert dataclasses.replace(obs, head_id=4).head_id == 4
 
 
 # ---- to_canonical ---------------------------------------------------------
@@ -224,6 +324,25 @@ def test_malformed_delimiter_raises():
         extract_document("== SAMPLE a ==\nx\n== SAMPLE a ==\ny\n")
 
 
+def test_split_corpus_yields_each_document_once():
+    text = "preamble\n  == DOC 00000 ==\nA\n== DOC 00001 ==\n\n== DOC 00002 ==\nB\nC\n== DOC 00003 ==\n \n"
+    docs = split_corpus(text)
+    assert isinstance(docs, types.GeneratorType)
+    # the text before the first header is a document, an empty one is
+    # not, and a blank one is kept unless it is the last
+    assert list(docs) == ["preamble\n", "A\n", "\n", "B\nC\n"]
+    assert list(split_corpus("")) == []
+
+
+def test_extract_corpus_rejects_a_sample_id_repeated_in_a_later_document():
+    doc = "== SAMPLE {} ==\nSample: PS.\nTg = 100 °C\n"
+    text = "== DOC 0 ==\n" + doc.format("s1") + "== DOC 1 ==\n" + doc.format("s2") + doc.format("s1")
+    with pytest.raises(MalformedDocument, match="'s1'"):
+        extract_corpus(text)
+    samples, _ = extract_corpus("== DOC 0 ==\n" + doc.format("s1") + "== DOC 1 ==\n" + doc.format("s2"))
+    assert [s.sample_id for s in samples] == ["s1", "s2"]
+
+
 def test_limit_observation_has_no_canonical_value():
     doc = "== SAMPLE s1 ==\ntensile strength = >200 MPa\n"
     obs = extract_document(doc)[0].observations
@@ -258,6 +377,17 @@ def test_extracted_file_bytes_and_round_trip(tmp_path):
     assert load_extracted(path) == samples
 
 
+def _observation_line(**changes):
+    """A saved record of one well-formed point observation, with ``changes``
+    applied to the observation's fields."""
+    obs = {
+        "bound": None, "canonical_value": 2000.0, "direction": None, "head_id": 6, "hi": None,
+        "kind": "point", "lo": None, "span": [0, 9], "unit": "GPa", "value": 2.0,
+    }
+    obs.update(changes)
+    return json.dumps({"observations": [obs], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""})
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -281,6 +411,15 @@ def test_extracted_file_bytes_and_round_trip(tmp_path):
             '"unit": "GPa", "value": 2.0}], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
             "label inf is not finite",
         ),
+        (_observation_line(head_id=-1), "head_id -1 is not an int in 0..21"),
+        (_observation_line(head_id=22), "head_id 22 is not an int in 0..21"),
+        (_observation_line(head_id=99), "head_id 99 is not an int in 0..21"),
+        (_observation_line(head_id=3.5), "head_id 3.5 is not an int in 0..21"),
+        (_observation_line(head_id=1.0), "head_id 1.0 is not an int in 0..21"),
+        (_observation_line(head_id=True), "head_id True is not an int in 0..21"),
+        (_observation_line(head_id="3"), "head_id '3' is not an int in 0..21"),
+        (_observation_line(kind="banana"), "quantity kind 'banana' is not one of point, range, limit"),
+        (_observation_line(kind=None), "quantity kind None is not one of point, range, limit"),
     ],
     ids=[
         "bad_json",
@@ -289,6 +428,15 @@ def test_extracted_file_bytes_and_round_trip(tmp_path):
         "not_an_object",
         "infinite_label",
         "overflowing_label",
+        "negative_head_id",
+        "head_id_past_the_last_head",
+        "head_id_99",
+        "fractional_head_id",
+        "float_head_id",
+        "bool_head_id",
+        "string_head_id",
+        "unknown_kind",
+        "null_kind",
     ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):

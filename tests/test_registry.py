@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from polyreg.registry import GROUPS, N_HEADS, default_registry
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry
 
 REG = default_registry()
 
@@ -53,6 +57,18 @@ def test_lookup_examples():
 
 def test_lookup_folds_case_and_whitespace():
     assert REG.lookup("  Glass   Transition  TEMPERATURE ").name == "Tg"
+
+
+# whitespace to str.split and to re's \s alike, and case-mapped letters
+# whose lower case is longer than they are
+_FOLD_SPECIALS = ["\u00a0", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000", "\t", "\n", " ", "İ", "ẞ"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(max_size=4) | st.sampled_from(_FOLD_SPECIALS), max_size=10).map("".join))
+@example("\u00a0Tg\u2028 \x1c\x1d\x1e\x1fMELT\x85")
+def test_fold_equals_the_regex_fold(text):
+    assert _fold(text) == re.sub(r"\s+", " ", text.strip().lower())
 
 
 def test_lookup_empty_alias_rejected():
