@@ -9,7 +9,7 @@ import numpy as np
 
 from polyreg.audit import audit, load_bundled_fixture
 from polyreg.corpus import SynthConfig, gen_corpus
-from polyreg.records import extract_corpus
+from polyreg.records import extract_corpus, split_corpus
 from polyreg.registry import default_registry
 
 
@@ -18,7 +18,7 @@ def main():
 
     corpus = gen_corpus(SynthConfig(seed=0, n_docs=8, obs_prob=0.6))
     print("first document:")
-    print(corpus.documents[0])
+    print(next(split_corpus(corpus.text)))
 
     samples, counters = extract_corpus(corpus.text)
     n_obs = sum(len(s.observations) for s in samples)

@@ -47,7 +47,7 @@ def cmd_gen_corpus(args) -> int:
     cfg, _ = _load_configs(args.config, args.seed)
     corpus = corpus_mod.gen_corpus(cfg)
     corpus_mod.write_corpus(corpus, args.output)
-    print(f"wrote {len(corpus.documents)} documents to {args.output}")
+    print(f"wrote {cfg.n_docs} documents to {args.output}")
     return 0
 
 

@@ -11,7 +11,7 @@ are long-tailed by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,15 +95,8 @@ class TruthRow:
 
 @dataclass
 class SynthCorpus:
-    documents: list[str]
+    text: str  # the corpus file: each document after its ``== DOC <i> ==`` line
     truths: list[TruthRow]
-    text: str = field(init=False)
-
-    def __post_init__(self):
-        parts = []
-        for i, doc in enumerate(self.documents):
-            parts.append(f"== DOC {i:05d} ==\n{doc}")
-        self.text = "".join(parts)
 
 
 def _format_value(head_id: int, value: float, registry: PropertyRegistry) -> tuple[str, str]:
@@ -180,7 +173,7 @@ def gen_corpus(cfg: SynthConfig, registry: PropertyRegistry | None = None) -> Sy
     none_observed = ~observe.any(axis=0)
     observe[fallback[none_observed], np.flatnonzero(none_observed)] = True
 
-    documents: list[str] = []
+    parts: list[str] = []
     truths: list[TruthRow] = []
     for i in range(n):
         sid = f"{i:05d}a"
@@ -202,10 +195,10 @@ def gen_corpus(cfg: SynthConfig, registry: PropertyRegistry | None = None) -> Sy
             clauses.append(f"{name} = {val_str} {unit}".rstrip())
             truths.append(TruthRow(sample_id=sid, head_id=head_id, value=float(values[k, i])))
         measured_line = "Measured " + "; ".join(clauses) + "."
-        documents.append(
-            f"== SAMPLE {sid} ==\n{sample_line}\n{synth_line}\n{measured_line}\n"
+        parts.append(
+            f"== DOC {i:05d} ==\n== SAMPLE {sid} ==\n{sample_line}\n{synth_line}\n{measured_line}\n"
         )
-    return SynthCorpus(documents=documents, truths=truths)
+    return SynthCorpus(text="".join(parts), truths=truths)
 
 
 def write_corpus(corpus: SynthCorpus, path) -> None:

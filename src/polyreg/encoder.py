@@ -161,7 +161,6 @@ def pool(
     q . (W_eff h_t) = (W_eff^T q) . h_t.  Rows with no unmasked positions
     pool to zero.
     """
-    mask = mask.astype(bool)
     n = mask.shape[0]
     counts = mask.sum(axis=-1)  # (B,)
     cache = {"mask": mask, "inverse": inverse, "E": E}

@@ -226,9 +226,7 @@ def predict(trained, instances) -> np.ndarray:
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         try:
             for chunk, start in enumerate(starts):
-                ids = encoded[start : start + PREDICT_CHUNK]
-                no_labels = np.zeros((len(ids), N_HEADS))
-                batch = make_batch(ids, no_labels, no_labels.astype(bool), no_labels)
+                batch = make_batch(encoded[start : start + PREDICT_CHUNK])
                 projected = model.pool_project(batch)[3]
                 if (len(starts) - 1 - chunk) % workers == 0:
                     run(start, projected)

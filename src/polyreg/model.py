@@ -20,13 +20,10 @@ from .registry import N_HEADS
 
 @dataclass
 class Batch:
-    """Tokenized prompts plus normalized labels for one mini-batch."""
+    """The padded bucket ids of one mini-batch's prompts."""
 
     ids: np.ndarray  # (B, T) int64 bucket ids, 0 at padding
     token_mask: np.ndarray  # (B, T) bool
-    targets: np.ndarray  # (B, 22) normalized labels, 0 where missing
-    label_mask: np.ndarray  # (B, 22) bool
-    weights: np.ndarray  # (B, 22) KDE weights, 0 where missing
 
 
 def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
@@ -53,12 +50,7 @@ def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
     ]
 
 
-def make_batch(
-    id_lists: list[np.ndarray],
-    targets: np.ndarray,
-    label_mask: np.ndarray,
-    weights: np.ndarray,
-) -> Batch:
+def make_batch(id_lists: list[np.ndarray]) -> Batch:
     """Pad encoded prompts (see ``encode``) into one mini-batch."""
     if not id_lists:
         raise ValueError("make_batch needs at least one prompt")
@@ -67,9 +59,7 @@ def make_batch(
     ids = np.zeros(mask.shape, dtype=np.int64)
     # a boolean mask fills in row-major order, the order of the concatenation
     ids[mask] = np.concatenate(id_lists)
-    targets = np.where(label_mask, targets, 0.0)
-    weights = np.where(label_mask, weights, 0.0)
-    return Batch(ids, mask, targets.astype(np.float64), label_mask.astype(bool), weights)
+    return Batch(ids, mask)
 
 
 class PropertyModel:
@@ -168,28 +158,29 @@ class PropertyModel:
         }
         return preds, cache
 
-    def loss(self, batch: Batch, preds: np.ndarray):
+    def loss(self, preds: np.ndarray, targets, label_mask, weights):
         """The uncertainty-weighted total and the per-head terms
-        (``objective.task_losses``) that ``backward`` takes.
+        (``objective.task_losses``) that ``backward`` takes, for the
+        batch's (B, 22) label slices of ``trainer.fit_label_stats``.
 
         Heads absent from the batch contribute neither the scaled loss nor
         the log-sigma term.
         """
-        terms = obj.task_losses(preds, batch.targets, batch.label_mask, batch.weights)
+        terms = obj.task_losses(preds, targets, label_mask, weights)
         task_losses, _, _, present = terms
         rho = self.params["rho"]
         return obj.total_loss(task_losses[present], rho[present]), terms
 
-    def backward(self, batch: Batch, cache: dict, terms):
+    def backward(self, cache: dict, terms):
         """Exact gradients of the total objective for every tensor, from the
         forward ``cache`` and the ``loss`` terms; the embedding's is a
         ``RowGrad`` over the batch's rows, which must all be stored."""
         cfg = self.cfg
         if np.any(cache["rows"] < 0):  # Adam would take a -1 for the last stored row
             raise ValueError("the batch reads embedding rows the model does not store")
-        task_losses, err, counts, present = terms
+        task_losses, werr, counts, present = terms
         rho = self.params["rho"]
-        dpred = obj.total_loss_grad_preds(err, batch.weights, counts, rho)
+        dpred = obj.total_loss_grad_preds(werr, counts, rho)
         grads: dict[str, np.ndarray] = {}
         grads["rho"] = np.where(present, obj.total_loss_grad_rho(task_losses, rho), 0.0)
 

@@ -170,16 +170,17 @@ def task_losses(preds, targets, mask, weights):
     """KDE-weighted MSE of each head over the samples it has labels for.
 
     All arguments are (B, heads); ``mask`` marks the labelled entries.
-    Returns (L, err, counts, present): the per-head losses (0 for heads with
-    no label), the errors (0 where unlabelled), the label counts and which
-    heads have any label.
+    Returns (L, werr, counts, present): the per-head losses (0 for heads
+    with no label), the weighted errors ``weights * err`` (0 where
+    unlabelled), the label counts and which heads have any label.
     """
     counts = mask.sum(axis=0)
     present = counts > 0
     err = np.where(mask, preds - targets, 0.0)
+    werr = weights * err
     L = np.zeros(counts.size)
-    np.divide((weights * err * err).sum(axis=0), counts, out=L, where=present)
-    return L, err, counts, present
+    np.divide((werr * err).sum(axis=0), counts, out=L, where=present)
+    return L, werr, counts, present
 
 
 def total_loss(task_losses, rho) -> float:
@@ -196,12 +197,12 @@ def total_loss_grad_rho(task_losses, rho) -> np.ndarray:
     return -L * np.exp(-r) / 2.0 + 0.5
 
 
-def total_loss_grad_preds(err, weights, counts, rho) -> np.ndarray:
+def total_loss_grad_preds(werr, counts, rho) -> np.ndarray:
     """d total / d preds from the ``task_losses`` terms: w err exp(-rho) / n
     per head, 0 for heads with no label."""
     scale = np.zeros(counts.size)
     np.divide(np.exp(-rho), counts, out=scale, where=counts > 0)
-    return weights * err * scale[None, :]
+    return werr * scale[None, :]
 
 
 def sigma_from_rho(rho) -> np.ndarray:

@@ -345,9 +345,25 @@ def _quantity(o: dict) -> Quantity:
     return Quantity(*args)
 
 
+def _text(row: dict, name: str) -> str:
+    value = row[name]
+    if type(value) is not str:
+        raise ValueError(f"{name} {value!r} is not a string")
+    return value
+
+
+def _span(value) -> tuple[int, int]:
+    # not isinstance: True is an int
+    if type(value) is not list or len(value) != 2 or not type(value[0]) is type(value[1]) is int:
+        raise ValueError(f"span {value!r} is not two ints")
+    return tuple(value)
+
+
 def load_extracted(path) -> list[ExtractedSample]:
-    """Read save_extracted's file; a malformed line raises a ValueError naming it."""
+    """Read save_extracted's file.  A malformed line, or one whose sample_id
+    an earlier line holds, raises a ValueError naming it."""
     samples = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -355,18 +371,22 @@ def load_extracted(path) -> list[ExtractedSample]:
                 continue
             try:
                 row = json.loads(line)
+                sample_id = _text(row, "sample_id")
+                if sample_id in first_line:
+                    raise ValueError(f"sample_id {sample_id!r} repeats line {first_line[sample_id]}")
+                first_line[sample_id] = lineno
                 samples.append(
                     ExtractedSample(
-                        sample_id=row["sample_id"],
-                        sample_text=row["sample_text"],
-                        synthesis_text=row["synthesis_text"],
+                        sample_id=sample_id,
+                        sample_text=_text(row, "sample_text"),
+                        synthesis_text=_text(row, "synthesis_text"),
                         observations=[
                             PropertyObservation(
-                                sample_id=row["sample_id"],
+                                sample_id=sample_id,
                                 head_id=_head_id(o["head_id"]),
                                 quantity=_quantity(o),
                                 canonical_value=finite_label(o["canonical_value"]),
-                                source_span=tuple(o["span"]),
+                                source_span=_span(o["span"]),
                             )
                             for o in row["observations"]
                         ],

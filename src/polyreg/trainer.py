@@ -122,7 +122,7 @@ def train(
     # every row a batch can touch, stored up front: a row no batch has
     # touched yet has zero moments and zero gradient, so Adam leaves it bit
     # for bit at its init and plain Adam on these rows is exact dense Adam
-    model.materialize(np.concatenate([np.zeros(0, dtype=np.int64), *encoded]))
+    model.materialize(np.concatenate(encoded))
     n = len(instances)
     trainable = model.trainable_names()
     adam_state = {
@@ -137,14 +137,13 @@ def train(
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            batch = make_batch([encoded[i] for i in sel], targets[sel], masks[sel], weights[sel])
-            if not batch.label_mask.any():
+            if not masks[sel].any():
                 continue
-            preds, cache = model.forward(batch)
-            total, terms = model.loss(batch, preds)
+            preds, cache = model.forward(make_batch([encoded[i] for i in sel]))
+            total, terms = model.loss(preds, targets[sel], masks[sel], weights[sel])
             if not np.isfinite(total):
                 raise NonFiniteLoss(f"non-finite loss at step {step}")
-            grads = model.backward(batch, cache, terms)
+            grads = model.backward(cache, terms)
             gnorm = np.sqrt(sum(_squared_norm(grads[k]) for k in trainable))
             clip = min(1.0, cfg.grad_clip / gnorm) if gnorm > 0 else 1.0
             step += 1

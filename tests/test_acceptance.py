@@ -105,13 +105,14 @@ def test_acceptance_full_model_gradient_check():
         label_mask[0, :3] = True
         targets = np.where(label_mask, rng.normal(size=(B, N_HEADS)), 0.0)
         weights = np.where(label_mask, rng.uniform(0.3, 2.0, size=(B, N_HEADS)), 0.0)
-        batch = Batch(ids, token_mask, targets, label_mask, weights)
+        batch = Batch(ids, token_mask)
+        labels = (targets, label_mask, weights)
 
         # every row stored, so the batch's bucket ids are positions in the
         # table and the probes reach the whole table
         model.materialize(np.arange(cfg.vocab_size))
         preds, cache = model.forward(batch)
-        grads = model.backward(batch, cache, model.loss(batch, preds)[1])
+        grads = model.backward(cache, model.loss(preds, *labels)[1])
         # the embedding gradient comes row-sparse; probe it as a dense table
         dembed = np.zeros_like(model.params["embed"])
         dembed[grads["embed"].rows] = grads["embed"].values
@@ -123,9 +124,9 @@ def test_acceptance_full_model_gradient_check():
             idx = tuple(rng.integers(s) for s in model.params[name].shape)
             orig = model.params[name][idx]
             model.params[name][idx] = orig + eps
-            up = model.loss(batch, model.forward(batch)[0])[0]
+            up = model.loss(model.forward(batch)[0], *labels)[0]
             model.params[name][idx] = orig - eps
-            down = model.loss(batch, model.forward(batch)[0])[0]
+            down = model.loss(model.forward(batch)[0], *labels)[0]
             model.params[name][idx] = orig
             numeric = (up - down) / (2 * eps)
             analytic = grads[name][idx]

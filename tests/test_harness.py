@@ -11,7 +11,7 @@ from polyreg.harness import (
     run_uncertainty_report,
     split_samples,
 )
-from polyreg.records import extract_corpus
+from polyreg.records import extract_corpus, split_corpus
 from polyreg.registry import default_registry
 from polyreg.trainer import TrainConfig, train
 
@@ -96,7 +96,7 @@ def test_zero_gamma_zero_noise_values_depend_only_on_composition():
         per_sample.setdefault(t.sample_id, {})[t.head_id] = t.value
     comp_re = re.compile(r"Sample: (blend of .*? filler\.)")
     by_comp = {}
-    for doc in corpus.documents:
+    for doc in split_corpus(corpus.text):
         sid = doc.split("==")[1].split()[1]
         comp = comp_re.search(doc).group(1)
         by_comp.setdefault(comp, []).append(per_sample[sid])

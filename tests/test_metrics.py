@@ -374,8 +374,7 @@ def _predict_reference(trained, instances):
     for start in range(0, len(instances), 256):
         chunk = instances[start : start + 256]
         ids = [bucket_ids(tokenize(i.text), model.cfg.vocab_size) for i in chunk]
-        none = np.zeros((len(chunk), N_HEADS))
-        parts.append(model.forward(make_batch(ids, none, none.astype(bool), none))[0])
+        parts.append(model.forward(make_batch(ids))[0])
     norm = np.concatenate(parts)
     return np.stack([tr.denormalize(t, norm[:, t]) for t in range(N_HEADS)], axis=1)
 

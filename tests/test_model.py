@@ -23,9 +23,10 @@ def _embedding(model: PropertyModel, ids) -> np.ndarray:
     return values.reshape(np.shape(ids) + (model.cfg.dim,))
 
 
-def _token_wise_reference(model: PropertyModel, batch: Batch):
+def _token_wise_reference(model: PropertyModel, batch: Batch, labels):
     """Predictions and gradients with the projection applied to each token
-    before pooling."""
+    before pooling, for the batch's ``labels`` (targets, label mask,
+    weights)."""
     p, cfg = model.params, model.cfg
     scale = cfg.alpha / cfg.rank
     A, B, w0, q = p["lora_a"], p["lora_b"], p["w0"], p["attn_q"]
@@ -44,11 +45,12 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
     z, trunk_cache = reg.trunk_forward(pooled, p, cfg)
     preds = reg.heads_forward(z, p)
 
-    counts_h = batch.label_mask.sum(axis=0)
+    targets, label_mask, label_weights = labels
+    counts_h = label_mask.sum(axis=0)
     present = counts_h > 0
-    err = np.where(batch.label_mask, preds - batch.targets, 0.0)
-    task = np.where(present, (batch.weights * err * err).sum(axis=0) / np.maximum(counts_h, 1), 0.0)
-    dpred = batch.weights * err * np.where(present, np.exp(-p["rho"]) / np.maximum(counts_h, 1), 0.0)
+    err = np.where(label_mask, preds - targets, 0.0)
+    task = np.where(present, (label_weights * err * err).sum(axis=0) / np.maximum(counts_h, 1), 0.0)
+    dpred = label_weights * err * np.where(present, np.exp(-p["rho"]) / np.maximum(counts_h, 1), 0.0)
     grads = {"rho": np.where(present, -task * np.exp(-p["rho"]) / 2.0 + 0.5, 0.0)}
     dz, head_grads = reg.heads_backward(dpred, z, p)
     grads.update(head_grads)
@@ -74,6 +76,7 @@ def _token_wise_reference(model: PropertyModel, batch: Batch):
 
 
 def _case(pooling_mode: str, n_rows: int, seed: int):
+    """A model, a batch and its labels (targets, label mask, weights)."""
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(
         vocab_size=24, dim=10, rank=3, alpha=5.0, hidden_dim=12, n_blocks=2,
@@ -96,7 +99,7 @@ def _case(pooling_mode: str, n_rows: int, seed: int):
     label_mask[:, 0] = True
     targets = np.where(label_mask, rng.normal(size=(n_rows, N_HEADS)), 0.0)
     weights = np.where(label_mask, rng.uniform(0.3, 2.0, size=(n_rows, N_HEADS)), 0.0)
-    return model, Batch(ids, token_mask, targets, label_mask, weights)
+    return model, Batch(ids, token_mask), (targets, label_mask, weights)
 
 
 def _assert_close(got, ref, name):
@@ -109,10 +112,10 @@ def _assert_close(got, ref, name):
 @pytest.mark.parametrize("n_rows", [1, 6])
 def test_pooled_projection_matches_token_wise_order(pooling_mode, n_rows):
     for seed in range(3):
-        model, batch = _case(pooling_mode, n_rows, seed)
+        model, batch, labels = _case(pooling_mode, n_rows, seed)
         preds, cache = model.forward(batch)
-        grads = model.backward(batch, cache, model.loss(batch, preds)[1])
-        ref_preds, ref_grads = _token_wise_reference(model, batch)
+        grads = model.backward(cache, model.loss(preds, *labels)[1])
+        ref_preds, ref_grads = _token_wise_reference(model, batch, labels)
         _assert_close(preds, ref_preds, "preds")
         rows = grads["embed"].rows
         assert np.array_equal(rows, np.unique(batch.ids[batch.token_mask]))
@@ -127,14 +130,13 @@ def test_pooled_projection_matches_token_wise_order(pooling_mode, n_rows):
 
 
 def test_all_masked_row_pools_and_predicts_from_zero():
-    model, batch = _case("attention", 4, seed=5)
+    model, batch, labels = _case("attention", 4, seed=5)
     preds, cache = model.forward(batch)
     assert np.all(cache["pooled"][1] == 0)
-    empty = Batch(batch.ids[1:2], batch.token_mask[1:2], batch.targets[1:2],
-                  batch.label_mask[1:2], batch.weights[1:2])
+    empty = Batch(batch.ids[1:2], batch.token_mask[1:2])
     alone, alone_cache = model.forward(empty)
     assert np.allclose(alone[0], preds[1], rtol=1e-12, atol=1e-12)
-    grads = model.backward(empty, alone_cache, model.loss(empty, alone)[1])
+    grads = model.backward(alone_cache, model.loss(alone, *(a[1:2] for a in labels))[1])
     assert grads["embed"].rows.size == 0 and grads["embed"].values.shape == (0, model.cfg.dim)
     assert np.all(grads["lora_a"] == 0) and np.all(grads["attn_q"] == 0)
 
@@ -153,11 +155,10 @@ def _arrays(node):
 
 @pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
 def test_forward_cache_holds_no_per_token_rows(pooling_mode):
-    model, _ = _case(pooling_mode, 1, seed=2)
+    model, _, _ = _case(pooling_mode, 1, seed=2)
     rng = np.random.default_rng(2)
     id_lists = [rng.integers(0, model.cfg.vocab_size, size=n) for n in (60, 3, 0, 45)]
-    labels = np.zeros((4, N_HEADS))
-    batch = make_batch(id_lists, labels, labels.astype(bool), labels)
+    batch = make_batch(id_lists)
     _, cache = model.forward(batch)
     sizes = [a.size for a in _arrays(cache)]
     # the trunk's (B, 128) bottleneck is the largest array, well below B*T*d
@@ -166,18 +167,18 @@ def test_forward_cache_holds_no_per_token_rows(pooling_mode):
 
 def _partly_stored(pooling_mode: str):
     """A model that stores every third row, each moved off its init, and a
-    batch that also reads rows it does not store."""
-    model, batch = _case(pooling_mode, 6, seed=3)
+    batch that also reads rows it does not store, with its labels."""
+    model, batch, labels = _case(pooling_mode, 6, seed=3)
     stored = np.arange(0, model.cfg.vocab_size, 3)
     params = dict(model.params, embed=model.params["embed"][stored] + 0.5)
     partial = PropertyModel(model.cfg, params=params, embed_rows=stored)
     assert not np.isin(batch.ids[batch.token_mask], stored).all()
-    return partial, batch
+    return partial, batch, labels
 
 
 @pytest.mark.parametrize("pooling_mode", ["mean", "attention"])
 def test_forward_derives_unseen_rows_as_a_materialized_copy_would(pooling_mode):
-    partial, batch = _partly_stored(pooling_mode)
+    partial, batch, _ = _partly_stored(pooling_mode)
     stored, values = partial.embed_rows.copy(), partial.params["embed"].copy()
     copy = PropertyModel(partial.cfg, dict(partial.params), partial.embed_rows)
     copy.materialize(batch.ids[batch.token_mask])
@@ -188,10 +189,10 @@ def test_forward_derives_unseen_rows_as_a_materialized_copy_would(pooling_mode):
 
 
 def test_backward_rejects_a_batch_with_a_row_not_stored():
-    partial, batch = _partly_stored("attention")
+    partial, batch, labels = _partly_stored("attention")
     preds, cache = partial.forward(batch)
     with pytest.raises(ValueError, match="does not store"):
-        partial.backward(batch, cache, partial.loss(batch, preds)[1])
+        partial.backward(cache, partial.loss(preds, *labels)[1])
 
 
 def _padded_loop_reference(id_lists):
@@ -211,19 +212,13 @@ def _padded_loop_reference(id_lists):
 def test_make_batch_pads_like_the_per_prompt_loop(lengths):
     rng = np.random.default_rng(len(lengths))
     id_lists = [rng.integers(0, 4096, size=n) for n in lengths]
-    n = len(lengths)
-    label_mask = rng.random((n, N_HEADS)) < 0.5
-    targets, weights = rng.normal(size=(n, N_HEADS)), rng.uniform(size=(n, N_HEADS))
-    batch = make_batch(id_lists, targets, label_mask, weights)
+    batch = make_batch(id_lists)
     ref_ids, ref_mask = _padded_loop_reference(id_lists)
     assert batch.ids.dtype == np.int64 and batch.token_mask.dtype == bool
     assert np.array_equal(batch.ids, ref_ids)
     assert np.array_equal(batch.token_mask, ref_mask)
-    assert np.array_equal(batch.targets, np.where(label_mask, targets, 0.0))
-    assert np.array_equal(batch.weights, np.where(label_mask, weights, 0.0))
 
 
 def test_make_batch_rejects_an_empty_batch():
-    empty = np.zeros((0, N_HEADS))
     with pytest.raises(ValueError):
-        make_batch([], empty, empty.astype(bool), empty)
+        make_batch([])

@@ -383,22 +383,23 @@ def test_task_loss_worked_example():
     targets = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     mask = np.array([[True, True, False], [True, False, False]])
     weights = np.array([[1.0, 0.4, 0.0], [1.0, 0.0, 0.0]])
-    L, err, counts, present = task_losses(preds, targets, mask, weights)
+    L, werr, counts, present = task_losses(preds, targets, mask, weights)
     assert L[0] == pytest.approx((0.2**2 + 0.6**2) / 2.0)
     assert L[1] == pytest.approx(0.4)
     assert counts.tolist() == [2, 1, 0]
     assert present.tolist() == [True, True, False]
-    assert np.allclose(err, [[0.2, 1.0, 0.0], [0.6, 0.0, 0.0]])
+    # the weighted errors weights * err, 0 where unlabelled
+    assert np.allclose(werr, [[0.2, 0.4, 0.0], [0.6, 0.0, 0.0]])
 
 
 def test_task_loss_requires_samples():
     # a head with no labelled sample is absent: loss 0, no error, count 0
     preds = np.ones((3, 2))
     mask = np.array([[True, False]] * 3)
-    L, err, counts, present = task_losses(preds, np.zeros((3, 2)), mask, mask * 1.0)
+    L, werr, counts, present = task_losses(preds, np.zeros((3, 2)), mask, mask * 1.0)
     assert L.tolist() == [1.0, 0.0]
     assert counts.tolist() == [3, 0] and present.tolist() == [True, False]
-    assert np.all(err[:, 1] == 0)
+    assert np.all(werr[:, 1] == 0)
 
 
 def test_total_loss_grad_preds_matches_finite_differences():
@@ -415,8 +416,8 @@ def test_total_loss_grad_preds_matches_finite_differences():
         L, _, _, present = task_losses(p, targets, mask, weights)
         return total_loss(L[present], rho[present])
 
-    _, err, counts, _ = task_losses(preds, targets, mask, weights)
-    g = total_loss_grad_preds(err, weights, counts, rho)
+    _, werr, counts, _ = task_losses(preds, targets, mask, weights)
+    g = total_loss_grad_preds(werr, counts, rho)
     assert np.all(g[~mask] == 0)
     eps = 1e-6
     for idx in np.ndindex(preds.shape):

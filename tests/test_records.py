@@ -385,7 +385,15 @@ def _observation_line(**changes):
         "kind": "point", "lo": None, "span": [0, 9], "unit": "GPa", "value": 2.0,
     }
     obs.update(changes)
-    return json.dumps({"observations": [obs], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""})
+    return _record_line(observations=[obs])
+
+
+def _record_line(**changes):
+    """A saved record of sample s2 with no observation, with ``changes``
+    applied to its fields."""
+    row = {"observations": [], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}
+    row.update(changes)
+    return json.dumps(row)
 
 
 @pytest.mark.parametrize(
@@ -420,6 +428,15 @@ def _observation_line(**changes):
         (_observation_line(head_id="3"), "head_id '3' is not an int in 0..21"),
         (_observation_line(kind="banana"), "quantity kind 'banana' is not one of point, range, limit"),
         (_observation_line(kind=None), "quantity kind None is not one of point, range, limit"),
+        (_observation_line(span="ab"), "span 'ab' is not two ints"),
+        (_observation_line(span=[0, 9, 12]), "span [0, 9, 12] is not two ints"),
+        (_observation_line(span=[0.0, 9]), "span [0.0, 9] is not two ints"),
+        (_observation_line(span=[True, 9]), "span [True, 9] is not two ints"),
+        (_record_line(sample_id=7), "sample_id 7 is not a string"),
+        (_record_line(sample_text=5), "sample_text 5 is not a string"),
+        (_record_line(synthesis_text=None), "synthesis_text None is not a string"),
+        # a concatenated file could put one sample on both sides of the split
+        (_record_line(sample_id="s1"), "sample_id 's1' repeats line 1"),
     ],
     ids=[
         "bad_json",
@@ -437,6 +454,14 @@ def _observation_line(**changes):
         "string_head_id",
         "unknown_kind",
         "null_kind",
+        "string_span",
+        "three_int_span",
+        "float_in_span",
+        "bool_in_span",
+        "int_sample_id",
+        "int_sample_text",
+        "null_synthesis_text",
+        "repeated_sample_id",
     ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):
@@ -481,7 +506,7 @@ def _samples(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_samples(), max_size=4))
+@given(st.lists(_samples(), max_size=4, unique_by=lambda s: s.sample_id))
 def test_extracted_file_round_trip_over_every_quantity_kind(tmp_path_factory, samples):
     path = tmp_path_factory.mktemp("extracted") / "obs.jsonl"
     save_extracted(samples, path)

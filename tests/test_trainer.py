@@ -98,11 +98,22 @@ def test_fit_label_stats_single_label_fallback():
     assert weights[-1, tm] == 1.0
 
 
+def _assert_zero_off_mask(targets, masks, weights):
+    """``train`` hands these rows to the loss with no second masking:
+    every entry the returned mask leaves out, a dropped label's too, must
+    be exactly 0."""
+    assert np.all(targets[~masks] == 0) and np.all(weights[~masks] == 0)
+
+
 def test_fit_label_stats_drops_nonpositive_log_labels():
     instances = _toy_dataset()[:4]
-    bad = _instance("bad", "[Sample]\nbad", {TS: -5.0})
-    transforms, targets, masks, weights = fit_label_stats(instances + [bad])
-    assert not masks[-1, TS]
+    bad = [
+        _instance("bad", "[Sample]\nbad", {TS: -5.0}),
+        _instance("zero", "[Sample]\nzero", {TS: 0.0}),
+    ]
+    transforms, targets, masks, weights = fit_label_stats(instances + bad)
+    assert not masks[-2:, TS].any()
+    _assert_zero_off_mask(targets, masks, weights)
 
 
 def test_fit_label_stats_drops_non_finite_labels():
@@ -114,6 +125,7 @@ def test_fit_label_stats_drops_non_finite_labels():
     transforms, targets, masks, weights = fit_label_stats(instances + bad)
     assert not masks[-2:, [TG, TS]].any()
     assert np.all(weights[-2:] == 0) and np.all(targets[-2:] == 0)
+    _assert_zero_off_mask(targets, masks, weights)
     clean = fit_label_stats(instances)
     assert (transforms.mu[TG], transforms.sigma[TG]) == (clean[0].mu[TG], clean[0].sigma[TG])
     assert np.isfinite(weights).all() and np.isfinite(targets).all()
@@ -141,11 +153,11 @@ def _dense_reference(cfg, instances):
         for start in range(0, len(instances), cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             ids = [enc.bucket_ids(enc.tokenize(instances[i].text), cfg.vocab_size) for i in sel]
-            batch = make_batch(ids, targets[sel], masks[sel], weights[sel])
-            if not batch.label_mask.any():
+            if not masks[sel].any():
                 continue
+            batch = make_batch(ids)
             preds, cache = model.forward(batch)
-            grads = model.backward(batch, cache, model.loss(batch, preds)[1])
+            grads = model.backward(cache, model.loss(preds, targets[sel], masks[sel], weights[sel])[1])
             dembed = np.zeros_like(model.params["embed"])
             dembed[grads["embed"].rows] = grads["embed"].values
             grads["embed"] = dembed
