@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import ExtractedSample, finite_label
-from .prompts import build_prompt, leakage_hits, mask_labels, target_values
+from .prompts import EmptySample, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
+
+
+# Prompts masked and scanned per target_values call: enough to spread
+# numpy's per-call cost, few enough that a block's number-target pair
+# arrays (about 20,000 pairs) stay small on top of all that prep holds.
+PROMPT_BLOCK = 256
 
 
 class LeakageDetected(Exception):
@@ -47,45 +53,66 @@ def build_dataset(
     """Turn extracted samples into masked prompt instances.
 
     Multiple observations of one head average to a single label; limit
-    observations (no canonical value) never become labels.  One target
-    value list per sample feeds both the mask and the leakage guard, which
-    re-scans every built prompt and refuses to emit leaks.
+    observations (no canonical value) never become labels.  The samples
+    go PROMPT_BLOCK at a time: one set of target representations per
+    block feeds both the mask and the leakage guard, which re-scans every
+    built prompt and refuses to emit leaks.  The earliest failing sample
+    raises, whether its prompt leaks or has no sample text.
     """
     instances = []
-    for sample in samples:
-        labels = np.full(N_HEADS, np.nan)
-        mask = np.zeros(N_HEADS, dtype=bool)
-        targets = [
-            (obs.head_id, obs.canonical_value)
-            for obs in sample.observations
-            if obs.canonical_value is not None
-        ]
-        per_head: dict[int, list[float]] = {}
-        for head_id, value in targets:
-            per_head.setdefault(head_id, []).append(value)
-        for head_id, head_values in per_head.items():
-            # np.mean of one value is that value, at many times the cost
-            labels[head_id] = head_values[0] if len(head_values) == 1 else np.mean(head_values)
-            mask[head_id] = True
-        text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
-        values = target_values(targets, registry)
-        text = mask_labels(text, values)
-        hits = leakage_hits(text, values)
-        if hits:
-            raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
-        instances.append(PromptInstance(sample.sample_id, variant, text, labels, mask))
+    for start in range(0, len(samples), PROMPT_BLOCK):
+        block = samples[start : start + PROMPT_BLOCK]
+        texts, rows, heads, values, counts = [], [], [], [], []
+        empty = None
+        for sample in block:
+            try:
+                texts.append(build_prompt(sample.sample_text, sample.synthesis_text, variant))
+            except EmptySample as exc:
+                empty = exc  # raised once the samples before it pass the guard
+                break
+            labels = np.full(N_HEADS, np.nan)
+            mask = np.zeros(N_HEADS, dtype=bool)
+            per_head: dict[int, list[float]] = {}
+            before = len(heads)
+            for obs in sample.observations:
+                if obs.canonical_value is not None:
+                    heads.append(obs.head_id)
+                    values.append(obs.canonical_value)
+                    per_head.setdefault(obs.head_id, []).append(obs.canonical_value)
+            for head_id, head_values in per_head.items():
+                # np.mean of one value is that value, at many times the cost
+                labels[head_id] = head_values[0] if len(head_values) == 1 else np.mean(head_values)
+                mask[head_id] = True
+            rows.append((labels, mask))
+            counts.append(len(heads) - before)
+        targets = target_values(heads, values, counts, registry)
+        texts = mask_labels(texts, targets)
+        for sample, hits in zip(block, leakage_hits(texts, targets)):
+            if hits:
+                raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
+        if empty is not None:
+            raise empty
+        instances.extend(
+            PromptInstance(sample.sample_id, variant, text, labels, mask)
+            for sample, text, (labels, mask) in zip(block, texts, rows)
+        )
     return instances
 
 
 def scan_dataset_for_leaks(
     instances: list[PromptInstance], registry: PropertyRegistry | None = None
 ) -> int:
-    """Exhaustive leakage scan over a built dataset; returns the hit count."""
+    """Exhaustive leakage scan over a built dataset; returns the hit count.
+
+    The targets come from each instance's stored labels only."""
     total = 0
-    for inst in instances:
-        labels = inst.labels.tolist()
-        targets = [(h, labels[h]) for h, present in enumerate(inst.label_mask.tolist()) if present]
-        total += len(leakage_hits(inst.text, target_values(targets, registry)))
+    for start in range(0, len(instances), PROMPT_BLOCK):
+        block = instances[start : start + PROMPT_BLOCK]
+        masks = np.array([inst.label_mask for inst in block])
+        prompt, heads = np.nonzero(masks)
+        values = np.array([inst.labels for inst in block])[prompt, heads]
+        targets = target_values(heads, values, masks.sum(axis=1), registry)
+        total += sum(map(len, leakage_hits([inst.text for inst in block], targets)))
     return total
 
 
@@ -123,7 +150,10 @@ def save_dataset(instances: list[PromptInstance], path) -> None:
 
 
 def load_dataset(path) -> list[PromptInstance]:
+    """Read save_dataset's file.  A malformed row, or one whose sample_id
+    an earlier row holds, raises a ValueError naming its line."""
     instances = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("sample_id\tvariant\ttext"):
@@ -136,6 +166,9 @@ def load_dataset(path) -> list[PromptInstance]:
             if len(parts) != 3 + N_HEADS:
                 raise ValueError(f"{path}:{lineno}: expected {3 + N_HEADS} columns, got {len(parts)}")
             sid, variant, text = parts[0], parts[1], _unescape(parts[2])
+            if sid in first_line:
+                raise ValueError(f"{path}:{lineno}: sample_id {sid!r} repeats line {first_line[sid]}")
+            first_line[sid] = lineno
             slots = parts[3:]
             mask = [slot != "NA" for slot in slots]
             try:

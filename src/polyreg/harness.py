@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SynthConfig, gen_corpus
-from .datasets import PromptInstance, build_dataset, scan_dataset_for_leaks
+from .datasets import LeakageDetected, PromptInstance, build_dataset, scan_dataset_for_leaks
 from .metrics import EvalReport, evaluate
 from .records import extract_corpus
 from .registry import PropertyRegistry, default_registry
@@ -76,7 +76,8 @@ def prepare_variant_datasets(
     """Generate, extract and build both prompt variants on a shared split.
 
     The leakage guard runs on every built dataset; a nonzero hit count
-    aborts before any training.
+    raises LeakageDetected, naming the variant and the part, before any
+    training.
     """
     registry = registry or default_registry()
     corpus = gen_corpus(synth_cfg, registry)
@@ -86,10 +87,10 @@ def prepare_variant_datasets(
     for variant in ("sample_synthesis", "sample_only"):
         tr = build_dataset(train_samples, variant, registry)
         te = build_dataset(test_samples, variant, registry)
-        for built in (tr, te):
+        for part, built in (("train", tr), ("test", te)):
             hits = scan_dataset_for_leaks(built, registry)
             if hits:
-                raise AssertionError(f"leakage guard: {hits} surviving target values")
+                raise LeakageDetected(f"{variant} {part} set: {hits} surviving target values")
         datasets[variant] = (tr, te)
     return datasets
 

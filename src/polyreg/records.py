@@ -29,7 +29,10 @@ class MalformedDocument(Exception):
 
 
 _NUM = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
-_NUM_RE = re.compile(_NUM)
+# The same matches as _NUM, from a pattern that opens with a required
+# character class, so the scanner skips to candidate characters.  The
+# package supports Python 3.10: no possessive quantifier or atomic group.
+_NUM_RE = re.compile(r"[-+\d](?:(?<=[-+])\d+|(?<=\d)\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _LIMIT_RE = re.compile(rf"^\s*(>=|<=|>|<|≥|≤)\s*({_NUM})\s*(.*)$")
 _RANGE_RE = re.compile(rf"^\s*({_NUM})\s*(?:–|—|‐|-|\bto\b)\s*({_NUM})\s*(.*)$")
 _TOL_RE = re.compile(rf"^\s*({_NUM})\s*(?:±|\+/-|\+-)\s*({_NUM})\s*(.*)$")
@@ -338,11 +341,38 @@ def _head_id(value) -> int:
     return value
 
 
+def _finite_or_null(name: str, value) -> None:
+    # not isinstance: True is an int
+    if value is not None and (type(value) not in (float, int) or not math.isfinite(value)):
+        raise ValueError(f"{name} {value!r} is not a finite number or null")
+
+
 def _quantity(o: dict) -> Quantity:
-    args = _quantity_args(o)  # kind first, as Quantity declares it
-    if args[0] not in _QUANTITY_KINDS:
-        raise ValueError(f"quantity kind {args[0]!r} is not one of {', '.join(_QUANTITY_KINDS)}")
-    return Quantity(*args)
+    kind, value, lo, hi, bound, direction, unit = _quantity_args(o)  # as Quantity declares them
+    if kind not in _QUANTITY_KINDS:
+        raise ValueError(f"quantity kind {kind!r} is not one of {', '.join(_QUANTITY_KINDS)}")
+    _finite_or_null("value", value)
+    _finite_or_null("lo", lo)
+    _finite_or_null("hi", hi)
+    _finite_or_null("bound", bound)
+    if kind == "range" and (lo is None or hi is None):
+        raise ValueError(f"range lo {lo!r} and hi {hi!r} must both be numbers")
+    for name, text in (("direction", direction), ("unit", unit)):
+        if text is not None and type(text) is not str:
+            raise ValueError(f"{name} {text!r} is not a string or null")
+    return Quantity(kind, value, lo, hi, bound, direction, unit)
+
+
+def _canonical_value(value) -> float | None:
+    if value is not None and type(value) not in (float, int):
+        raise ValueError(f"canonical_value {value!r} is not a number or null")
+    return finite_label(value)
+
+
+def _observations(value) -> list[dict]:
+    if type(value) is not list or not all(type(o) is dict for o in value):
+        raise ValueError(f"observations {value!r} is not a list of objects")
+    return value
 
 
 def _text(row: dict, name: str) -> str:
@@ -385,10 +415,10 @@ def load_extracted(path) -> list[ExtractedSample]:
                                 sample_id=sample_id,
                                 head_id=_head_id(o["head_id"]),
                                 quantity=_quantity(o),
-                                canonical_value=finite_label(o["canonical_value"]),
+                                canonical_value=_canonical_value(o["canonical_value"]),
                                 source_span=_span(o["span"]),
                             )
-                            for o in row["observations"]
+                            for o in _observations(row["observations"])
                         ],
                     )
                 )

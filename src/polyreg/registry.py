@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .units import UnitDef, unit_def, units_for_dimension
+import numpy as np
+
+from .units import unit_def, units_for_dimension
 
 GROUPS = ("thermal", "mechanical", "electrical_transport", "physicochemical")
 
@@ -49,9 +51,16 @@ class PropertyRegistry:
                 if key in self._by_alias:
                     raise ValueError(f"alias {key!r} maps to more than one head")
                 self._by_alias[key] = spec
-        self._units = {
-            s.head_id: tuple(units_for_dimension(unit_def(s.canonical_unit).dimension)) for s in self._specs
-        }
+        # every head's registered units (those of its dimension, in table
+        # order) end to end: head h owns entries unit_first[h] up to
+        # unit_first[h] + unit_count[h]
+        units = [units_for_dimension(unit_def(s.canonical_unit).dimension) for s in self._specs]
+        self.unit_count = np.array([len(u) for u in units])
+        self.unit_first = np.cumsum(self.unit_count) - self.unit_count
+        self.unit_offsets = np.array([u.offset for head in units for u in head])
+        self.unit_factors = np.array([u.factor for head in units for u in head])
+        for table in (self.unit_count, self.unit_first, self.unit_offsets, self.unit_factors):
+            table.flags.writeable = False
 
     def __iter__(self):
         return iter(self._specs)
@@ -63,10 +72,6 @@ class PropertyRegistry:
         if not 0 <= head_id < N_HEADS:
             raise KeyError(f"unknown head_id {head_id}")
         return self._specs[head_id]
-
-    def units(self, head_id: int) -> tuple[UnitDef, ...]:
-        """Every registered unit of the head's dimension, in table order."""
-        return self._units[head_id]
 
     def lookup(self, alias: str) -> PropertySpec | None:
         """Resolve an alias to its spec after case/whitespace folding.

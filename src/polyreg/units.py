@@ -25,9 +25,6 @@ class UnitDef:
     def to_canonical(self, value: float) -> float:
         return value * self.factor + self.offset
 
-    def from_canonical(self, value: float) -> float:
-        return (value - self.offset) / self.factor
-
 
 _UNITS = [
     # temperature (canonical °C)

@@ -12,6 +12,10 @@ its thread count, so the run happens in a child process with the thread
 count pinned; the same digests must come out with one thread and with
 two.  A change that is meant to alter output bytes re-pins both digests
 and says so in CHANGES.md.
+
+The tiny run masks only 5 + 2 prompts, so one more digest pins the masked
+prompts of a 2,500-doc corpus; building prompts uses no BLAS, so it runs
+in the test's own process.
 """
 
 import hashlib
@@ -19,6 +23,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from polyreg.corpus import SynthConfig
+from polyreg.harness import prepare_variant_datasets
+from polyreg.prompts import MASK_TOKEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,6 +41,10 @@ TEST_TSV_SHA256 = "7053ce9bdd97d66f60a34886884326830b02d150f2d9dec78747692b1acb8
 # the same run's model trained with attention pooling
 ATTENTION_CHECKPOINT_SHA256 = "e8b806e3b3e16465feb5009954ce5fff0053fc65eddf03d8c92acf143cbc15a9"
 ATTENTION_EVAL_TABLE_SHA256 = "4a4ecddb3c0b5df5c5048ba46a5480d8042bf2176823f63831ccf9321edd6df2"
+
+# both variants' train and test instances of the seed-0 2,500-doc corpus
+# (obs_prob 0.5, split seed 0), in which 74 + 21 and 27 + 10 prompts hold a mask
+MASKING_SHA256 = "50438a6e1821211d816d2e42822245adcc78e0af07df1766742a25a19fbb0f5c"
 
 _PIPELINE = """
 import hashlib, sys
@@ -117,3 +129,17 @@ def test_golden_checkpoint_and_eval_table_digests(tmp_path):
 
 def test_golden_digests_hold_with_two_blas_threads(tmp_path):
     _assert_golden(_digests(tmp_path, threads=2))
+
+
+def test_masking_digest_of_both_variants_on_a_2500_doc_corpus():
+    built = prepare_variant_datasets(SynthConfig(seed=0, n_docs=2500, obs_prob=0.5), split_seed=0)
+    digest = hashlib.sha256()
+    masked = []
+    for variant in ("sample_synthesis", "sample_only"):
+        for part in built[variant]:
+            masked.append(sum(MASK_TOKEN in inst.text for inst in part))
+            for inst in part:
+                digest.update(f"{inst.sample_id}\t{inst.variant}\t{inst.text}\n".encode())
+                digest.update(inst.labels.tobytes() + inst.label_mask.tobytes())
+    assert masked == [74, 21, 27, 10]
+    assert digest.hexdigest() == MASKING_SHA256

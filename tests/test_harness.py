@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyreg.corpus import MECHANICAL_HEADS, SynthConfig, gen_corpus, write_corpus
-from polyreg.datasets import build_dataset, scan_dataset_for_leaks
+from polyreg.datasets import LeakageDetected, build_dataset, scan_dataset_for_leaks
 from polyreg.harness import (
     prepare_variant_datasets,
     run_ablation,
@@ -144,6 +144,24 @@ def test_prepare_variant_datasets_shares_split_and_is_leak_free():
     assert ids["sample_only"] == ids["sample_synthesis"]
     only = datasets["sample_only"][0][0]
     assert "[Synthesis]" not in only.text
+
+
+@pytest.mark.parametrize("failing_scan, named", [(0, "sample_synthesis train set"), (3, "sample_only test set")])
+def test_prepare_variant_datasets_raises_the_guards_exception_naming_variant_and_part(
+    monkeypatch, failing_scan, named
+):
+    import polyreg.harness as harness_mod
+
+    scans = []
+
+    def scan(built, registry=None):
+        scans.append(len(built))
+        return 2 if len(scans) == failing_scan + 1 else scan_dataset_for_leaks(built, registry)
+
+    monkeypatch.setattr(harness_mod, "scan_dataset_for_leaks", scan)
+    with pytest.raises(LeakageDetected, match=f"^{named}: 2 surviving target values$"):
+        prepare_variant_datasets(SynthConfig(seed=1, n_docs=60), split_seed=0)
+    assert len(scans) == failing_scan + 1
 
 
 def test_generated_prompts_mask_measured_values():

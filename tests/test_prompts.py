@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyreg.datasets import (
+    PROMPT_BLOCK,
     LeakageDetected,
     PromptInstance,
     _escape,
@@ -23,13 +24,12 @@ from polyreg.prompts import (
     MASK_REL_TOL,
     MASK_TOKEN,
     EmptySample,
-    _is_target_number,
     build_prompt,
     leakage_hits,
     mask_labels,
     target_values,
 )
-from polyreg.records import extract_document
+from polyreg.records import _NUM_RE, ExtractedSample, PropertyObservation, Quantity, extract_document
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.units import normalize_unit, units_for_dimension
 
@@ -37,8 +37,12 @@ REG = default_registry()
 
 
 def _values(head_name, canonical_value):
-    """The target-value list of one observed head."""
-    return target_values([(REG.lookup(head_name).head_id, canonical_value)], REG)
+    """The target representations of one prompt with one observed head."""
+    return target_values([REG.lookup(head_name).head_id], [canonical_value], [1], REG)
+
+
+def _mask(text, targets):
+    return mask_labels([text], targets)[0]
 
 
 # ---- build_prompt ---------------------------------------------------------
@@ -72,7 +76,7 @@ def test_build_prompt_unknown_variant():
 
 def test_mask_exact_target_value():
     text = "Tg was measured at 105 °C after annealing at 90 °C."
-    masked = mask_labels(text, _values("Tg", 105.0))
+    masked = _mask(text, _values("Tg", 105.0))
     assert "[MASKED] °C" in masked
     assert "90" in masked
     assert "105" not in masked
@@ -81,30 +85,30 @@ def test_mask_exact_target_value():
 def test_mask_cross_unit_kelvin():
     # 105 °C is 378.15 K; a Kelvin mention within 0.5% must be scrubbed
     text = "the transition near 378 K was sharp"
-    masked = mask_labels(text, _values("Tg", 105.0))
+    masked = _mask(text, _values("Tg", 105.0))
     assert MASK_TOKEN in masked and "378" not in masked
 
 
 def test_mask_cross_unit_gpa():
     text = "stiffness around 2.4 GPa was retained"
-    masked = mask_labels(text, _values("youngs_modulus", 2400.0))
+    masked = _mask(text, _values("youngs_modulus", 2400.0))
     assert MASK_TOKEN in masked
 
 
 def test_mask_no_observations_is_identity():
     text = "annealed at 120 °C for 2 h"
-    assert mask_labels(text, []) == text
+    assert mask_labels([text], target_values([], [], [0], REG)) == [text]
 
 
 def test_mask_tolerance_boundary():
     values = _values("tensile_strength", 100.0)
-    assert MASK_TOKEN in mask_labels("measured 100.4 MPa", values)
-    assert MASK_TOKEN not in mask_labels("measured 101 MPa", values)
+    assert MASK_TOKEN in _mask("measured 100.4 MPa", values)
+    assert MASK_TOKEN not in _mask("measured 101 MPa", values)
 
 
 def test_unmasked_text_is_subsequence_of_original():
     text = "blend of 70:30 ratio, Tg 105 °C, cured at 105 min intervals"
-    masked = mask_labels(text, _values("Tg", 105.0))
+    masked = _mask(text, _values("Tg", 105.0))
     pieces = masked.split(MASK_TOKEN)
     pos = 0
     for piece in pieces:
@@ -121,42 +125,83 @@ def test_unmasked_text_is_subsequence_of_original():
 def test_masked_text_never_leaks(value, extra):
     values = _values("tensile_strength", value)
     text = f"strength {value:.6g} MPa with filler {extra} phr"
-    masked = mask_labels(text, values)
-    assert leakage_hits(masked, values) == []
+    masked = _mask(text, values)
+    assert leakage_hits([masked], values) == [[]]
+
+
+# ---- the block matcher against the per-pair loop --------------------------
+
+
+def _reference_values(targets):
+    """Each (head_id, canonical_value) in each unit of its head's dimension,
+    with its tolerance, one pair at a time."""
+    reps = []
+    for h, v in targets:
+        for unit in units_for_dimension(normalize_unit(REG.spec(h).canonical_unit).dimension):
+            value = (v - unit.offset) / unit.factor
+            reps.append((value, MASK_REL_TOL * max(abs(value), 1e-12)))
+    return reps
+
+
+def _reference_is_target(number, reps):
+    for value, tol in reps:
+        if abs(number - value) <= tol:
+            return True
+    return False
+
+
+def _reference_mask(text, reps):
+    return _NUM_RE.sub(lambda m: MASK_TOKEN if _reference_is_target(float(m.group(0)), reps) else m.group(0), text)
+
+
+def _reference_hits(text, reps):
+    return [num for num in _NUM_RE.findall(text) if _reference_is_target(float(num), reps)]
+
+
+def _block_targets(prompt_targets):
+    """target_values of a block whose prompt i has the targets prompt_targets[i]."""
+    flat = [t for targets in prompt_targets for t in targets]
+    return target_values([h for h, _ in flat], [v for _, v in flat], [len(t) for t in prompt_targets], REG)
+
+
+# ±0, the 1e-12 tolerance floor and its neighbours, and labels whose
+# representation in a smaller unit (Pa, J/m², mS/cm) overflows to inf
+_EDGE_VALUES = [0.0, -0.0, 1e-12, -1e-12, 1e-14, 2e-12, 1e-300, 5e-324, 1e300, -1e306, 1.7e308]
+_values_or_edges = st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.sampled_from(_EDGE_VALUES))
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    targets=st.lists(
-        st.tuples(st.integers(0, N_HEADS - 1), st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
-        max_size=4,
-    ),
-)
-def test_target_match_equals_per_pair_tolerance_reference(value, targets):
-    # the reference applies the tolerance formula to each (number,
-    # representation) pair; computing it once per representation must not
-    # move a decision
-    reps = [
-        unit.from_canonical(v)
-        for h, v in targets
-        for unit in units_for_dimension(normalize_unit(REG.spec(h).canonical_unit).dimension)
-    ]
-    near = [value] + [rep * (1 + k * MASK_REL_TOL) for rep in reps for k in (-1, 1)]
-    for v in near:
-        expected = any(abs(v - rep) <= MASK_REL_TOL * max(abs(rep), 1e-12) for rep in reps)
-        assert _is_target_number(v, target_values(targets, REG)) == expected
+@given(st.data())
+def test_target_match_equals_per_pair_tolerance_reference(data):
+    prompt_targets = data.draw(
+        st.lists(st.lists(st.tuples(st.integers(0, N_HEADS - 1), _values_or_edges), max_size=3), min_size=1, max_size=5)
+    )
+    texts = []
+    for targets in prompt_targets:
+        candidates = list(_EDGE_VALUES)
+        for value, tol in _reference_values(targets):
+            # the representation itself, both tolerance edges and the
+            # floats just outside them
+            for v in (value, value - tol, value + tol):
+                candidates += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+        numbers = data.draw(st.lists(st.sampled_from(candidates) | _values_or_edges, max_size=6))
+        words = [repr(float(v)) for v in numbers if np.isfinite(v)]
+        words += data.draw(st.lists(st.sampled_from(["1e999", "-1e999", "7", "-0"]), max_size=2))
+        texts.append(" x ".join(data.draw(st.permutations(words))))
+    targets = _block_targets(prompt_targets)
+    reps = [_reference_values(t) for t in prompt_targets]
+    assert leakage_hits(texts, targets) == [_reference_hits(text, r) for text, r in zip(texts, reps)]
+    assert mask_labels(texts, targets) == [_reference_mask(text, r) for text, r in zip(texts, reps)]
 
 
 def test_target_values_are_bitwise_the_per_target_unit_resolution():
-    # each head's unit list is resolved once per registry, not per target
+    # a block of three prompts, the second with no target
     targets = [(spec.head_id, v) for spec in REG for v in (-40.0, -0.0, 1e-9, 3.7, 250.0, 1.5e6)]
-    reference = []
-    for h, v in targets:
-        for unit in units_for_dimension(normalize_unit(REG.spec(h).canonical_unit).dimension):
-            value = unit.from_canonical(v)
-            reference.append((value, MASK_REL_TOL * max(abs(value), 1e-12)))
-    assert np.array(target_values(targets, REG)).tobytes() == np.array(reference).tobytes()
+    block = _block_targets([targets[:7], [], targets[7:]])
+    reference = _reference_values(targets)
+    assert np.stack([block.values, block.tols], axis=1).tobytes() == np.array(reference).tobytes()
+    first = len(_reference_values(targets[:7]))
+    assert block.bounds.tolist() == [0, first, first, len(reference)]
 
 
 # ---- dataset construction -------------------------------------------------
@@ -227,6 +272,115 @@ def test_build_dataset_leakage_guard(monkeypatch):
 
     monkeypatch.setattr(datasets_mod, "mask_labels", lambda text, *a, **k: text)
     with pytest.raises(LeakageDetected):
+        build_dataset(samples, "sample_only")
+
+
+@pytest.mark.parametrize("head_id", [-1, -N_HEADS, N_HEADS])
+def test_target_values_rejects_an_unknown_head_id(head_id):
+    # a negative id must not index the unit table from its end
+    with pytest.raises(KeyError, match=f"unknown head_id {head_id}"):
+        target_values([0, head_id], [1.0, 1.0], [1, 1], REG)
+    sample = ExtractedSample("s1", "Tg 105", "", [PropertyObservation("s1", head_id, Quantity("point", value=1.0), 1.0)])
+    with pytest.raises((KeyError, IndexError)):
+        build_dataset([sample], "sample_only")
+
+
+def _reference_build(samples, variant, mask=True):
+    """build_dataset one prompt at a time, with the per-pair loop."""
+    instances = []
+    for sample in samples:
+        labels = np.full(N_HEADS, np.nan)
+        label_mask = np.zeros(N_HEADS, dtype=bool)
+        targets = [(o.head_id, o.canonical_value) for o in sample.observations if o.canonical_value is not None]
+        for h in {h for h, _ in targets}:
+            labels[h] = np.mean([v for g, v in targets if g == h])
+            label_mask[h] = True
+        text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
+        reps = _reference_values(targets)
+        if mask:
+            text = _reference_mask(text, reps)
+        hits = _reference_hits(text, reps)
+        if hits:
+            raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
+        instances.append(PromptInstance(sample.sample_id, variant, text, labels, label_mask))
+    return instances
+
+
+_TG = REG.lookup("Tg").head_id
+_TS = REG.lookup("tensile_strength").head_id
+_EDGES = (0, PROMPT_BLOCK - 1, PROMPT_BLOCK, 2 * PROMPT_BLOCK - 1, 2 * PROMPT_BLOCK)
+
+
+def _edge_samples(restated=_EDGES, empty=()):
+    """2 x PROMPT_BLOCK + 1 samples; those in ``restated`` repeat their Tg
+    in the prompt, in °C or in K, and those in ``empty`` have no sample text."""
+    samples = []
+    for i in range(2 * PROMPT_BLOCK + 1):
+        tg, ts = 100.0 + i % 50, 600.0 + i % 20
+        observations = [
+            PropertyObservation(f"s{i}", _TG, Quantity("point", value=tg, unit="°C"), tg),
+            PropertyObservation(f"s{i}", _TS, Quantity("limit", bound=ts, direction="greater", unit="MPa"), None),
+        ]
+        if i % 3 == 0:  # a repeated head averages
+            observations.append(PropertyObservation(f"s{i}", _TS, Quantity("point", value=ts, unit="MPa"), ts))
+            observations.append(PropertyObservation(f"s{i}", _TS, Quantity("point", value=ts + 1, unit="MPa"), ts + 1))
+        text = f"film annealed at {40 + i % 7} °C, strength above 20 MPa"
+        if i in restated:
+            text += f", softening near {tg:g} °C" if i % 2 else f", softening near {tg + 273.15:.2f} K"
+        samples.append(ExtractedSample(f"s{i}", "" if i in empty else text, f"cured {i % 5 + 1} h", observations))
+    return samples
+
+
+@pytest.mark.parametrize("variant", ["sample_synthesis", "sample_only"])
+def test_build_and_scan_over_block_edges_give_the_per_prompt_outputs(variant):
+    samples = _edge_samples()
+    built = build_dataset(samples, variant)
+    reference = _reference_build(samples, variant)
+    assert [(i.sample_id, i.variant, i.text) for i in built] == [(i.sample_id, i.variant, i.text) for i in reference]
+    for a, b in zip(built, reference):
+        assert a.labels.tobytes() == b.labels.tobytes() and np.array_equal(a.label_mask, b.label_mask)
+    assert [i for i, inst in enumerate(built) if MASK_TOKEN in inst.text] == list(_EDGES)
+    assert scan_dataset_for_leaks(built) == 0
+    # undo the mask at each block edge: every restated Tg counts once
+    for i in _EDGES:
+        built[i].text = reference[i].text = samples[i].sample_text
+    expected = sum(
+        len(_reference_hits(inst.text, _reference_values([(h, inst.labels[h]) for h in np.flatnonzero(inst.label_mask)])))
+        for inst in reference
+    )
+    assert scan_dataset_for_leaks(built) == expected == len(_EDGES)
+
+
+@pytest.mark.parametrize(
+    "restated, empty, error",
+    [
+        (_EDGES, (), LeakageDetected),
+        ((PROMPT_BLOCK,), (2 * PROMPT_BLOCK - 1,), LeakageDetected),
+        ((PROMPT_BLOCK + 1,), (PROMPT_BLOCK,), EmptySample),
+        ((PROMPT_BLOCK - 1,), (PROMPT_BLOCK,), LeakageDetected),
+        ((2 * PROMPT_BLOCK,), (), LeakageDetected),
+        ((2 * PROMPT_BLOCK - 1,), (2 * PROMPT_BLOCK,), LeakageDetected),
+        ((), (PROMPT_BLOCK - 1, 2 * PROMPT_BLOCK), EmptySample),
+    ],
+    ids=[
+        "leak_at_every_edge",
+        "empty_later_in_the_leaking_block",
+        "empty_before_a_leak_in_its_block",
+        "leak_ends_a_block_empty_starts_the_next",
+        "leak_in_the_one_prompt_block",
+        "leak_ends_a_block_empty_is_the_last",
+        "empty_only",
+    ],
+)
+def test_build_raises_the_per_prompt_references_earliest_error(monkeypatch, restated, empty, error):
+    import polyreg.datasets as datasets_mod
+
+    # with masking broken, each restated Tg leaks
+    monkeypatch.setattr(datasets_mod, "mask_labels", lambda texts, targets: texts)
+    samples = _edge_samples(restated, empty)
+    with pytest.raises(error) as expected:
+        _reference_build(samples, "sample_only", mask=False)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
         build_dataset(samples, "sample_only")
 
 
@@ -305,8 +459,17 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         (lambda line: line.replace("\tNA", "\tinf", 1), "label inf is not finite"),
         (lambda line: line.replace("\tNA", "\t-Infinity", 1), "label -inf is not finite"),
         (lambda line: line.replace("\tNA", "\tnan", 1), "label nan is not finite"),
+        (lambda line: "s1" + line[2:], "sample_id 's1' repeats line 2"),
     ],
-    ids=["non_numeric_label", "missing_slot", "one_column", "infinite_label", "negative_infinite_label", "nan_label"],
+    ids=[
+        "non_numeric_label",
+        "missing_slot",
+        "one_column",
+        "infinite_label",
+        "negative_infinite_label",
+        "nan_label",
+        "repeated_sample_id",
+    ],
 )
 def test_load_dataset_names_file_and_line_of_a_malformed_row(tmp_path, corrupt, message):
     path = tmp_path / "ds.tsv"
@@ -356,7 +519,7 @@ _labels = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_ids, _ids, st.text(), _labels), max_size=4))
+@given(st.lists(st.tuples(_ids, _ids, st.text(), _labels), max_size=4, unique_by=lambda row: row[0]))
 def test_dataset_file_round_trip(tmp_path_factory, rows):
     instances = [
         PromptInstance(sid, variant, text, [np.nan if v is None else v for v in slots], [v is not None for v in slots])

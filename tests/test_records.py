@@ -33,6 +33,37 @@ from polyreg.units import IncompatibleUnit, units_for_dimension, normalize_unit
 REG = default_registry()
 
 
+# ---- the number scanner ---------------------------------------------------
+
+# ASCII and other decimal digits (Arabic-Indic, Devanagari, fullwidth),
+# superscripts (not decimal digits), signs, the decimal point, exponent
+# letters, whitespace and a letter
+_SCANNER_ALPHABET = "0123456789" + "٠٣٩०७９" + "¹²³⁴" + "+-.eE" + " \t\n" + "x"
+_ORIGINAL_NUM_RE = re.compile(records._NUM)
+
+
+def _assert_scans_like_the_original_pattern(text):
+    assert [m.span() for m in records._NUM_RE.finditer(text)] == [m.span() for m in _ORIGINAL_NUM_RE.finditer(text)]
+    bracket = lambda m: f"<{m.group(0)}>"  # noqa: E731
+    assert records._NUM_RE.sub(bracket, text) == _ORIGINAL_NUM_RE.sub(bracket, text)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=_SCANNER_ALPHABET, max_size=40))
+@example("+-5 -+5 ++5 5-5 5+5")
+@example("1.e5 .5 5. 5.5.5 5e 5e+ 5e+5 -5E-5e5")
+@example("٣.٣e٣ ９-９ ²5 5²")
+def test_number_scanner_matches_the_original_pattern(text):
+    _assert_scans_like_the_original_pattern(text)
+
+
+def test_number_scanner_matches_the_original_pattern_on_seeded_strings():
+    rng = np.random.default_rng(0)
+    alphabet = np.array(list(_SCANNER_ALPHABET))
+    for size in rng.integers(0, 40, size=20_000):
+        _assert_scans_like_the_original_pattern("".join(rng.choice(alphabet, size=size)))
+
+
 # ---- parse_quantity -------------------------------------------------------
 
 
@@ -263,7 +294,7 @@ def test_unit_consistency_across_registered_units():
             for unit in units:
                 from polyreg.records import Quantity
 
-                q = Quantity(kind="point", value=unit.from_canonical(canonical), unit=unit.symbol)
+                q = Quantity(kind="point", value=(canonical - unit.offset) / unit.factor, unit=unit.symbol)
                 values.append(to_canonical(q, spec))
             for v in values:
                 assert math.isclose(v, canonical, rel_tol=1e-12)
@@ -437,6 +468,21 @@ def _record_line(**changes):
         (_record_line(synthesis_text=None), "synthesis_text None is not a string"),
         # a concatenated file could put one sample on both sides of the split
         (_record_line(sample_id="s1"), "sample_id 's1' repeats line 1"),
+        (_record_line(observations={}), "observations {} is not a list of objects"),
+        (_record_line(observations=""), "observations '' is not a list of objects"),
+        (_record_line(observations=[{"a": 1}, "x"]), "observations [{'a': 1}, 'x'] is not a list of objects"),
+        (_observation_line(value="2.0"), "value '2.0' is not a finite number or null"),
+        (_observation_line(value=True), "value True is not a finite number or null"),
+        (_observation_line(value=float("nan")), "value nan is not a finite number or null"),
+        (_observation_line(kind="limit", value=None, bound=float("inf")), "bound inf is not a finite number or null"),
+        (_observation_line(kind="range", value=None, lo="1", hi=3.0), "lo '1' is not a finite number or null"),
+        (_observation_line(kind="range", value=None, lo=1.0, hi=[3.0]), "hi [3.0] is not a finite number or null"),
+        (_observation_line(kind="range", value=None, lo=None, hi=3.0), "range lo None and hi 3.0 must both be numbers"),
+        (_observation_line(kind="range", value=None, lo=1.0), "range lo 1.0 and hi None must both be numbers"),
+        (_observation_line(unit=5), "unit 5 is not a string or null"),
+        (_observation_line(direction=False), "direction False is not a string or null"),
+        (_observation_line(canonical_value="2000.0"), "canonical_value '2000.0' is not a number or null"),
+        (_observation_line(canonical_value=True), "canonical_value True is not a number or null"),
     ],
     ids=[
         "bad_json",
@@ -462,6 +508,21 @@ def _record_line(**changes):
         "int_sample_text",
         "null_synthesis_text",
         "repeated_sample_id",
+        "object_observations",
+        "string_observations",
+        "non_object_observation",
+        "string_value",
+        "bool_value",
+        "nan_value",
+        "infinite_bound",
+        "string_lo",
+        "list_hi",
+        "range_without_lo",
+        "range_without_hi",
+        "int_unit",
+        "bool_direction",
+        "string_canonical_value",
+        "bool_canonical_value",
     ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):
