@@ -94,8 +94,8 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
 
 
 def read_records(path) -> list[AuditRecord]:
-    """Records of an audit file; a malformed row or a repeated record_id
-    raises ``ValueError`` naming the file and the line."""
+    """Records of an audit file; a malformed row, a non-finite value or a
+    repeated record_id raises ``ValueError`` naming the file and the line."""
     records = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -115,6 +115,8 @@ def read_records(path) -> list[AuditRecord]:
             seen.add(rid)
             try:
                 value = float(value)
+                if not math.isfinite(value):  # it could never match, not even itself
+                    raise ValueError(f"value {value!r} is not finite")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             records.append(AuditRecord(rid, sid, head, value, unit))

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from .records import ExtractedSample, finite_label
-from .prompts import EmptySample, build_prompt, leakage_hits, mask_labels, target_values
+from .prompts import VARIANTS, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
 
 
@@ -47,9 +48,9 @@ class PromptInstance:
 
 def build_dataset(
     samples: list[ExtractedSample],
-    variant: str,
+    variant: str | tuple[str, ...],
     registry: PropertyRegistry | None = None,
-) -> list[PromptInstance]:
+) -> list[PromptInstance] | dict[str, list[PromptInstance]]:
     """Turn extracted samples into masked prompt instances.
 
     Multiple observations of one head average to a single label; limit
@@ -58,18 +59,25 @@ def build_dataset(
     block feeds both the mask and the leakage guard, which re-scans every
     built prompt and refuses to emit leaks.  The earliest failing sample
     raises, whether its prompt leaks or has no sample text.
+
+    ``variant`` may be a tuple of VARIANTS names, which gives
+    ``{variant: instances}`` from one pass: each sample text and each
+    synthesis text is masked and scanned once, and every variant's prompt
+    is built from them.  That is exact: build_prompt's headers and joining
+    newline hold no character a number match can start with or cross, so
+    masking a text and then building the prompt is masking the prompt.
+    Each instance owns its label arrays.
     """
-    instances = []
+    variants = (variant,) if isinstance(variant, str) else tuple(variant)
+    if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
+        raise ValueError(f"unknown or repeated variant in {variant!r}; expected names from {VARIANTS}")
+    first, *others = variants
+    with_synthesis = "sample_synthesis" in variants
+    built: dict[str, list[PromptInstance]] = {v: [] for v in variants}
     for start in range(0, len(samples), PROMPT_BLOCK):
         block = samples[start : start + PROMPT_BLOCK]
-        texts, rows, heads, values, counts = [], [], [], [], []
-        empty = None
+        rows, heads, values, counts = [], [], [], []
         for sample in block:
-            try:
-                texts.append(build_prompt(sample.sample_text, sample.synthesis_text, variant))
-            except EmptySample as exc:
-                empty = exc  # raised once the samples before it pass the guard
-                break
             labels = np.full(N_HEADS, np.nan)
             mask = np.zeros(N_HEADS, dtype=bool)
             per_head: dict[int, list[float]] = {}
@@ -86,17 +94,23 @@ def build_dataset(
             rows.append((labels, mask))
             counts.append(len(heads) - before)
         targets = target_values(heads, values, counts, registry)
-        texts = mask_labels(texts, targets)
-        for sample, hits in zip(block, leakage_hits(texts, targets)):
+        sample_texts = mask_labels([sample.sample_text for sample in block], targets)
+        leaks = leakage_hits(sample_texts, targets)
+        synthesis_texts = [sample.synthesis_text for sample in block]
+        if with_synthesis:
+            synthesis_texts = mask_labels(synthesis_texts, targets)
+            leaks = map(add, leaks, leakage_hits(synthesis_texts, targets))
+        for sample, sample_text, synthesis_text, hits, (labels, mask) in zip(
+            block, sample_texts, synthesis_texts, leaks, rows
+        ):
+            text = build_prompt(sample_text, synthesis_text, first)  # an EmptySample outranks its leak
             if hits:
                 raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
-        if empty is not None:
-            raise empty
-        instances.extend(
-            PromptInstance(sample.sample_id, variant, text, labels, mask)
-            for sample, text, (labels, mask) in zip(block, texts, rows)
-        )
-    return instances
+            built[first].append(PromptInstance(sample.sample_id, first, text, labels, mask))
+            for v in others:
+                text = build_prompt(sample_text, synthesis_text, v)
+                built[v].append(PromptInstance(sample.sample_id, v, text, labels.copy(), mask.copy()))
+    return built[variant] if isinstance(variant, str) else built
 
 
 def scan_dataset_for_leaks(

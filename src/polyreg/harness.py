@@ -12,6 +12,7 @@ import numpy as np
 from .corpus import SynthConfig, gen_corpus
 from .datasets import LeakageDetected, PromptInstance, build_dataset, scan_dataset_for_leaks
 from .metrics import EvalReport, evaluate
+from .prompts import VARIANTS
 from .records import extract_corpus
 from .registry import PropertyRegistry, default_registry
 from .trainer import TrainConfig, TrainedModel, train
@@ -53,6 +54,8 @@ class AblationReport:
 
 def split_samples(samples: list, seed: int, test_fraction: float = 0.2):
     """Seeded train/test split by sample position."""
+    if not 0 < test_fraction < 1:  # also refuses NaN
+        raise ValueError(f"test_fraction {test_fraction!r} must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n = len(samples)
     perm = rng.permutation(n)
@@ -75,23 +78,24 @@ def prepare_variant_datasets(
 ):
     """Generate, extract and build both prompt variants on a shared split.
 
-    The leakage guard runs on every built dataset; a nonzero hit count
-    raises LeakageDetected, naming the variant and the part, before any
+    Each part's two variants come from one build_dataset pass.  The
+    leakage guard runs on every built dataset; a nonzero hit count raises
+    LeakageDetected, naming the variant and the part, before any
     training.
     """
     registry = registry or default_registry()
     corpus = gen_corpus(synth_cfg, registry)
     samples, _ = extract_corpus(corpus.text, registry)
     train_samples, test_samples = split_samples(samples, split_seed)
+    train_sets = build_dataset(train_samples, VARIANTS, registry)
+    test_sets = build_dataset(test_samples, VARIANTS, registry)
     datasets = {}
-    for variant in ("sample_synthesis", "sample_only"):
-        tr = build_dataset(train_samples, variant, registry)
-        te = build_dataset(test_samples, variant, registry)
-        for part, built in (("train", tr), ("test", te)):
+    for variant in VARIANTS:
+        datasets[variant] = (train_sets[variant], test_sets[variant])
+        for part, built in zip(("train", "test"), datasets[variant]):
             hits = scan_dataset_for_leaks(built, registry)
             if hits:
                 raise LeakageDetected(f"{variant} {part} set: {hits} surviving target values")
-        datasets[variant] = (tr, te)
     return datasets
 
 

@@ -34,7 +34,11 @@ class EmptySample(Exception):
 
 
 def build_prompt(sample_desc: str, synthesis_desc: str, variant: str) -> str:
-    """Assemble the prompt text for one sample."""
+    """Assemble the prompt text for one sample.
+
+    build_dataset masks the two texts before they come here, which is
+    exact only while the headers and the joining newline hold no digit or
+    sign."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not sample_desc or not sample_desc.strip():

@@ -169,20 +169,6 @@ def finite_label(value: float | None) -> float | None:
 _SAMPLE_RE = re.compile(r"^== SAMPLE (\S+) ==$")
 
 
-def _match_alias(lhs: str, registry: PropertyRegistry) -> PropertySpec | None:
-    """Resolve the left-hand side of a measurement clause to a head.
-
-    Tries the whole phrase first, then progressively shorter word suffixes
-    ("measured tensile strength" -> "tensile strength").
-    """
-    words = lhs.split()
-    for start in range(len(words)):
-        spec = registry.lookup(" ".join(words[start:]))
-        if spec is not None:
-            return spec
-    return None
-
-
 def _extract_clauses(
     line: str,
     offset: int,
@@ -200,7 +186,7 @@ def _extract_clauses(
         lhs, rhs = clause.split("=", 1)
         if not _NUM_RE.search(rhs):
             continue
-        spec = _match_alias(lhs, registry)
+        spec = registry.match_alias(lhs)
         if spec is None:
             counters.unmapped += 1
             continue

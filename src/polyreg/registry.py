@@ -8,6 +8,7 @@ TSV data file so aliases can be edited without code changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -61,6 +62,13 @@ class PropertyRegistry:
         self.unit_factors = np.array([u.factor for head in units for u in head])
         for table in (self.unit_count, self.unit_first, self.unit_offsets, self.unit_factors):
             table.flags.writeable = False
+        # extraction resolves the same few clause left sides over and over;
+        # a single string argument is its own cache key
+        self.match_alias = lru_cache(maxsize=1024)(self._match_alias)
+
+    def __reduce__(self):
+        # rebuild from the specs: the cache above holds a bound method
+        return PropertyRegistry, (list(self._specs),)
 
     def __iter__(self):
         return iter(self._specs)
@@ -82,6 +90,20 @@ class PropertyRegistry:
         if not key:
             raise ValueError("alias must be non-empty text")
         return self._by_alias.get(key)
+
+    def _match_alias(self, phrase: str) -> PropertySpec | None:
+        """Resolve the left-hand side of a measurement clause to a head.
+
+        Tries the whole phrase first, then progressively shorter word
+        suffixes ("measured tensile strength" -> "tensile strength").
+        Cached per registry as ``match_alias``.
+        """
+        words = phrase.split()
+        for start in range(len(words)):
+            spec = self.lookup(" ".join(words[start:]))
+            if spec is not None:
+                return spec
+        return None
 
     def is_log_space(self, head_id: int) -> bool:
         return self.spec(head_id).log_space

@@ -107,6 +107,9 @@ def test_read_records_requires_header(tmp_path):
         ("r1\ts1\tTg\tabc\t°C", "could not convert string to float: 'abc'"),
         ("r1\ts1\tTg", "expected 5 columns, got 3"),
         ("r1\ts1\tTg\t100\t°C\tx", "expected 5 columns, got 6"),
+        # a nan record can never match, not even itself
+        ("r1\ts1\tTg\tnan\t°C", "value nan is not finite"),
+        ("r1\ts1\tTg\t-Infinity\t°C", "value -inf is not finite"),
     ],
 )
 def test_read_records_names_the_line_of_a_bad_row(tmp_path, row, message):

@@ -132,6 +132,13 @@ def test_split_samples_partition_and_determinism():
     assert te3 != te1
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.5, 0.0, 1.0, float("nan"), float("inf")])
+def test_split_samples_rejects_a_test_fraction_outside_zero_to_one(fraction):
+    # 1.5 would leave an empty training set and -0.5 one test sample
+    with pytest.raises(ValueError, match=f"^test_fraction {re.escape(repr(fraction))} must be in \\(0, 1\\)$"):
+        split_samples(list(range(10)), seed=0, test_fraction=fraction)
+
+
 def test_prepare_variant_datasets_shares_split_and_is_leak_free():
     synth = SynthConfig(seed=1, n_docs=60)
     datasets = prepare_variant_datasets(synth, split_seed=0)

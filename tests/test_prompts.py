@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -23,13 +25,22 @@ from polyreg.datasets import (
 from polyreg.prompts import (
     MASK_REL_TOL,
     MASK_TOKEN,
+    VARIANTS,
     EmptySample,
     build_prompt,
     leakage_hits,
     mask_labels,
     target_values,
 )
-from polyreg.records import _NUM_RE, ExtractedSample, PropertyObservation, Quantity, extract_document
+from polyreg.records import (
+    _NUM_RE,
+    ExtractedSample,
+    PropertyObservation,
+    Quantity,
+    extract_document,
+    load_extracted,
+    save_extracted,
+)
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.units import normalize_unit, units_for_dimension
 
@@ -382,6 +393,126 @@ def test_build_raises_the_per_prompt_references_earliest_error(monkeypatch, rest
         _reference_build(samples, "sample_only", mask=False)
     with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
         build_dataset(samples, "sample_only")
+
+
+def _point(sid, head_id, value, unit):
+    return PropertyObservation(sid, head_id, Quantity("point", value=value, unit=unit), value)
+
+
+def _pair_samples():
+    """Samples that stress building both variants from one pass."""
+    return [
+        # the sample text holds the synthesis header itself
+        ExtractedSample("header", "film 105 °C\n[Synthesis]\n105 °C", "cured 105 °C", [_point("header", _TG, 105.0, "°C")]),
+        ExtractedSample("no_synthesis", "film at 120 °C", "", [_point("no_synthesis", _TG, 120.0, "°C")]),
+        # a head observed twice: its label is the mean, each value a target
+        ExtractedSample(
+            "twice",
+            "Tg 100 or 120, mean 110 °C",
+            "annealed 120 °C",
+            [_point("twice", _TG, 100.0, "°C"), _point("twice", _TG, 120.0, "°C")],
+        ),
+        ExtractedSample(
+            "limit",
+            "strength above 50 MPa",
+            "drawn at 50 MPa",
+            [PropertyObservation("limit", _TS, Quantity("limit", bound=50.0, direction="greater", unit="MPa"), None)],
+        ),
+        # targets written in another unit: 55 MPa as GPa, 105 °C as K
+        ExtractedSample(
+            "unit", "strength 0.055 GPa", "annealed 378.15 K", [_point("unit", _TG, 105.0, "°C"), _point("unit", _TS, 55.0, "MPa")]
+        ),
+        ExtractedSample("signed", "film quenched", "-20 °C quench, then +5 °C", [_point("signed", _TG, -20.0, "°C")]),
+    ]
+
+
+def _same_instances(got, want):
+    assert [(i.sample_id, i.variant, i.text) for i in got] == [(i.sample_id, i.variant, i.text) for i in want]
+    for a, b in zip(got, want):
+        assert a.labels.tobytes() == b.labels.tobytes() and a.label_mask.tobytes() == b.label_mask.tobytes()
+
+
+def test_pair_build_gives_each_variants_build_bitwise(tmp_path):
+    path = tmp_path / "observations.jsonl"
+    save_extracted(_edge_samples() + _pair_samples(), path)
+    samples = load_extracted(path)  # a header inside a sample text is reachable from a file
+    pair = build_dataset(samples, VARIANTS)
+    assert list(pair) == list(VARIANTS)
+    for variant in VARIANTS:
+        _same_instances(pair[variant], build_dataset(samples, variant))
+        _same_instances(pair[variant], _reference_build(samples, variant))
+    texts = {inst.sample_id: inst.text for inst in pair["sample_synthesis"][-6:]}
+    assert texts == {
+        "header": "[Sample]\nfilm [MASKED] °C\n[Synthesis]\n[MASKED] °C\n[Synthesis]\ncured [MASKED] °C",
+        "no_synthesis": "[Sample]\nfilm at [MASKED] °C\n[Synthesis]\n",
+        "twice": "[Sample]\nTg [MASKED] or [MASKED], mean 110 °C\n[Synthesis]\nannealed [MASKED] °C",
+        "limit": "[Sample]\nstrength above 50 MPa\n[Synthesis]\ndrawn at 50 MPa",
+        "unit": "[Sample]\nstrength [MASKED] GPa\n[Synthesis]\nannealed [MASKED] K",
+        "signed": "[Sample]\nfilm quenched\n[Synthesis]\n[MASKED] °C quench, then +5 °C",
+    }
+    assert pair["sample_only"][-6].text == "[Sample]\nfilm [MASKED] °C\n[Synthesis]\n[MASKED] °C"
+
+
+def test_pair_build_variants_own_their_label_arrays():
+    pair = build_dataset(_pair_samples(), VARIANTS)
+    arrays = [a for variant in VARIANTS for inst in pair[variant] for a in (inst.labels, inst.label_mask)]
+    assert len(arrays) == 24
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+
+@pytest.mark.parametrize("variants", [(), ("sample_only", "sample_only"), ("sample_only", "both")])
+def test_build_dataset_rejects_an_empty_repeated_or_unknown_variant_tuple(variants):
+    with pytest.raises(ValueError, match="unknown or repeated variant"):
+        build_dataset(_pair_samples(), variants)
+
+
+def test_pair_build_raises_on_a_leak_in_the_synthesis_part_alone(monkeypatch):
+    import polyreg.datasets as datasets_mod
+
+    monkeypatch.setattr(datasets_mod, "mask_labels", lambda texts, targets: texts)
+    sample = ExtractedSample("s1", "film", "annealed at 105 °C", [_point("s1", _TG, 105.0, "°C")])
+    assert build_dataset([sample], "sample_only")[0].text == "[Sample]\nfilm"
+    for variants in ("sample_synthesis", VARIANTS):
+        with pytest.raises(LeakageDetected, match=r"^sample s1: surviving targets \['105'\]$"):
+            build_dataset([sample], variants)
+
+
+@pytest.mark.parametrize("in_synthesis", [False, True], ids=["sample_part", "synthesis_part"])
+@pytest.mark.parametrize(
+    "restated, empty, error",
+    [
+        ((PROMPT_BLOCK,), (2 * PROMPT_BLOCK - 1,), LeakageDetected),
+        ((PROMPT_BLOCK + 1,), (PROMPT_BLOCK,), EmptySample),
+        ((PROMPT_BLOCK - 1,), (PROMPT_BLOCK,), LeakageDetected),
+        ((2 * PROMPT_BLOCK - 1,), (2 * PROMPT_BLOCK,), LeakageDetected),
+    ],
+    ids=["leak_then_empty", "empty_then_leak", "leak_ends_a_block_empty_starts_the_next", "empty_is_the_last"],
+)
+def test_pair_build_raises_the_earliest_error_of_either_variant(monkeypatch, restated, empty, error, in_synthesis):
+    import polyreg.datasets as datasets_mod
+
+    monkeypatch.setattr(datasets_mod, "mask_labels", lambda texts, targets: texts)
+    samples = _edge_samples(restated, empty)
+    if in_synthesis:  # move each restated Tg into the synthesis text
+        for i in restated:
+            samples[i] = dataclasses.replace(samples[i], sample_text="film", synthesis_text=samples[i].sample_text)
+    with pytest.raises(error) as expected:
+        _reference_build(samples, "sample_synthesis", mask=False)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        build_dataset(samples, VARIANTS)
+
+
+def test_an_empty_sample_raises_before_its_own_synthesis_leak(monkeypatch):
+    import polyreg.datasets as datasets_mod
+
+    monkeypatch.setattr(datasets_mod, "mask_labels", lambda texts, targets: texts)
+    samples = [
+        ExtractedSample("s0", "film", "cured 2 h", [_point("s0", _TG, 105.0, "°C")]),
+        ExtractedSample("s1", "  ", "annealed at 105 °C", [_point("s1", _TG, 105.0, "°C")]),
+    ]
+    for variants in VARIANTS + (VARIANTS,):
+        with pytest.raises(EmptySample):
+            build_dataset(samples, variants)
 
 
 def test_an_overflowing_label_leaves_the_prompts_numbers_unmasked():

@@ -27,7 +27,7 @@ from polyreg.records import (
     split_corpus,
     to_canonical,
 )
-from polyreg.registry import default_registry
+from polyreg.registry import default_registry, load_registry
 from polyreg.units import IncompatibleUnit, units_for_dimension, normalize_unit
 
 REG = default_registry()
@@ -331,6 +331,41 @@ def test_unmapped_property_dropped_and_counted():
     samples = extract_document(doc, counters=counters)
     assert samples[0].observations == []
     assert counters.unmapped == 1
+
+
+def _uncached_match_alias(registry):
+    """The left-side walk with no cache: the whole phrase, then ever
+    shorter word suffixes."""
+
+    def walk(phrase):
+        words = phrase.split()
+        for start in range(len(words)):
+            spec = registry.lookup(" ".join(words[start:]))
+            if spec is not None:
+                return spec
+        return None
+
+    return walk
+
+
+def test_cached_left_side_resolution_matches_the_uncached_walk(monkeypatch):
+    doc = (
+        "== SAMPLE s1 ==\nSample: film.\n"
+        + "Measured tensile strength = 50 MPa; shoe size = 42; Tg = 105 °C\n" * 3
+        + "== SAMPLE s2 ==\nSample: film.\n"
+        + "shoe size = 43; measured   Tensile Strength = 52 MPa; tensile strength = 51 MPa\n"
+    )
+    cached = load_registry()
+    counters = ExtractionCounters()
+    got = extract_document(doc, cached, counters)
+    reference = load_registry()
+    monkeypatch.setattr(reference, "match_alias", _uncached_match_alias(reference))
+    want_counters = ExtractionCounters()
+    assert got == extract_document(doc, reference, want_counters)
+    assert counters == want_counters and counters.unmapped == 4  # each unmapped clause counts
+    assert [len(s.observations) for s in got] == [6, 2]
+    info = cached.match_alias.cache_info()
+    assert info.maxsize is not None and info.hits == 6 and info.currsize == 6
 
 
 def test_sample_and_synthesis_blocks_collected():

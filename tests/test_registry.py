@@ -1,10 +1,12 @@
+import copy
+import pickle
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry
+from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry, load_registry
 
 REG = default_registry()
 
@@ -69,6 +71,21 @@ _FOLD_SPECIALS = ["\u00a0", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x1f", 
 @example("\u00a0Tg\u2028 \x1c\x1d\x1e\x1fMELT\x85")
 def test_fold_equals_the_regex_fold(text):
     assert _fold(text) == re.sub(r"\s+", " ", text.strip().lower())
+
+
+def test_match_alias_walks_word_suffixes():
+    reg = load_registry()
+    assert reg.match_alias("Measured tensile strength").name == "tensile_strength"
+    assert reg.match_alias("measured  Glass transition temperature").name == "Tg"
+    assert reg.match_alias("shoe size") is None
+    assert reg.match_alias("   ") is None
+
+
+def test_a_copied_registry_resolves_through_its_own_cache():
+    for copied in (pickle.loads(pickle.dumps(REG)), copy.deepcopy(REG)):
+        assert copied is not REG and [s.name for s in copied] == [s.name for s in REG]
+        assert copied.match_alias("measured Tg").name == "Tg"
+        assert copied.match_alias.__wrapped__.__self__ is copied
 
 
 def test_lookup_empty_alias_rejected():
