@@ -199,12 +199,14 @@ def _usable_cpus() -> int:
 def predict(trained, instances) -> np.ndarray:
     """Canonical-unit predictions (n, 22) for a list of prompt instances.
 
-    The calling thread encodes the instances, then pools and projects each
-    chunk of PREDICT_CHUNK prompts in order.  Each chunk's trunk and heads
-    run with no backward cache (``regressor.infer``) on one of ``workers``
-    threads, one per usable CPU and at most one per chunk: the calling
-    thread runs every ``workers``-th chunk, the last chunk among them, and
-    deals the rest to a pool of ``workers - 1`` threads.  A chunk takes
+    The calling thread encodes the instances in one ``encode`` call (a
+    table of the call's distinct pieces and one id buffer), then pools
+    and projects each chunk of PREDICT_CHUNK prompts in order.  Each
+    chunk's trunk and heads run with no backward cache
+    (``regressor.infer``) on one of ``workers`` threads, one per usable
+    CPU and at most one per chunk: the calling thread runs every
+    ``workers``-th chunk, the last chunk among them, and deals the rest
+    to a pool of ``workers - 1`` threads.  A chunk takes
     the same operations on any thread, so the predictions are those of
     ``PropertyModel.forward`` bitwise at any worker count.  If chunks
     fail, the earliest one's exception is raised.
@@ -291,8 +293,8 @@ def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> Ev
         raise ValueError("evaluate: the instance list is empty")
     registry = registry or default_registry()
     preds = predict(trained, instances)
-    labels = np.stack([i.labels for i in instances])
-    masks = np.stack([i.label_mask for i in instances])
+    labels = np.array([i.labels for i in instances])
+    masks = np.array([i.label_mask for i in instances])
     sigma = sigma_from_rho(trained.model.params["rho"])
     tr = trained.transforms
     heads: list[HeadResult] = []

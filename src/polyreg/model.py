@@ -7,7 +7,6 @@ tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -26,28 +25,35 @@ class Batch:
     token_mask: np.ndarray  # (B, T) bool
 
 
+class _PieceIds(dict):
+    """The bucket-id bytes of each whitespace piece, computed on first use."""
+
+    def __init__(self, vocab_size: int):
+        super().__init__()
+        self.vocab_size = vocab_size
+
+    def __missing__(self, piece: str) -> bytes:
+        ids = self[piece] = enc.bucket_ids(enc.tokenize(piece), self.vocab_size).tobytes()
+        return ids
+
+
 def encode(texts: list[str], vocab_size: int) -> list[np.ndarray]:
     """Bucket ids of each text's tokens, ``bucket_ids(tokenize(t))`` for each t.
 
     No token holds a whitespace character, so a text's tokens are those of
-    its whitespace pieces in order.  Prompts repeat few pieces: each
-    distinct piece of the call is tokenized once, and all of their tokens
-    are hashed in one ``bucket_ids`` call.  Each text is split a second
-    time to gather its ids: holding every piece of a large call at once
-    took more memory than the ids themselves.
+    its whitespace pieces in order.  Prompts repeat few pieces: a table
+    kept for the call tokenizes and hashes each distinct piece once and
+    holds its ids as int64 bytes.  Each text's bytes are joined onto one
+    buffer, and the returned arrays are disjoint, writable views of it.
     """
-    distinct = dict.fromkeys(chain.from_iterable(map(str.split, texts)))
-    tokens = list(map(enc.tokenize, distinct))
-    ids = enc.bucket_ids(list(chain.from_iterable(tokens)), vocab_size).tolist()
-    start = 0
-    for piece, piece_tokens in zip(distinct, tokens):
-        distinct[piece] = ids[start : start + len(piece_tokens)]
-        start += len(piece_tokens)
-    piece_ids = distinct.__getitem__
-    return [
-        np.array(list(chain.from_iterable(map(piece_ids, t.split()))), dtype=np.int64)
-        for t in texts
-    ]
+    piece_ids = _PieceIds(vocab_size).__getitem__
+    buf = bytearray()
+    ends = []
+    for text in texts:
+        buf += b"".join(map(piece_ids, text.split()))
+        ends.append(len(buf) // 8)
+    flat = np.frombuffer(buf, dtype=np.int64)
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def make_batch(id_lists: list[np.ndarray]) -> Batch:

@@ -45,8 +45,8 @@ def fit_label_stats(
     """
     registry = registry or default_registry()
     n = len(instances)
-    labels = np.stack([inst.labels for inst in instances]) if n else np.zeros((0, N_HEADS))
-    masks = np.stack([inst.label_mask for inst in instances]) if n else np.zeros((0, N_HEADS), bool)
+    labels = np.array([inst.labels for inst in instances]) if n else np.zeros((0, N_HEADS))
+    masks = np.array([inst.label_mask for inst in instances]) if n else np.zeros((0, N_HEADS), bool)
     transforms = obj.LabelTransforms()
     targets = np.zeros((n, N_HEADS))
     weights = np.zeros((n, N_HEADS))

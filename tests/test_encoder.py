@@ -172,6 +172,51 @@ def test_encode_keeps_no_state_between_calls():
     assert not np.array_equal(encode(texts, 4096)[0], encode(texts, 65536)[0])
 
 
+_ENCODE_TEXTS = [
+    "[Sample]\nPLA film, Tg [MASKED] °C",
+    "cured 150 minutes at 150 °C",
+    "",
+    "PLA film cured, Tg 2.5e3 Pa",
+    "-- ; --",
+    "[Synthesis]\nPLA film",
+]
+
+
+def test_encode_gives_writable_int64_arrays():
+    for ids in encode(_ENCODE_TEXTS, 4096):
+        assert ids.dtype == np.int64 and ids.ndim == 1
+        assert ids.flags.writeable
+
+
+def test_encode_writing_one_text_leaves_the_others():
+    got = encode(_ENCODE_TEXTS, 4096)
+    want = [ids.copy() for ids in got]
+    for k, ids in enumerate(got):
+        ids[:] = -1
+        for j, other in enumerate(got):
+            if j > k:
+                assert np.array_equal(other, want[j]), (k, j)
+            elif j < k:
+                assert (other == -1).all(), (k, j)
+
+
+def test_encode_one_call_equals_two_calls_over_any_split():
+    whole = encode(_ENCODE_TEXTS, 4096)
+    for cut in range(len(_ENCODE_TEXTS) + 1):
+        parts = encode(_ENCODE_TEXTS[:cut], 4096) + encode(_ENCODE_TEXTS[cut:], 4096)
+        assert len(parts) == len(whole)
+        for a, b in zip(whole, parts):
+            assert a.dtype == b.dtype and np.array_equal(a, b), cut
+
+
+def test_encode_text_of_tokenless_pieces_is_empty_in_the_middle_of_a_call():
+    texts = ["Tg 105 °C", "-- ; ,,", "PLA film"]
+    got = encode(texts, 4096)
+    assert got[1].dtype == np.int64 and got[1].shape == (0,)
+    assert np.array_equal(got[0], bucket_ids(tokenize(texts[0]), 4096))
+    assert np.array_equal(got[2], bucket_ids(tokenize(texts[2]), 4096))
+
+
 # ---- embedding lookup -----------------------------------------------------
 
 
