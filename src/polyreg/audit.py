@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .lines import read_lines
 from .units import normalize_unit
 
 
@@ -96,31 +97,15 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
 def read_records(path) -> list[AuditRecord]:
     """Records of an audit file; a malformed row, a non-finite value or a
     repeated record_id raises ``ValueError`` naming the file and the line."""
-    records = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("record_id"):
-            raise ValueError(f"{path}: missing audit header row")
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            rid, sid, head, value, unit = parts
-            if rid in seen:
-                raise ValueError(f"{path}:{lineno}: record_id {rid!r} appears a second time")
-            seen.add(rid)
-            try:
-                value = float(value)
-                if not math.isfinite(value):  # it could never match, not even itself
-                    raise ValueError(f"value {value!r} is not finite")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            records.append(AuditRecord(rid, sid, head, value, unit))
-    return records
+    return read_lines(path, _record, header="record_id", columns=5, key="record_id")
+
+
+def _record(parts: list[str]) -> tuple[str, AuditRecord]:
+    rid, sid, head, value, unit = parts
+    value = float(value)
+    if not math.isfinite(value):  # it could never match, not even itself
+        raise ValueError(f"value {value!r} is not finite")
+    return rid, AuditRecord(rid, sid, head, value, unit)
 
 
 def bundled_fixture_paths():

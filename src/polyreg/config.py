@@ -5,8 +5,8 @@ may configure several dataclasses at once (the CLI reads the corpus's
 ``SynthConfig`` and the ``TrainConfig`` from one file).  Each key is
 routed by field name; a key can also name its section, as in
 ``synth.n_docs``.  A key that no section has is an error that names the
-key and the file, so a misspelled key never falls back silently to a
-default.
+key, the file and the line, so a misspelled key never falls back
+silently to a default.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .lines import read_lines
 from .prompts import VARIANTS
 
 POOLING_MODES = ("mean", "attention")
@@ -117,30 +118,32 @@ def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
     A plain key goes to every section whose dataclass has a field of that
     name, so a shared field such as ``seed`` reaches them all;
     ``<section>.<key>`` goes to that section alone.  Text after ``#`` is a
-    comment.  Unknown keys, lines without ``=``, unparsable values and
-    values no section's dataclass accepts raise ``ValueError`` naming the
-    file.
+    comment.  Unknown keys, lines without ``=`` and unparsable values
+    raise ``ValueError`` naming the file and the line, and values no
+    section's dataclass accepts raise it naming the file.
     """
     known = {name: {f.name: f.type for f in fields(cls)} for name, cls in sections.items()}
     values: dict[str, dict] = {name: {} for name in sections}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            section, _, name = key.rpartition(".")
-            targets = [section] if section else list(sections)
-            hits = [s for s in targets if name in known.get(s, {})]
-            if not hits:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            for s in hits:
-                try:
-                    values[s][name] = _PARSERS[known[s][name]](raw)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
+
+    def assign(line: str) -> None:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            return
+        if "=" not in line:
+            raise ValueError(f"expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        section, _, name = key.rpartition(".")
+        targets = [section] if section else list(sections)
+        hits = [s for s in targets if name in known.get(s, {})]
+        if not hits:
+            raise ValueError(f"unknown config key {key!r}")
+        for s in hits:
+            try:
+                values[s][name] = _PARSERS[known[s][name]](raw)
+            except ValueError:
+                raise ValueError(f"bad value {raw!r} for {key!r}") from None
+
+    read_lines(path, assign)
     for name, cls in sections.items():
         try:
             cls(**values[name])

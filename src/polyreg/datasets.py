@@ -13,6 +13,7 @@ from operator import add
 
 import numpy as np
 
+from .lines import read_lines
 from .records import ExtractedSample, finite_label
 from .prompts import VARIANTS, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
@@ -166,28 +167,11 @@ def save_dataset(instances: list[PromptInstance], path) -> None:
 def load_dataset(path) -> list[PromptInstance]:
     """Read save_dataset's file.  A malformed row, or one whose sample_id
     an earlier row holds, raises a ValueError naming its line."""
-    instances = []
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("sample_id\tvariant\ttext"):
-            raise ValueError(f"{path}: not a prompt dataset file")
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 + N_HEADS:
-                raise ValueError(f"{path}:{lineno}: expected {3 + N_HEADS} columns, got {len(parts)}")
-            sid, variant, text = parts[0], parts[1], _unescape(parts[2])
-            if sid in first_line:
-                raise ValueError(f"{path}:{lineno}: sample_id {sid!r} repeats line {first_line[sid]}")
-            first_line[sid] = lineno
-            slots = parts[3:]
-            mask = [slot != "NA" for slot in slots]
-            try:
-                labels = [finite_label(float(slot)) if present else np.nan for slot, present in zip(slots, mask)]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            instances.append(PromptInstance(sid, variant, text, labels, mask))
-    return instances
+    return read_lines(path, _instance, header="sample_id\tvariant\ttext", columns=3 + N_HEADS, key="sample_id")
+
+
+def _instance(parts: list[str]) -> tuple[str, PromptInstance]:
+    sid, variant, text, *slots = parts
+    mask = [slot != "NA" for slot in slots]
+    labels = [finite_label(float(slot)) if present else np.nan for slot, present in zip(slots, mask)]
+    return sid, PromptInstance(sid, variant, _unescape(text), labels, mask)

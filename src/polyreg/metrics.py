@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import regressor as reg
+from .lines import read_lines
 from .model import encode, make_batch
 from .objective import sigma_from_rho
 from .records import _NUM_RE, ParseFailure, parse_quantity
@@ -341,30 +342,22 @@ def score_prediction_file(
     """
     registry = registry or default_registry()
     by_sample = {inst.sample_id: inst for inst in instances}
-    parsed: dict[tuple[str, int], float | None] = {}  # by (sample_id, head_id)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.lower().startswith("sample_id"):
-            raise ValueError(f"{path}: missing prediction header")
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3 or not parts[1].strip():
-                raise ValueError(f"{path}:{lineno}: expected sample_id, head, response; got {line!r}")
-            sid, head_name, response = parts
-            spec = registry.lookup(head_name)
-            if spec is None:
-                raise ValueError(f"{path}:{lineno}: unknown head {head_name!r}")
-            if sid not in by_sample:
-                raise ValueError(f"{path}:{lineno}: sample {sid!r} is not in the dataset")
-            if (sid, spec.head_id) in parsed:
-                raise ValueError(f"{path}:{lineno}: a second response for {sid!r}, {spec.name}")
-            parsed[sid, spec.head_id] = strict_numeric_parse(response, spec)
+
+    def response(line: str):
+        parts = line.split("\t", 2)
+        if len(parts) != 3 or not parts[1].strip():
+            raise ValueError(f"expected sample_id, head, response; got {line!r}")
+        sid, head_name, text = parts
+        spec = registry.lookup(head_name)
+        if spec is None:
+            raise ValueError(f"unknown head {head_name!r}")
+        if sid not in by_sample:
+            raise ValueError(f"sample {sid!r} is not in the dataset")
+        return (sid, spec.name), (by_sample[sid], spec.head_id, strict_numeric_parse(text, spec))
+
+    parsed = read_lines(path, response, header="sample_id", key="sample_id and head")
     values: dict[int, list[tuple[float, float]]] = {}
-    for (sid, t), value in parsed.items():
-        inst = by_sample[sid]
+    for inst, t, value in parsed:
         if value is not None and inst.label_mask[t]:
             values.setdefault(t, []).append((inst.labels[t], value))
     heads = [
@@ -372,6 +365,6 @@ def score_prediction_file(
         for t, pairs in sorted(values.items())
         if len(pairs) >= MIN_HEAD_N
     ]
-    kept = sum(value is not None for value in parsed.values())
+    kept = sum(value is not None for _, _, value in parsed)
     retention = kept / len(parsed) if parsed else 0.0
     return _macro_report(heads), retention

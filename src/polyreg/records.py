@@ -16,6 +16,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
+from .lines import read_lines
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
 
@@ -378,38 +379,29 @@ def _span(value) -> tuple[int, int]:
 def load_extracted(path) -> list[ExtractedSample]:
     """Read save_extracted's file.  A malformed line, or one whose sample_id
     an earlier line holds, raises a ValueError naming it."""
-    samples = []
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                sample_id = _text(row, "sample_id")
-                if sample_id in first_line:
-                    raise ValueError(f"sample_id {sample_id!r} repeats line {first_line[sample_id]}")
-                first_line[sample_id] = lineno
-                samples.append(
-                    ExtractedSample(
-                        sample_id=sample_id,
-                        sample_text=_text(row, "sample_text"),
-                        synthesis_text=_text(row, "synthesis_text"),
-                        observations=[
-                            PropertyObservation(
-                                sample_id=sample_id,
-                                head_id=_head_id(o["head_id"]),
-                                quantity=_quantity(o),
-                                canonical_value=_canonical_value(o["canonical_value"]),
-                                source_span=_span(o["span"]),
-                            )
-                            for o in _observations(row["observations"])
-                        ],
-                    )
+    return read_lines(path, _sample, key="sample_id")
+
+
+def _sample(line: str) -> tuple[str, ExtractedSample]:
+    try:
+        row = json.loads(line)
+        sample_id = _text(row, "sample_id")
+        return sample_id, ExtractedSample(
+            sample_id=sample_id,
+            sample_text=_text(row, "sample_text"),
+            synthesis_text=_text(row, "synthesis_text"),
+            observations=[
+                PropertyObservation(
+                    sample_id=sample_id,
+                    head_id=_head_id(o["head_id"]),
+                    quantity=_quantity(o),
+                    canonical_value=_canonical_value(o["canonical_value"]),
+                    source_span=_span(o["span"]),
                 )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError, ParseFailure) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return samples
+                for o in _observations(row["observations"])
+            ],
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
+    except (TypeError, ParseFailure) as exc:
+        raise ValueError(str(exc)) from exc

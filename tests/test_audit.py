@@ -107,6 +107,7 @@ def test_read_records_requires_header(tmp_path):
         ("r1\ts1\tTg\tabc\t°C", "could not convert string to float: 'abc'"),
         ("r1\ts1\tTg", "expected 5 columns, got 3"),
         ("r1\ts1\tTg\t100\t°C\tx", "expected 5 columns, got 6"),
+        ("\t\t\t", "expected 5 columns, got 4"),
         # a nan record can never match, not even itself
         ("r1\ts1\tTg\tnan\t°C", "value nan is not finite"),
         ("r1\ts1\tTg\t-Infinity\t°C", "value -inf is not finite"),
@@ -125,6 +126,6 @@ def test_read_records_rejects_a_repeated_record_id(tmp_path):
     path = tmp_path / "gold.tsv"
     rows = ["record_id\tsample_id\thead\tvalue\tunit", "r0\ts0\tTg\t100\t°C", "r1\ts1\tTg\t120\t°C", "r0\ts2\tTm\t150\t°C"]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="record_id 'r0' appears a second time") as err:
+    with pytest.raises(ValueError, match="record_id 'r0' repeats line 2") as err:
         read_records(path)
     assert str(err.value).startswith(f"{path}:4: ")

@@ -284,7 +284,7 @@ def test_retention_counts_every_parsed_response(tmp_path):
     [
         ("s2\tboiling point\t99", "unknown head 'boiling point'"),
         ("s9\tTg\t99", "sample 's9' is not in the dataset"),
-        ("s1\tglass transition temperature\t500", "a second response for 's1', Tg"),
+        ("s1\tglass transition temperature\t500", r"sample_id and head \('s1', 'Tg'\) repeats line 2"),
     ],
 )
 def test_score_prediction_file_rejects_a_line_the_dataset_cannot_match(tmp_path, bad, message):

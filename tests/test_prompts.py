@@ -587,6 +587,7 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         (lambda line: line.replace("\tNA", "\tabc", 1), "could not convert string to float: 'abc'"),
         (lambda line: line.rsplit("\t", 1)[0], "expected 25 columns, got 24"),
         (lambda line: "s9", "expected 25 columns, got 1"),
+        (lambda line: "\t\t", "expected 25 columns, got 3"),
         (lambda line: line.replace("\tNA", "\tinf", 1), "label inf is not finite"),
         (lambda line: line.replace("\tNA", "\t-Infinity", 1), "label -inf is not finite"),
         (lambda line: line.replace("\tNA", "\tnan", 1), "label nan is not finite"),
@@ -596,6 +597,7 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         "non_numeric_label",
         "missing_slot",
         "one_column",
+        "tabs_only",
         "infinite_label",
         "negative_infinite_label",
         "nan_label",

@@ -473,6 +473,8 @@ def _record_line(**changes):
         ),
         ('{"observations": [], "sample_id": "s2", "sample_text": "PS"}', "missing field 'synthesis_text'"),
         ('["s2"]', "list indices must be integers"),
+        # only an empty line is skipped: a line of whitespace is a line like any other
+        (" \t ", "Expecting value: line 1 column 4 (char 3)"),
         (
             '{"observations": [{"bound": null, "canonical_value": Infinity, "direction": null, '
             '"head_id": 6, "hi": null, "kind": "point", "lo": null, "span": [0, 9], '
@@ -524,6 +526,7 @@ def _record_line(**changes):
         "observation_missing_fields",
         "sample_missing_field",
         "not_an_object",
+        "whitespace_only_line",
         "infinite_label",
         "overflowing_label",
         "negative_head_id",
