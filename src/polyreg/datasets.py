@@ -172,6 +172,8 @@ def load_dataset(path) -> list[PromptInstance]:
 
 def _instance(parts: list[str]) -> tuple[str, PromptInstance]:
     sid, variant, text, *slots = parts
+    if variant not in VARIANTS:
+        raise ValueError(f"variant {variant!r} is not one of {', '.join(VARIANTS)}")
     mask = [slot != "NA" for slot in slots]
     labels = [finite_label(float(slot)) if present else np.nan for slot, present in zip(slots, mask)]
     return sid, PromptInstance(sid, variant, _unescape(text), labels, mask)

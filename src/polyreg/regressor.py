@@ -9,12 +9,57 @@ the GELU derivative from it, so a training step calls erf once per block.
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+
 import numpy as np
-# Eager on purpose: imported on first use, its 0.25 s lands in train (default_vocab 14,302 -> 9,534 samples/s).
-from scipy.special import erf
 
 from .config import TrainConfig
 from .registry import N_HEADS
+
+_UFUNCS = "scipy.special._special_ufuncs"
+
+
+def _load_ufuncs():
+    """scipy's ``special._special_ufuncs`` extension loaded on its own, or
+    None where scipy has no such file.
+
+    Importing ``scipy.special`` for erf would also load scipy's own
+    OpenBLAS and about 300 modules, several times the cost of this
+    extension, which needs only numpy.
+    """
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    special = os.path.join(scipy_spec.submodule_search_locations[0], "special")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(special, "_special_ufuncs" + suffix)
+        if os.path.isfile(path):
+            spec = spec_from_file_location(_UFUNCS, path, loader=ExtensionFileLoader(_UFUNCS, path))
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # the interpreter files a single-phase extension in sys.modules;
+            # taken out, a later scipy.special import loads it as its own
+            sys.modules.pop(_UFUNCS, None)
+            return module
+    return None
+
+
+def _load_erf():
+    """scipy's erf ufunc: the object ``scipy.special.erf`` names, from
+    ``scipy.special`` itself only where scipy keeps erf elsewhere."""
+    module = sys.modules.get(_UFUNCS) or _load_ufuncs()
+    if hasattr(module, "erf"):
+        return module.erf
+    from scipy.special import erf
+
+    return erf
+
+
+# Eager on purpose: a lazy scipy.special import moved its 0.25 s into train (default_vocab 14,302 -> 9,534 samples/s).
+erf = _load_erf()
 
 BOTTLENECK_DIM = 128
 LN_EPS = 1e-5

@@ -112,7 +112,11 @@ def train(
     registry: PropertyRegistry | None = None,
 ) -> TrainedModel:
     """Run the training loop and return the trained model plus loss trace.
-    Raises ``ValueError`` if no instance has a usable label."""
+    Raises ``ValueError`` if an instance's variant is not ``cfg.variant`` or
+    no instance has a usable label."""
+    wrong = next((inst.variant for inst in instances if inst.variant != cfg.variant), None)
+    if wrong is not None:
+        raise ValueError(f"train: an instance has variant {wrong!r}, but the config trains {cfg.variant!r}")
     registry = registry or default_registry()
     model = PropertyModel(cfg)
     transforms, targets, masks, weights = fit_label_stats(instances, registry)

@@ -592,6 +592,10 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         (lambda line: line.replace("\tNA", "\t-Infinity", 1), "label -inf is not finite"),
         (lambda line: line.replace("\tNA", "\tnan", 1), "label nan is not finite"),
         (lambda line: "s1" + line[2:], "sample_id 's1' repeats line 2"),
+        (
+            lambda line: line.replace("\tsample_synthesis\t", "\tbanana\t", 1),
+            "variant 'banana' is not one of sample_synthesis, sample_only",
+        ),
     ],
     ids=[
         "non_numeric_label",
@@ -602,6 +606,7 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
         "negative_infinite_label",
         "nan_label",
         "repeated_sample_id",
+        "unknown_variant",
     ],
 )
 def test_load_dataset_names_file_and_line_of_a_malformed_row(tmp_path, corrupt, message):
@@ -652,7 +657,7 @@ _labels = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_ids, _ids, st.text(), _labels), max_size=4, unique_by=lambda row: row[0]))
+@given(st.lists(st.tuples(_ids, st.sampled_from(VARIANTS), st.text(), _labels), max_size=4, unique_by=lambda row: row[0]))
 def test_dataset_file_round_trip(tmp_path_factory, rows):
     instances = [
         PromptInstance(sid, variant, text, [np.nan if v is None else v for v in slots], [v is not None for v in slots])

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.special
 
+from polyreg import regressor
 from polyreg.config import TrainConfig
 from polyreg.regressor import (
     BOTTLENECK_DIM,
@@ -47,6 +51,19 @@ def test_gelu_grad_matches_finite_difference():
     eps = 1e-6
     numeric = (_gelu(x + eps) - _gelu(x - eps)) / (2 * eps)
     assert np.allclose(gelu_grad(x, gelu_cdf(x)), numeric, atol=1e-8)
+
+
+def test_erf_matches_scipy_special_bitwise():
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310]
+    edge += [1e-300, -1e-300, 6.0, -6.0, 30.0, -30.0]
+    x = np.concatenate([edge, np.random.default_rng(29).normal(0.0, 3.0, size=10_000)])
+    assert regressor.erf(x).tobytes() == scipy.special.erf(x).tobytes()
+
+
+def test_erf_falls_back_to_scipy_special_when_the_extension_is_not_found(monkeypatch):
+    monkeypatch.delitem(sys.modules, regressor._UFUNCS, raising=False)
+    monkeypatch.setattr(regressor, "EXTENSION_SUFFIXES", [])
+    assert regressor._load_erf() is scipy.special.erf
 
 
 # ---- layer norm -----------------------------------------------------------

@@ -49,7 +49,7 @@ def _instance(sid, text, values: dict):
     for head, value in values.items():
         labels[head] = value
         mask[head] = True
-    return PromptInstance(sid, "sample_only", text, labels, mask)
+    return PromptInstance(sid, "sample_synthesis", text, labels, mask)
 
 
 def _toy_dataset(n=12, seed=0):
@@ -353,11 +353,20 @@ def test_train_rejects_instances_with_no_usable_label():
     with pytest.raises(ValueError, match="none of the 0 instances has a usable label"):
         train(_small_cfg(epochs=0), [])
     unusable = [
-        PromptInstance("s0", "sample_only", "x", none, np.ones(N_HEADS, bool)),
-        PromptInstance("s1", "sample_only", "x", nonpositive, only_log_heads),
+        PromptInstance("s0", "sample_synthesis", "x", none, np.ones(N_HEADS, bool)),
+        PromptInstance("s1", "sample_synthesis", "x", nonpositive, only_log_heads),
     ]
     with pytest.raises(ValueError, match="none of the 2 instances has a usable label"):
         train(_small_cfg(epochs=0), unusable)
+
+
+def test_train_rejects_instances_of_another_variant():
+    wrong = PromptInstance("s9", "sample_only", "x", np.full(N_HEADS, np.nan), np.zeros(N_HEADS, bool))
+    message = "an instance has variant 'sample_only', but the config trains 'sample_synthesis'"
+    # checked before any work: alone, ``wrong`` would fail the usable-label check
+    for instances in ([wrong], _toy_dataset() + [wrong]):
+        with pytest.raises(ValueError, match=message):
+            train(_small_cfg(), instances)
 
 
 def test_loss_trace_roughly_decreases():
