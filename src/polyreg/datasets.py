@@ -7,6 +7,7 @@ with newlines in the prompt escaped and ``NA`` as the missing marker.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from operator import add
@@ -90,7 +91,12 @@ def build_dataset(
                     per_head.setdefault(obs.head_id, []).append(obs.canonical_value)
             for head_id, head_values in per_head.items():
                 # np.mean of one value is that value, at many times the cost
-                labels[head_id] = head_values[0] if len(head_values) == 1 else np.mean(head_values)
+                label = head_values[0] if len(head_values) == 1 else np.mean(head_values)
+                if not math.isfinite(label):  # two finite values can sum past the float range
+                    raise ValueError(
+                        f"sample {sample.sample_id!r}: head {head_id} label {float(label)!r} is not finite"
+                    )
+                labels[head_id] = label
                 mask[head_id] = True
             rows.append((labels, mask))
             counts.append(len(heads) - before)
@@ -148,11 +154,21 @@ def _unescape(text: str) -> str:
 
 def save_dataset(instances: list[PromptInstance], path) -> None:
     """Write instances as TSV; ids and variants must be free of tabs and
-    newlines, which the format does not escape outside the prompt text."""
+    newlines, which the format does not escape outside the prompt text, and
+    a present label must be finite, as load_dataset requires."""
     for inst in instances:
         for name, value in (("sample_id", inst.sample_id), ("variant", inst.variant)):
             if "\t" in value or "\n" in value or "\r" in value:
                 raise ValueError(f"{path}: {name} {value!r} contains a tab or a newline")
+    for start in range(0, len(instances), PROMPT_BLOCK):
+        block = instances[start : start + PROMPT_BLOCK]
+        labels = np.array([inst.labels for inst in block])
+        bad = np.array([inst.label_mask for inst in block]) & ~np.isfinite(labels)
+        if bad.any():
+            row, head = np.argwhere(bad)[0]
+            raise ValueError(
+                f"{path}: sample {block[row].sample_id!r}: label_{head} {float(labels[row, head])!r} is not finite"
+            )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         heads = "\t".join(f"label_{i}" for i in range(N_HEADS))
         fh.write(f"sample_id\tvariant\ttext\t{heads}\n")

@@ -563,6 +563,41 @@ def test_save_dataset_rejects_tab_or_newline_in_ids(tmp_path, field, bad):
     assert not path.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_build_dataset_rejects_a_mean_that_overflows():
+    # each observation is finite; their mean is not
+    big = Quantity(kind="point", value=1.7e308, unit="MPa")
+    sample = ExtractedSample(
+        "s1", "PS film", "", [PropertyObservation("s1", 5, big, 1.7e308), PropertyObservation("s1", 5, big, 1.7e308)]
+    )
+    with pytest.raises(ValueError, match=re.escape("sample 's1': head 5 label inf is not finite")):
+        build_dataset([sample], "sample_only")
+    # one such value on its own is a label, and saves as it did
+    instances = build_dataset([dataclasses.replace(sample, observations=sample.observations[:1])], "sample_only")
+    assert instances[0].labels[5] == 1.7e308
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_save_dataset_rejects_a_present_non_finite_label(tmp_path, bad):
+    labels = np.full(N_HEADS, np.nan)
+    labels[[2, 7]] = [1.0, 3.0]
+    # the bad label sits in the second block of PROMPT_BLOCK instances
+    instances = [
+        PromptInstance(f"s{i}", "sample_only", "text", labels.copy(), ~np.isnan(labels))
+        for i in range(PROMPT_BLOCK + 3)
+    ]
+    instances[-2].labels[7] = bad
+    path = tmp_path / "ds.tsv"
+    message = f"{path}: sample 's{PROMPT_BLOCK + 1}': label_7 {float(bad)!r} is not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(instances, path)
+    assert not path.exists()
+    # an unobserved slot may hold anything
+    instances[-2].label_mask[7] = False
+    save_dataset(instances, path)
+    assert len(load_dataset(path)) == PROMPT_BLOCK + 3
+
+
 def test_save_dataset_formats_labels_as_numpy_scalars_do(tmp_path):
     labels = np.full(N_HEADS, np.nan)
     labels[:6] = [0.1, -0.0, 5e-324, 1e-300, 1.7e308, 105.0]

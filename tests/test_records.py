@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 import pickle
@@ -472,7 +474,8 @@ def _record_line(**changes):
             "missing field 'kind'",
         ),
         ('{"observations": [], "sample_id": "s2", "sample_text": "PS"}', "missing field 'synthesis_text'"),
-        ('["s2"]', "list indices must be integers"),
+        ('["s2"]', "expected a JSON object, got list"),
+        ("5", "expected a JSON object, got int"),
         # only an empty line is skipped: a line of whitespace is a line like any other
         (" \t ", "Expecting value: line 1 column 4 (char 3)"),
         (
@@ -526,6 +529,7 @@ def _record_line(**changes):
         "observation_missing_fields",
         "sample_missing_field",
         "not_an_object",
+        "number_line",
         "whitespace_only_line",
         "infinite_label",
         "overflowing_label",
@@ -572,16 +576,92 @@ def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line
         load_extracted(path)
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# ---- the line writer against the JSON encoder -----------------------------
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _encoder_lines(samples):
+    """The file as json.JSONEncoder(sort_keys=True) writes each sample's
+    dict layout, one line per sample: the writer's byte oracle."""
+    return "".join(
+        _ENCODER.encode(
+            {
+                "sample_id": s.sample_id,
+                "sample_text": s.sample_text,
+                "synthesis_text": s.synthesis_text,
+                "observations": [
+                    dict(
+                        dataclasses.asdict(o.quantity),
+                        head_id=o.head_id,
+                        canonical_value=o.canonical_value,
+                        span=list(o.source_span),
+                    )
+                    for o in s.observations
+                ],
+            }
+        )
+        + "\n"
+        for s in samples
+    )
+
+
+def _assert_writes_the_encoders_bytes(samples, path):
+    save_extracted(samples, path)
+    assert path.read_bytes() == _encoder_lines(samples).encode("utf-8")
+    assert load_extracted(path) == samples
+
+
+def test_writer_matches_the_encoder_on_an_extracted_corpus(tmp_path):
+    from polyreg.corpus import SynthConfig, gen_corpus
+
+    samples, _ = extract_corpus(gen_corpus(SynthConfig(seed=0, n_docs=2500, obs_prob=0.5), REG).text, REG)
+    assert sum(len(s.observations) for s in samples) > 5000
+    _assert_writes_the_encoders_bytes(samples, tmp_path / "obs.jsonl")
+
+
+_AWKWARD = 'a°b² "q" \\ back\x00\x01\x1f\x7f\t\n\r\u2028 é 😀'
+
+
+def test_writer_matches_the_encoder_on_crafted_records(tmp_path):
+    observations = [
+        PropertyObservation(_AWKWARD, 0, Quantity(kind="point", value=105.0, unit="°C"), 105.0, (4, 10)),
+        PropertyObservation(_AWKWARD, 1, Quantity(kind="point", value=5, unit=None), 5, (0, 0)),
+        PropertyObservation(_AWKWARD, 2, Quantity(kind="point", value=5.0, unit="m²"), 5.0),
+        PropertyObservation(_AWKWARD, 3, Quantity(kind="point", value=-0.0, unit=_AWKWARD), -0.0),
+        PropertyObservation(_AWKWARD, 4, Quantity(kind="point", value=5e-324), 5e-324),
+        PropertyObservation(_AWKWARD, 5, Quantity(kind="range", lo=-1e300, hi=1e300, unit="MPa"), 0.0, (1, 2)),
+        PropertyObservation(_AWKWARD, 21, Quantity(kind="range", lo=1, hi=2), 1.5, (7, 3)),
+        PropertyObservation(_AWKWARD, 6, Quantity(kind="limit", bound=2.5, direction="greater", unit="GPa"), None),
+        PropertyObservation(_AWKWARD, 7, Quantity(kind="limit", bound=-3, direction=None), None, (10**6, 0)),
+        PropertyObservation(_AWKWARD, 8, Quantity("point", 1.0, 0.5, 2.0, 3.0, "less", "K"), 1.0),
+    ]
+    samples = [
+        ExtractedSample(_AWKWARD, _AWKWARD, _AWKWARD, observations),
+        ExtractedSample("empty"),
+        ExtractedSample('"', "\\", "\x00", [dataclasses.replace(observations[0], sample_id='"')]),
+    ]
+    _assert_writes_the_encoders_bytes(samples, tmp_path / "obs.jsonl")
+    _assert_writes_the_encoders_bytes([], tmp_path / "none.jsonl")
+    assert (tmp_path / "none.jsonl").read_bytes() == b""
+
+
+_numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**20), 10**20)
 _text = st.text(max_size=12)
 _quantities = st.one_of(
-    st.builds(Quantity, kind=st.just("point"), value=_finite, unit=st.none() | _text),
-    st.tuples(_finite, _finite).filter(lambda p: p[0] < p[1]).map(
-        lambda p: Quantity(kind="range", lo=p[0], hi=p[1], unit="MPa")
-    ),
     st.builds(
-        Quantity, kind=st.just("limit"), bound=_finite, direction=st.sampled_from(["greater", "less"]), unit=_text
+        Quantity,
+        kind=st.just("point"),
+        value=_numbers,
+        lo=st.none() | _numbers,
+        bound=st.none() | _numbers,
+        direction=st.none() | _text,
+        unit=st.none() | _text,
     ),
+    st.tuples(_numbers, _numbers, st.none() | _text).filter(lambda p: p[0] < p[1]).map(
+        lambda p: Quantity(kind="range", lo=p[0], hi=p[1], unit=p[2])
+    ),
+    st.builds(Quantity, kind=st.just("limit"), bound=_numbers, direction=st.none() | _text, unit=_text),
 )
 
 
@@ -595,8 +675,8 @@ def _samples(draw):
                 sample_id=st.just(sid),
                 head_id=st.integers(0, 21),
                 quantity=_quantities,
-                canonical_value=st.none() | _finite,
-                source_span=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                canonical_value=st.none() | _numbers,
+                source_span=st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)),
             ),
             max_size=4,
         )
@@ -604,9 +684,202 @@ def _samples(draw):
     return ExtractedSample(sid, draw(st.text()), draw(st.text()), observations)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(_samples(), max_size=4, unique_by=lambda s: s.sample_id))
 def test_extracted_file_round_trip_over_every_quantity_kind(tmp_path_factory, samples):
-    path = tmp_path_factory.mktemp("extracted") / "obs.jsonl"
-    save_extracted(samples, path)
-    assert load_extracted(path) == samples
+    # ints beside floats, and fields a parsed quantity of the kind leaves None
+    _assert_writes_the_encoders_bytes(samples, tmp_path_factory.mktemp("extracted") / "obs.jsonl")
+
+
+# ---- what the writer refuses ----------------------------------------------
+
+
+def _point(value=2.0, **changes):
+    obs = PropertyObservation("s2", 6, Quantity(kind="point", value=value, unit="GPa"), 2000.0, (0, 9))
+    return dataclasses.replace(obs, **changes)
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (ExtractedSample("s2", observations=[_point(float("nan"))]), "value nan is not a finite number or null"),
+        (ExtractedSample("s2", observations=[_point(float("inf"))]), "value inf is not a finite number or null"),
+        (
+            ExtractedSample("s2", observations=[_point(quantity=Quantity(kind="range", lo=-math.inf, hi=1.0))]),
+            "lo -inf is not a finite number or null",
+        ),
+        (
+            ExtractedSample("s2", observations=[_point(quantity=Quantity(kind="range", lo=1.0, hi=math.inf))]),
+            "hi inf is not a finite number or null",
+        ),
+        (
+            ExtractedSample("s2", observations=[_point(quantity=Quantity(kind="limit", bound=-math.inf))]),
+            "bound -inf is not a finite number or null",
+        ),
+        (
+            ExtractedSample("s2", observations=[_point(), _point(canonical_value=math.nan)]),
+            "canonical_value nan is not a finite number or null",
+        ),
+        (ExtractedSample("s2", observations=[_point(True)]), "value True is not a finite number or null"),
+        (
+            ExtractedSample("s2", observations=[_point(np.float64(2.0))]),
+            f"value {np.float64(2.0)!r} is not a finite number or null",
+        ),
+        (ExtractedSample("s2", observations=[_point(head_id=22)]), "head_id 22 is not an int in 0..21"),
+        (ExtractedSample("s2", observations=[_point(source_span=(0, 9, 1))]), "span (0, 9, 1) is not two ints"),
+        (
+            ExtractedSample("s2", observations=[_point(quantity=Quantity(kind="cube", unit=5))]),
+            "quantity kind 'cube' is not one of point, range, limit",
+        ),
+        (
+            ExtractedSample("s2", observations=[_point(quantity=Quantity(kind="point", value=1.0, unit=b"K"))]),
+            "unit b'K' is not a string or null",
+        ),
+        (ExtractedSample(7), "sample_id 7 is not a string"),
+        (ExtractedSample("s2", sample_text=None), "sample_text None is not a string"),
+        (ExtractedSample("s2", synthesis_text=b"x"), "synthesis_text b'x' is not a string"),
+    ],
+    ids=[
+        "nan_value",
+        "infinite_value",
+        "infinite_lo",
+        "infinite_hi",
+        "infinite_bound",
+        "nan_canonical_value",
+        "bool_value",
+        "numpy_value",
+        "head_id_past_the_last_head",
+        "three_int_span",
+        "unknown_kind",
+        "bytes_unit",
+        "int_sample_id",
+        "null_sample_text",
+        "bytes_synthesis_text",
+    ],
+)
+def test_save_extracted_refuses_what_load_extracted_would_before_writing(tmp_path, sample, message):
+    path = tmp_path / "obs.jsonl"
+    path.write_text("kept\n")
+    samples = [ExtractedSample("s1", "PS film", "cast at 80 °C", [_point(sample_id="s1")]), sample]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample {sample.sample_id!r}: {message}")):
+        save_extracted(samples, path)
+    assert path.read_text() == "kept\n"
+
+
+# ---- the records' __init__ ------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceQuantity:
+    kind: str
+    value: float | None = None
+    lo: float | None = None
+    hi: float | None = None
+    bound: float | None = None
+    direction: str | None = None
+    unit: str | None = None
+
+    def __post_init__(self):
+        if self.kind == "range" and not self.lo < self.hi:
+            raise ParseFailure(f"range requires lo < hi, got {self.lo}..{self.hi}")
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceObservation:
+    sample_id: str
+    head_id: int
+    quantity: object
+    canonical_value: float | None
+    source_span: tuple[int, int] = (0, 0)
+
+
+_QUANTITY_CALLS = [
+    (("point",), {}),
+    (("point", 1.5), {"unit": "MPa"}),
+    ((), {"kind": "limit", "bound": 3, "direction": "less"}),
+    (("range", None, 1.0, 2.0, None, None, "K"), {}),
+    (("range",), {"lo": -0.0, "hi": 5e-324}),
+    (("point", 1.5, None, None, None, None, "MPa"), {}),
+]
+
+
+def _pairs(reference, record, calls):
+    return [(reference(*args, **kwargs), record(*args, **kwargs)) for args, kwargs in calls]
+
+
+def _assert_like_the_reference(pairs):
+    for ref, rec in pairs:
+        assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
+        assert hash(rec) == hash(ref)
+        assert repr(rec).partition("(")[2] == repr(ref).partition("(")[2]
+    for (ref_a, rec_a), (ref_b, rec_b) in itertools.product(pairs, repeat=2):
+        assert (rec_a == rec_b) == (ref_a == ref_b)
+
+
+def test_record_init_sets_what_the_generated_init_sets():
+    quantities = _pairs(_ReferenceQuantity, Quantity, _QUANTITY_CALLS)
+    _assert_like_the_reference(quantities)
+    assert [q.unit for _, q in quantities] == [None, "MPa", None, "K", None, "MPa"]
+    q = quantities[1][1]
+    observation_calls = [
+        (("s1", 3, q, 1.5), {}),
+        (("s1", 3, q, 1.5, (2, 9)), {}),
+        ((), {"sample_id": "s1", "head_id": 3, "quantity": q, "canonical_value": 1.5, "source_span": (0, 0)}),
+        (("s2",), {"head_id": 0, "quantity": q, "canonical_value": None}),
+    ]
+    observations = _pairs(_ReferenceObservation, PropertyObservation, observation_calls)
+    assert all(rec.quantity is q for _, rec in observations)
+    _assert_like_the_reference(observations)
+    for record, reference in ((Quantity, _ReferenceQuantity), (PropertyObservation, _ReferenceObservation)):
+        params = inspect.signature(record).parameters
+        ref_params = inspect.signature(reference).parameters
+        assert [(p.name, p.kind, p.default) for p in params.values()] == [
+            (p.name, p.kind, p.default) for p in ref_params.values()
+        ]
+
+
+def test_record_init_range_check_and_replace():
+    q = Quantity(kind="range", lo=1.0, hi=2.0)
+    assert dataclasses.replace(q, hi=3.0) == Quantity("range", None, 1.0, 3.0)
+    assert dataclasses.replace(q, kind="point", lo=5.0) == Quantity("point", None, 5.0, 2.0)
+    for call in (
+        lambda: Quantity("range", lo=2.0, hi=2.0),
+        lambda: Quantity(kind="range", lo=3.0, hi=2.0),
+        lambda: dataclasses.replace(q, lo=2.0),
+        lambda: dataclasses.replace(Quantity(kind="point", lo=2.0, hi=1.0), kind="range"),
+    ):
+        with pytest.raises(ParseFailure, match="range requires lo < hi"):
+            call()
+    with pytest.raises(TypeError):
+        Quantity(kind="range")  # None < None
+    obs = PropertyObservation("s1", 3, q, 1.5)
+    assert dataclasses.replace(obs, source_span=(1, 2)) == PropertyObservation("s1", 3, q, 1.5, (1, 2))
+    assert dataclasses.replace(obs, quantity=dataclasses.replace(q, unit="K")).quantity.unit == "K"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Quantity(),
+        lambda: Quantity("point", 1.0, None, None, None, None, "K", "extra"),
+        lambda: Quantity(kind="point", colour="red"),
+        lambda: Quantity("point", kind="point"),
+        lambda: PropertyObservation("s1", 3, None),
+        lambda: PropertyObservation("s1", 3, None, 1.0, (0, 0), "extra"),
+        lambda: PropertyObservation("s1", 3, None, 1.0, span=(0, 0)),
+        lambda: dataclasses.replace(PropertyObservation("s1", 3, None, 1.0), span=(0, 0)),
+    ],
+    ids=[
+        "quantity_without_kind",
+        "quantity_extra_positional",
+        "quantity_unknown_keyword",
+        "quantity_kind_twice",
+        "observation_without_canonical_value",
+        "observation_extra_positional",
+        "observation_unknown_keyword",
+        "replace_with_unknown_field",
+    ],
+)
+def test_record_init_rejects_missing_or_extra_arguments(call):
+    with pytest.raises(TypeError):
+        call()
