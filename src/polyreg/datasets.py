@@ -91,7 +91,11 @@ def build_dataset(
                     per_head.setdefault(obs.head_id, []).append(obs.canonical_value)
             for head_id, head_values in per_head.items():
                 # np.mean of one value is that value, at many times the cost
-                label = head_values[0] if len(head_values) == 1 else np.mean(head_values)
+                if len(head_values) == 1:
+                    label = head_values[0]
+                else:
+                    with np.errstate(over="ignore"):  # refused just below, naming the head
+                        label = np.mean(head_values)
                 if not math.isfinite(label):  # two finite values can sum past the float range
                     raise ValueError(
                         f"sample {sample.sample_id!r}: head {head_id} label {float(label)!r} is not finite"

@@ -31,15 +31,15 @@ class MalformedDocument(Exception):
     """Sample delimiters are missing or malformed."""
 
 
-_NUM = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
-# The same matches as _NUM, from a pattern that opens with a required
-# character class, so the scanner skips to candidate characters.  The
-# package supports Python 3.10: no possessive quantifier or atomic group.
+# The matches of [-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?, from a pattern that
+# opens with a required character class, so the scanner skips to candidate
+# characters.  The package supports Python 3.10: no possessive quantifier
+# or atomic group.
 _NUM_RE = re.compile(r"[-+\d](?:(?<=[-+])\d+|(?<=\d)\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_LIMIT_RE = re.compile(rf"^\s*(>=|<=|>|<|≥|≤)\s*({_NUM})\s*(.*)$")
-_RANGE_RE = re.compile(rf"^\s*({_NUM})\s*(?:–|—|‐|-|\bto\b)\s*({_NUM})\s*(.*)$")
-_TOL_RE = re.compile(rf"^\s*({_NUM})\s*(?:±|\+/-|\+-)\s*({_NUM})\s*(.*)$")
-_POINT_RE = re.compile(rf"^\s*({_NUM})\s*(.*)$")
+_LIMIT_RE = re.compile(rf"^\s*(>=|<=|>|<|≥|≤)\s*({_NUM_RE.pattern})\s*(.*)$")
+_RANGE_RE = re.compile(rf"^\s*({_NUM_RE.pattern})\s*(?:–|—|‐|-|\bto\b)\s*({_NUM_RE.pattern})\s*(.*)$")
+_TOL_RE = re.compile(rf"^\s*({_NUM_RE.pattern})\s*(?:±|\+/-|\+-)\s*({_NUM_RE.pattern})\s*(.*)$")
+_POINT_RE = re.compile(rf"^\s*({_NUM_RE.pattern})\s*(.*)$")
 
 
 # The records' __init__ sets each slot through its member descriptor's
@@ -326,7 +326,6 @@ def extract_corpus(
 # {"observations", "sample_id", "sample_text", "synthesis_text"}, each
 # observation as {quantity fields, "head_id", "canonical_value", "span"}.
 _quantity_values = operator.attrgetter(*_QUANTITY_FIELDS)
-_quantity_args = operator.itemgetter(*_QUANTITY_FIELDS)
 _sample_values = operator.itemgetter("sample_id", "sample_text", "synthesis_text", "observations")
 _observation_values = operator.itemgetter("head_id", *_QUANTITY_FIELDS, "canonical_value", "span")
 _MAX = sys.float_info.max
@@ -342,7 +341,11 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
     sorted order, strings through encode_basestring_ascii, numbers (exact
     floats and ints, once checked) through repr and None as null."""
     for s in samples:
-        _check_loadable(s, path)
+        fault = _sample_fault(s.sample_id, s.sample_text, s.synthesis_text)
+        for o in s.observations:
+            fault = fault or _fault(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
+        if fault:
+            raise ValueError(f"{path}: sample {s.sample_id!r}: {fault}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
             observations = []
@@ -365,114 +368,49 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
             )
 
 
-def _check_loadable(s: ExtractedSample, path) -> None:
-    """Raise ``ValueError("path: sample <id>: message")`` unless
-    load_extracted would read ``s`` back from its line."""
-    loadable = type(s.sample_id) is type(s.sample_text) is type(s.synthesis_text) is str
-    for o in s.observations:
-        loadable = loadable and _loadable(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
-    if loadable:
-        return
-    # the reader's own checks name the field, over the line's layout; an
-    # infinite canonical value would read "label inf is not finite" there
-    row = dict(sample_id=s.sample_id, sample_text=s.sample_text, synthesis_text=s.synthesis_text)
-    row["observations"] = [
-        dict(
-            zip(_QUANTITY_FIELDS, _quantity_values(o.quantity)),
-            head_id=o.head_id, canonical_value=o.canonical_value, span=o.source_span,
-        )
-        for o in s.observations
-    ]
-    try:
-        for o in s.observations:
-            _finite_or_null("canonical_value", o.canonical_value)
-        _checked_sample(row)
-    except ValueError as exc:
-        raise ValueError(f"{path}: sample {s.sample_id!r}: {exc}") from None
+def _finite(x) -> bool:
+    """Whether ``x`` is None or a finite exact float or int (not a bool).
+    ``-_MAX <= x <= _MAX`` also turns down an int too large for a float,
+    on which math.isfinite raises OverflowError."""
+    return x is None or (type(x) is float or type(x) is int) and -_MAX <= x <= _MAX
 
 
-def _loadable(head_id, kind, value, lo, hi, bound, direction, unit, canonical_value, span) -> bool:
-    """Whether _checked_sample takes these observation fields as they are.
-
-    Its checks inline, and never looser: a field this turns down goes
-    through them.  ``-_MAX <= x <= _MAX`` is math.isfinite for a float
-    and turns down an int too large for one."""
-    return (
-        type(head_id) is int
-        and 0 <= head_id < N_HEADS
-        and kind in _QUANTITY_KINDS
-        and (value is None or (type(value) is float or type(value) is int) and -_MAX <= value <= _MAX)
-        and (lo is None or (type(lo) is float or type(lo) is int) and -_MAX <= lo <= _MAX)
-        and (hi is None or (type(hi) is float or type(hi) is int) and -_MAX <= hi <= _MAX)
-        and (bound is None or (type(bound) is float or type(bound) is int) and -_MAX <= bound <= _MAX)
-        and (kind != "range" or lo is not None and hi is not None and lo < hi)
-        and (direction is None or type(direction) is str)
-        and (unit is None or type(unit) is str)
-        and (
-            canonical_value is None
-            or (type(canonical_value) is float or type(canonical_value) is int)
-            and -_MAX <= canonical_value <= _MAX
-        )
-        and (type(span) is list or type(span) is tuple)
-        and len(span) == 2
-        and type(span[0]) is int
-        and type(span[1]) is int
-    )
-
-
-def _head_id(value) -> int:
+def _fault(head_id, kind, value, lo, hi, bound, direction, unit, canonical_value, span) -> str | None:
+    """The message naming the first of an observation's fields that the
+    observations file may not hold, or None: save_extracted's refusal and
+    load_extracted's error alike."""
     # not isinstance: True is an int, and as a numpy index it selects every head
-    if type(value) is not int or not 0 <= value < N_HEADS:
-        raise ValueError(f"head_id {value!r} is not an int in 0..{N_HEADS - 1}")
-    return value
-
-
-def _finite_or_null(name: str, value) -> None:
-    # not isinstance: True is an int
-    if value is not None and (type(value) not in (float, int) or not math.isfinite(value)):
-        raise ValueError(f"{name} {value!r} is not a finite number or null")
-
-
-def _quantity(o: dict) -> Quantity:
-    kind, value, lo, hi, bound, direction, unit = _quantity_args(o)  # as Quantity declares them
+    if type(head_id) is not int or not 0 <= head_id < N_HEADS:
+        return f"head_id {head_id!r} is not an int in 0..{N_HEADS - 1}"
     if kind not in _QUANTITY_KINDS:
-        raise ValueError(f"quantity kind {kind!r} is not one of {', '.join(_QUANTITY_KINDS)}")
-    _finite_or_null("value", value)
-    _finite_or_null("lo", lo)
-    _finite_or_null("hi", hi)
-    _finite_or_null("bound", bound)
-    if kind == "range" and (lo is None or hi is None):
-        raise ValueError(f"range lo {lo!r} and hi {hi!r} must both be numbers")
-    for name, text in (("direction", direction), ("unit", unit)):
-        if text is not None and type(text) is not str:
-            raise ValueError(f"{name} {text!r} is not a string or null")
-    return Quantity(kind, value, lo, hi, bound, direction, unit)
+        return f"quantity kind {kind!r} is not one of {', '.join(_QUANTITY_KINDS)}"
+    if not (_finite(value) and _finite(lo) and _finite(hi) and _finite(bound) and _finite(canonical_value)):
+        numbers = zip(("value", "lo", "hi", "bound", "canonical_value"), (value, lo, hi, bound, canonical_value))
+        name, x = next((name, x) for name, x in numbers if not _finite(x))
+        return f"{name} {x!r} is not a finite number or null"
+    if kind == "range":
+        if lo is None or hi is None:
+            return f"range lo {lo!r} and hi {hi!r} must both be numbers"
+        if not lo < hi:
+            return f"range requires lo < hi, got {lo}..{hi}"
+    if direction is not None and type(direction) is not str:
+        return f"direction {direction!r} is not a string or null"
+    if unit is not None and type(unit) is not str:
+        return f"unit {unit!r} is not a string or null"
+    if not ((type(span) is list or type(span) is tuple) and len(span) == 2 and type(span[0]) is type(span[1]) is int):
+        return f"span {span!r} is not two ints"
+    return None
 
 
-def _canonical_value(value) -> float | None:
-    if value is not None and type(value) not in (float, int):
-        raise ValueError(f"canonical_value {value!r} is not a number or null")
-    return finite_label(value)
-
-
-def _observations(value) -> list[dict]:
-    if type(value) is not list or not all(type(o) is dict for o in value):
-        raise ValueError(f"observations {value!r} is not a list of objects")
-    return value
-
-
-def _text(row: dict, name: str) -> str:
-    value = row[name]
-    if type(value) is not str:
-        raise ValueError(f"{name} {value!r} is not a string")
-    return value
-
-
-def _span(value) -> tuple[int, int]:
-    # not isinstance: True is an int; a record holds its span as a tuple
-    if type(value) not in (list, tuple) or len(value) != 2 or not type(value[0]) is type(value[1]) is int:
-        raise ValueError(f"span {value!r} is not two ints")
-    return tuple(value)
+def _sample_fault(sample_id, sample_text, synthesis_text) -> str | None:
+    """_fault for a sample's id and texts."""
+    if type(sample_id) is not str:
+        return f"sample_id {sample_id!r} is not a string"
+    if type(sample_text) is not str:
+        return f"sample_text {sample_text!r} is not a string"
+    if type(synthesis_text) is not str:
+        return f"synthesis_text {synthesis_text!r} is not a string"
+    return None
 
 
 def load_extracted(path) -> list[ExtractedSample]:
@@ -483,20 +421,26 @@ def load_extracted(path) -> list[ExtractedSample]:
 
 def _sample(line: str) -> tuple[str, ExtractedSample]:
     row = json.loads(line)
+    if type(row) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     try:
         sample_id, sample_text, synthesis_text, rows = _sample_values(row)
-    except (KeyError, TypeError):  # a field is missing, or the line is no object
-        return _checked_sample(row)
-    if not (type(sample_id) is type(sample_text) is type(synthesis_text) is str and type(rows) is list):
-        return _checked_sample(row)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    fault = _sample_fault(sample_id, sample_text, synthesis_text)
+    if fault:
+        raise ValueError(fault)
+    if type(rows) is not list or not all(type(o) is dict for o in rows):
+        raise ValueError(f"observations {rows!r} is not a list of objects")
     observations = []
     for o in rows:
         try:
             values = _observation_values(o)
-        except (KeyError, TypeError):
-            return _checked_sample(row)
-        if not _loadable(*values):
-            return _checked_sample(row)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        fault = _fault(*values)
+        if fault:
+            raise ValueError(fault)
         head_id, kind, value, lo, hi, bound, direction, unit, canonical_value, span = values
         observations.append(
             PropertyObservation(
@@ -508,32 +452,3 @@ def _sample(line: str) -> tuple[str, ExtractedSample]:
             )
         )
     return sample_id, ExtractedSample(sample_id, sample_text, synthesis_text, observations)
-
-
-def _checked_sample(row) -> tuple[str, ExtractedSample]:
-    """_sample for a line whose fields did not all pass _loadable's checks:
-    each field through its own checker, in the order that names the first
-    bad one."""
-    if type(row) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-    try:
-        sample_id = _text(row, "sample_id")
-        return sample_id, ExtractedSample(
-            sample_id=sample_id,
-            sample_text=_text(row, "sample_text"),
-            synthesis_text=_text(row, "synthesis_text"),
-            observations=[
-                PropertyObservation(
-                    sample_id=sample_id,
-                    head_id=_head_id(o["head_id"]),
-                    quantity=_quantity(o),
-                    canonical_value=_canonical_value(o["canonical_value"]),
-                    source_span=_span(o["span"]),
-                )
-                for o in _observations(row["observations"])
-            ],
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from exc
-    except (TypeError, ParseFailure) as exc:
-        raise ValueError(str(exc)) from exc

@@ -563,7 +563,6 @@ def test_save_dataset_rejects_tab_or_newline_in_ids(tmp_path, field, bad):
     assert not path.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_build_dataset_rejects_a_mean_that_overflows():
     # each observation is finite; their mean is not
     big = Quantity(kind="point", value=1.7e308, unit="MPa")

@@ -41,27 +41,47 @@ REG = default_registry()
 # superscripts (not decimal digits), signs, the decimal point, exponent
 # letters, whitespace and a letter
 _SCANNER_ALPHABET = "0123456789" + "٠٣٩०७９" + "¹²³⁴" + "+-.eE" + " \t\n" + "x"
-_ORIGINAL_NUM_RE = re.compile(records._NUM)
+# and the span patterns' limit and separator symbols
+_SPAN_ALPHABET = _SCANNER_ALPHABET + "<>≥≤±–/to"
+_ORIGINAL_NUM = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_ORIGINAL_NUM_RE = re.compile(_ORIGINAL_NUM)
+_ORIGINAL_SPAN_RES = {
+    "_LIMIT_RE": re.compile(rf"^\s*(>=|<=|>|<|≥|≤)\s*({_ORIGINAL_NUM})\s*(.*)$"),
+    "_RANGE_RE": re.compile(rf"^\s*({_ORIGINAL_NUM})\s*(?:–|—|‐|-|\bto\b)\s*({_ORIGINAL_NUM})\s*(.*)$"),
+    "_TOL_RE": re.compile(rf"^\s*({_ORIGINAL_NUM})\s*(?:±|\+/-|\+-)\s*({_ORIGINAL_NUM})\s*(.*)$"),
+    "_POINT_RE": re.compile(rf"^\s*({_ORIGINAL_NUM})\s*(.*)$"),
+}
+
+
+def _match(pattern, text):
+    m = pattern.match(text)
+    return None if m is None else (m.span(), m.groups())
 
 
 def _assert_scans_like_the_original_pattern(text):
     assert [m.span() for m in records._NUM_RE.finditer(text)] == [m.span() for m in _ORIGINAL_NUM_RE.finditer(text)]
     bracket = lambda m: f"<{m.group(0)}>"  # noqa: E731
     assert records._NUM_RE.sub(bracket, text) == _ORIGINAL_NUM_RE.sub(bracket, text)
+    for name, original in _ORIGINAL_SPAN_RES.items():
+        assert _match(getattr(records, name), text) == _match(original, text), name
 
 
 @settings(max_examples=2000, deadline=None)
-@given(st.text(alphabet=_SCANNER_ALPHABET, max_size=40))
+@given(st.text(alphabet=_SPAN_ALPHABET, max_size=40))
 @example("+-5 -+5 ++5 5-5 5+5")
 @example("1.e5 .5 5. 5.5.5 5e 5e+ 5e+5 -5E-5e5")
 @example("٣.٣e٣ ９-９ ²5 5²")
+@example(" >= -5e3 K")
+@example("-1.5e3 to +2E1 MPa")
+@example("5 +/- -1 °C")
+@example("+5 ± 1")
 def test_number_scanner_matches_the_original_pattern(text):
     _assert_scans_like_the_original_pattern(text)
 
 
 def test_number_scanner_matches_the_original_pattern_on_seeded_strings():
     rng = np.random.default_rng(0)
-    alphabet = np.array(list(_SCANNER_ALPHABET))
+    alphabet = np.array(list(_SPAN_ALPHABET))
     for size in rng.integers(0, 40, size=20_000):
         _assert_scans_like_the_original_pattern("".join(rng.choice(alphabet, size=size)))
 
@@ -482,13 +502,13 @@ def _record_line(**changes):
             '{"observations": [{"bound": null, "canonical_value": Infinity, "direction": null, '
             '"head_id": 6, "hi": null, "kind": "point", "lo": null, "span": [0, 9], '
             '"unit": "GPa", "value": 2.0}], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
-            "label inf is not finite",
+            "canonical_value inf is not a finite number or null",
         ),
         (
             '{"observations": [{"bound": null, "canonical_value": 1e999, "direction": null, '
             '"head_id": 6, "hi": null, "kind": "point", "lo": null, "span": [0, 9], '
             '"unit": "GPa", "value": 2.0}], "sample_id": "s2", "sample_text": "PS", "synthesis_text": ""}',
-            "label inf is not finite",
+            "canonical_value inf is not a finite number or null",
         ),
         (_observation_line(head_id=-1), "head_id -1 is not an int in 0..21"),
         (_observation_line(head_id=22), "head_id 22 is not an int in 0..21"),
@@ -521,8 +541,12 @@ def _record_line(**changes):
         (_observation_line(kind="range", value=None, lo=1.0), "range lo 1.0 and hi None must both be numbers"),
         (_observation_line(unit=5), "unit 5 is not a string or null"),
         (_observation_line(direction=False), "direction False is not a string or null"),
-        (_observation_line(canonical_value="2000.0"), "canonical_value '2000.0' is not a number or null"),
-        (_observation_line(canonical_value=True), "canonical_value True is not a number or null"),
+        (_observation_line(canonical_value="2000.0"), "canonical_value '2000.0' is not a finite number or null"),
+        (_observation_line(canonical_value=True), "canonical_value True is not a finite number or null"),
+        # an int too large for a float, which math.isfinite raises OverflowError on
+        (_observation_line(canonical_value=10**400), f"canonical_value {10**400!r} is not a finite number or null"),
+        (_observation_line(value=-(10**400)), f"value {-(10**400)!r} is not a finite number or null"),
+        (_observation_line(kind="range", value=None, lo=3.0, hi=1.0), "range requires lo < hi, got 3.0..1.0"),
     ],
     ids=[
         "bad_json",
@@ -565,6 +589,9 @@ def _record_line(**changes):
         "bool_direction",
         "string_canonical_value",
         "bool_canonical_value",
+        "huge_int_canonical_value",
+        "huge_negative_int_value",
+        "range_lo_past_hi",
     ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):
@@ -721,6 +748,7 @@ def _point(value=2.0, **changes):
             "canonical_value nan is not a finite number or null",
         ),
         (ExtractedSample("s2", observations=[_point(True)]), "value True is not a finite number or null"),
+        (ExtractedSample("s2", observations=[_point(10**400)]), f"value {10**400!r} is not a finite number or null"),
         (
             ExtractedSample("s2", observations=[_point(np.float64(2.0))]),
             f"value {np.float64(2.0)!r} is not a finite number or null",
@@ -747,6 +775,7 @@ def _point(value=2.0, **changes):
         "infinite_bound",
         "nan_canonical_value",
         "bool_value",
+        "huge_int_value",
         "numpy_value",
         "head_id_past_the_last_head",
         "three_int_span",
