@@ -18,7 +18,7 @@ VERSION = 2
 
 
 class CorruptCheckpoint(Exception):
-    """Magic/length/CRC failure."""
+    """Magic/length/CRC failure, or metadata or a tensor that does not decode."""
 
 
 class VersionMismatch(Exception):
@@ -83,19 +83,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if version != VERSION:
         raise VersionMismatch(f"format version {version}, expected {VERSION}")
     (meta_len,) = r.unpack("<Q")
-    metadata = json.loads(r.take(meta_len).decode("utf-8"))
-    (n_tensors,) = r.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        (dtype_len,) = r.unpack("<H")
-        dtype = np.dtype(r.take(dtype_len).decode("ascii"))
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}Q") if ndim else ()
-        (data_len,) = r.unpack("<Q")
-        arr = np.frombuffer(r.take(data_len), dtype=dtype).reshape(shape).copy()
-        tensors[name] = arr
+    # CRC-valid bytes can still fail to decode: UnicodeDecodeError and
+    # JSONDecodeError are ValueErrors, and np.dtype raises TypeError
+    try:
+        metadata = json.loads(r.take(meta_len).decode("utf-8"))
+        (n_tensors,) = r.unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(n_tensors):
+            (name_len,) = r.unpack("<H")
+            name = r.take(name_len).decode("utf-8")
+            (dtype_len,) = r.unpack("<H")
+            dtype = np.dtype(r.take(dtype_len).decode("ascii"))
+            (ndim,) = r.unpack("<B")
+            shape = r.unpack(f"<{ndim}Q") if ndim else ()
+            (data_len,) = r.unpack("<Q")
+            tensors[name] = np.frombuffer(r.take(data_len), dtype=dtype).reshape(shape).copy()
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise CorruptCheckpoint(f"undecodable metadata or tensor table: {exc}") from None
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes in checkpoint")
     return tensors, metadata

@@ -14,12 +14,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .lines import read_lines
 from .prompts import VARIANTS
 
 POOLING_MODES = ("mean", "attention")
+
+
+def finite(x) -> bool:
+    """``math.isfinite(x)``, but False, not OverflowError, on a huge int."""
+    return abs(x) <= sys.float_info.max if type(x) is int else math.isfinite(x)
+
+
 # the least value of each TrainConfig field that has one
 _MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
 
@@ -52,11 +60,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "rho_lr", "grad_clip", "adam_eps", "alpha"):
-            if not math.isfinite(getattr(self, name)):
+            if not finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.vocab_size > 2**63:  # bucket ids are int64
+            raise ValueError(f"vocab_size must be at most 2**63, got {self.vocab_size}")
         # a clip of 0 freezes training and a negative one ascends
         for name in ("grad_clip", "adam_eps"):
             if not getattr(self, name) > 0:

@@ -10,11 +10,11 @@ are long-tailed by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import finite
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 MONOMERS = [
@@ -75,7 +75,7 @@ class SynthConfig:
             raise ValueError(f"eta names heads {unknown} that are not in heads {self.heads}")
         etas = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
         for name, values in (("eta", etas), ("gamma", [self.gamma]), ("tail_skew", [self.tail_skew])):
-            if not all(math.isfinite(v) for v in values):
+            if not all(finite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 <= self.obs_prob <= 1:
             raise ValueError(f"obs_prob must be in [0, 1], got {self.obs_prob}")

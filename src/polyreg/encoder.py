@@ -21,7 +21,6 @@ W_eff^T q.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +44,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@lru_cache(maxsize=1 << 15)  # token vocabularies repeat heavily
 def fnv1a64(text: str) -> int:
-    """Stable 64-bit FNV-1a hash over UTF-8 bytes, memoized per token."""
+    """Stable 64-bit FNV-1a hash over UTF-8 bytes."""
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64

@@ -2,17 +2,19 @@
 
 Each head has a canonical name, a property group, a canonical unit, a
 log-space flag and a set of lowercase aliases.  The table ships as a
-TSV data file so aliases can be edited without code changes.
+TSV data file so aliases can be edited without code changes; it is read
+by ``lines.read_lines`` like every other line-oriented input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
 import numpy as np
 
+from .lines import read_lines
 from .units import unit_def, units_for_dimension
 
 GROUPS = ("thermal", "mechanical", "electrical_transport", "physicochemical")
@@ -109,39 +111,24 @@ class PropertyRegistry:
         return self.spec(head_id).log_space
 
 
-def _parse_registry_tsv(text: str) -> list[PropertySpec]:
-    specs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head_id, name, group, unit, log_flag, aliases = line.split("\t")
-        if group not in GROUPS:
-            raise ValueError(f"unknown group {group!r}")
-        specs.append(
-            PropertySpec(
-                head_id=int(head_id),
-                name=name,
-                group=group,
-                canonical_unit=unit,
-                log_space=bool(int(log_flag)),
-                aliases=frozenset(a.strip() for a in aliases.split("|") if a.strip()),
-            )
-        )
-    return specs
+def _spec(parts: list[str]) -> tuple[int, PropertySpec]:
+    head_id, name, group, unit, log_flag, aliases = parts
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    if log_flag not in ("0", "1"):
+        raise ValueError(f"log_space must be 0 or 1, got {log_flag!r}")
+    alias_set = frozenset(a.strip() for a in aliases.split("|") if a.strip())
+    spec = PropertySpec(int(head_id), name, group, unit, log_flag == "1", alias_set)
+    return spec.head_id, spec
 
 
 def load_registry() -> PropertyRegistry:
-    """Load the registry from the bundled TSV table."""
-    text = resources.files("polyreg.data").joinpath("properties.tsv").read_text("utf-8")
-    return PropertyRegistry(_parse_registry_tsv(text))
+    """Load the registry from the bundled TSV table; a malformed row raises
+    ``ValueError("path:line: message")``."""
+    path = resources.files("polyreg.data").joinpath("properties.tsv")
+    return PropertyRegistry(read_lines(path, _spec, header="# head_id", columns=6, key="head_id"))
 
 
-_DEFAULT: PropertyRegistry | None = None
-
-
+@cache
 def default_registry() -> PropertyRegistry:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_registry()
-    return _DEFAULT
+    return load_registry()

@@ -5,17 +5,17 @@ carrying the label transforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import objective as obj
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CorruptCheckpoint, VersionMismatch, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .datasets import PromptInstance
 from .encoder import RowGrad
 from .model import PropertyModel, encode, make_batch
+from .records import _finite
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 
@@ -189,17 +189,17 @@ def _shapes(tensors: dict) -> dict:
     }
 
 
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def load_trained(path) -> TrainedModel:
     """The model ``save_trained`` wrote to ``path``.  A checkpoint whose
     config does not match its ``config_digest``, whose loss trace is not a
     list of finite numbers, whose config, tensor names or tensor shapes are
     not those of that model, or whose label table no fit could have made,
-    raises ``ValueError`` naming the file."""
-    tensors, metadata = load_checkpoint(path)
+    raises ``ValueError`` naming the file; ``load_checkpoint``'s errors are
+    raised again with the same type, prefixed ``checkpoint <path>: ``."""
+    try:
+        tensors, metadata = load_checkpoint(path)
+    except (CorruptCheckpoint, VersionMismatch) as exc:
+        raise type(exc)(f"checkpoint {path}: {exc}") from None
     try:
         cfg = TrainConfig(**metadata["config"])
         # a fresh model's tensors are the ones to expect; its embedding rows
@@ -210,7 +210,7 @@ def load_trained(path) -> TrainedModel:
     if metadata.get("config_digest") != cfg.digest():
         raise ValueError(f"checkpoint {path}: config_digest does not match its config")
     trace = metadata.get("loss_trace", [])
-    if not isinstance(trace, list) or not all(_is_finite_number(x) for x in trace):
+    if not isinstance(trace, list) or not all(x is not None and _finite(x) for x in trace):
         raise ValueError(f"checkpoint {path}: loss_trace is not a list of finite numbers")
     expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
     found = _shapes(tensors)

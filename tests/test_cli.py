@@ -1,11 +1,14 @@
 import re
 import shlex
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyreg.audit import bundled_fixture_paths
+from polyreg.checkpoint import MAGIC, VERSION
 from polyreg.cli import build_parser, main
 from polyreg.datasets import PromptInstance, save_dataset
 from polyreg.registry import N_HEADS, default_registry
@@ -172,6 +175,32 @@ def test_train_rejects_an_invalid_config_before_reading_the_dataset(capsys, tmp_
     assert code == 1
     assert str(cfg) in err and message in err and "absent.tsv" not in err
     assert not ckpt.exists()
+
+
+def _sealed_checkpoint(meta: bytes) -> bytes:
+    """A CRC-valid checkpoint holding metadata ``meta`` and no tensors."""
+    body = MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta + struct.pack("<I", 0)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"x", "file too short"),
+        (_sealed_checkpoint(b"{not json"), "undecodable metadata or tensor table: Expecting property name"),
+        (_sealed_checkpoint(b"\xff\xfe"), "undecodable metadata or tensor table: 'utf-8' codec can't decode"),
+        (_sealed_checkpoint(b"[" * 100_000), "undecodable metadata or tensor table: maximum recursion depth"),
+    ],
+    ids=["too_short", "meta_not_json", "meta_not_utf8", "meta_nested_deep"],
+)
+@pytest.mark.parametrize("command", ["eval", "uncertainty-report"])
+def test_a_refused_checkpoint_is_named(capsys, tmp_path, command, blob, message):
+    ckpt = tmp_path / "notckpt.npz"
+    ckpt.write_bytes(blob)
+    argv = [command, str(ckpt), str(tmp_path / "d.tsv"), "-o", str(tmp_path / "out.tsv")]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: checkpoint {ckpt}: {message}") and err.count("\n") == 1
 
 
 def test_ablate_accepts_corpus_and_trainer_keys_in_one_config(capsys, tmp_path):

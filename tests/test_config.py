@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from polyreg.cli import CONFIG_SECTIONS, _load_configs
@@ -67,11 +68,19 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
         (dict(obs_prob=1.5), r"obs_prob must be in \[0, 1\], got 1\.5"),
         (dict(obs_prob=-0.1), r"obs_prob must be in \[0, 1\], got -0\.1"),
         (dict(heads=(5, 6), eta={99: 5.0, 7: 3.0}), r"eta names heads \[7, 99\] that are not in heads \(5, 6\)"),
+        (dict(gamma=10**400), "gamma must be finite, got 1000"),  # too large for a float
+        (dict(tail_skew=-(10**400)), "tail_skew must be finite, got -1000"),
+        (dict(heads=(5, 6), eta={5: 0.1, 6: 10**400}), r"eta must be finite, got \{5: 0\.1, 6: 1000"),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SynthConfig(**kwargs)
+
+
+def test_synth_config_accepts_numpy_scalars():
+    cfg = SynthConfig(heads=(5, 6), eta={5: np.float64(0.1), 6: np.float32(0.2)}, gamma=np.float64(0.5))
+    assert cfg.eta_for(6) == np.float32(0.2)
 
 
 def test_default_config_digest_is_pinned():

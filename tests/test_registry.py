@@ -1,11 +1,13 @@
 import copy
 import pickle
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyreg import registry as registry_mod
 from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry, load_registry
 
 REG = default_registry()
@@ -114,3 +116,54 @@ def test_is_log_space_examples():
 def test_is_log_space_unknown_head():
     with pytest.raises(KeyError):
         REG.is_log_space(99)
+
+
+def _table_copy(tmp_path, monkeypatch, edit=None):
+    """Point load_registry at a copy of the bundled table, ``edit``ed as a
+    list of its lines; returns the copy's path."""
+    lines = (resources.files("polyreg.data") / "properties.tsv").read_text("utf-8").splitlines()
+    if edit is not None:
+        edit(lines)
+    path = tmp_path / "properties.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(registry_mod.resources, "files", lambda package: tmp_path)
+    return path
+
+
+def _set_column(lineno, column, value):
+    def edit(lines):
+        parts = lines[lineno - 1].split("\t")
+        parts[column] = value
+        lines[lineno - 1] = "\t".join(parts)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_column(2, 2, "optical"), "2: unknown group 'optical'"),
+        (_set_column(3, 4, "2"), "3: log_space must be 0 or 1, got '2'"),
+        (_set_column(3, 4, "true"), "3: log_space must be 0 or 1, got 'true'"),
+        (lambda lines: lines.__setitem__(6, lines[6].rsplit("\t", 1)[0]), "7: expected 6 columns, got 5"),
+        (_set_column(2, 0, "zero"), "2: invalid literal for int() with base 10: 'zero'"),
+        (_set_column(4, 0, "3"), "5: head_id 3 repeats line 4"),
+    ],
+    ids=["unknown_group", "log_flag_two", "log_flag_word", "five_columns", "head_id_not_int", "head_id_repeated"],
+)
+def test_a_malformed_table_row_names_the_file_and_line(tmp_path, monkeypatch, edit, message):
+    path = _table_copy(tmp_path, monkeypatch, edit)
+    with pytest.raises(ValueError) as err:
+        load_registry()
+    assert str(err.value) == f"{path}:{message}"
+
+
+def test_an_unmodified_table_copy_loads_equal_to_the_default(tmp_path, monkeypatch):
+    _table_copy(tmp_path, monkeypatch)
+    copied = load_registry()
+    assert copied is not default_registry()
+    assert list(copied) == list(default_registry())
+
+
+def test_default_registry_is_loaded_once():
+    assert default_registry() is default_registry()

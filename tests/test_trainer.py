@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -9,6 +10,7 @@ import pytest
 
 from polyreg.checkpoint import (
     MAGIC,
+    VERSION,
     CorruptCheckpoint,
     VersionMismatch,
     load_checkpoint,
@@ -17,7 +19,7 @@ from polyreg.checkpoint import (
 from polyreg import encoder as enc
 from polyreg.cli import _load_configs
 from polyreg.datasets import PromptInstance
-from polyreg.model import PropertyModel, make_batch
+from polyreg.model import PropertyModel, encode, make_batch
 from polyreg.registry import N_HEADS, default_registry
 from polyreg.trainer import (
     NonFiniteLoss,
@@ -466,6 +468,7 @@ def test_config_rejects_unknown_key(tmp_path):
         ("batch_size = -3", "batch_size must be at least 1, got -3"),
         ("epochs = -2", "epochs must be at least 0, got -2"),
         ("vocab_size = 0", "vocab_size must be at least 1"),
+        ("vocab_size = 18446744073709551616", r"vocab_size must be at most 2\*\*63, got 18446744073709551616"),
         ("rank = 0", "rank must be at least 1"),
         ("hidden_dim = 0", "hidden_dim must be at least 1"),
         ("lr = -0.1", "lr must be at least 0"),
@@ -493,6 +496,19 @@ def test_config_rejects_an_invalid_combination(tmp_path, line, message):
     with pytest.raises(ValueError, match=message) as err:
         _load_configs(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["lr", "rho_lr", "grad_clip", "adam_eps", "alpha"])
+def test_config_refuses_an_int_too_large_for_a_float(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got 1000"):
+        TrainConfig(**{name: 10**400})
+
+
+def test_vocab_size_is_capped_where_bucket_ids_fit_int64():
+    ids = encode(["polymer melt"], TrainConfig(vocab_size=2**63).vocab_size)[0]
+    assert ids.dtype == np.int64 and (ids >= 0).all()
+    with pytest.raises(ValueError, match=r"vocab_size must be at most 2\*\*63"):
+        TrainConfig(vocab_size=2**63 + 1)
 
 
 # ---- checkpoints ----------------------------------------------------------
@@ -621,6 +637,52 @@ def test_version_one_checkpoint_is_refused(tmp_path):
         load_trained(old)
 
 
+def _sealed(meta: bytes, name=b"a", dtype=b"<f8", shape=(2,), data=bytes(16)) -> bytes:
+    """A CRC-valid checkpoint holding metadata ``meta`` and one tensor."""
+    return _reseal(
+        MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta + struct.pack("<IH", 1, len(name)) + name
+        + struct.pack("<H", len(dtype)) + dtype + struct.pack(f"<B{len(shape)}QQ", len(shape), *shape, len(data))
+        + data
+    )
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"x", "file too short"),
+        (_sealed(b"{not json"), "undecodable metadata or tensor table: Expecting property name"),
+        (_sealed(b"\xff\xfe"), "undecodable metadata or tensor table: 'utf-8' codec can't decode byte 0xff"),
+        (_sealed(b"[" * 100_000), "undecodable metadata or tensor table: maximum recursion depth exceeded"),
+        (_sealed(b"{}", name=b"\xff"), "undecodable metadata or tensor table: 'utf-8' codec can't decode byte 0xff"),
+        (_sealed(b"{}", dtype=b"zz"), "undecodable metadata or tensor table: data type 'zz' not understood"),
+        (_sealed(b"{}", dtype=b"|O"), "undecodable metadata or tensor table: cannot create an OBJECT"),
+        (_sealed(b"{}", data=bytes(15)), "undecodable metadata or tensor table: buffer size must be a multiple"),
+        (_sealed(b"{}", shape=(3,)), r"undecodable metadata or tensor table: cannot reshape array of size 2"),
+    ],
+    ids=[
+        "too_short", "meta_not_json", "meta_not_utf8", "meta_nested_deep", "name_not_utf8",
+        "dtype_unknown", "dtype_object", "data_not_whole_items", "data_not_its_shape",
+    ],
+)
+def test_an_undecodable_checkpoint_is_corrupt_and_load_trained_names_it(tmp_path, blob, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptCheckpoint, match="^" + message):
+        load_checkpoint(path)
+    with pytest.raises(CorruptCheckpoint, match=f"^checkpoint {re.escape(str(path))}: {message}"):
+        load_trained(path)
+
+
+def test_load_trained_names_the_file_of_a_version_mismatch(tmp_path):
+    blob = bytearray(_sealed(b"{}"))
+    struct.pack_into("<I", blob, len(MAGIC), 1)
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(_reseal(bytes(blob[:-4])))
+    with pytest.raises(VersionMismatch) as err:
+        load_trained(path)
+    assert str(err.value) == f"checkpoint {path}: format version 1, expected {VERSION}"
+
+
 def _set_entry(tensors, name, head, value):
     tensors[name] = tensors[name].copy()
     tensors[name][head] = value
@@ -681,6 +743,9 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
         lambda t, m: m.update(loss_trace=[True]),
         lambda t, m: m.update(loss_trace=[1.0, float("nan")]),
         lambda t, m: m.update(loss_trace=[float("inf")]),
+        lambda t, m: m.update(loss_trace=[10**400]),  # too large for a float
+        lambda t, m: m.update(loss_trace=[1.0, -(10**400)]),
+        lambda t, m: m["config"].update(lr=10**400),
         # label tables no fit could make: TG and TS are fitted, head 0 is not
         lambda t, m: _set_entry(t, "transform_valid", 0, 0.5),
         lambda t, m: _set_entry(t, "transform_valid", TG, np.nan),
@@ -697,7 +762,8 @@ def test_bad_embed_rows_name_the_checkpoint(tmp_path, corrupt):
         "no_transform_valid", "no_transform_mu", "no_rho", "stray_tensor", "rho_shape",
         "head_w_shape", "transform_shape", "unknown_config_key", "config_mismatch", "no_config",
         "no_config_digest", "trace_str", "trace_dict", "trace_str_entry", "trace_null_entry",
-        "trace_bool_entry", "trace_nan_entry", "trace_inf_entry",
+        "trace_bool_entry", "trace_nan_entry", "trace_inf_entry", "trace_huge_int_entry",
+        "trace_huge_negative_int_entry", "config_huge_int_lr",
         "valid_half", "valid_nan", "mu_nan", "mu_inf", "sigma_zero", "sigma_negative",
         "sigma_inf", "sigma_nan", "log_half", "log_two",
     ],
