@@ -3,7 +3,8 @@
 Subcommands: gen-corpus, extract, build-dataset, train, eval, ablate,
 audit, uncertainty-report, score-responses.  All exit 0 on success and 1
 with a one-line diagnostic on any error; ``polyreg --debug ...``
-re-raises it instead.
+re-raises it instead.  Each subcommand imports the stages it runs, so
+``polyreg extract`` never loads the model or the trainer.
 """
 
 from __future__ import annotations
@@ -11,30 +12,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_mod
-from .audit import audit as run_audit
-from .audit import read_records
-from .config import read_config
-from .datasets import build_dataset, load_dataset, save_dataset, scan_dataset_for_leaks
-from .harness import run_ablation, run_uncertainty_report
-from .metrics import evaluate, score_prediction_file
+from .config import TrainConfig, read_config
+from .corpus import SynthConfig
 from .prompts import VARIANTS
-from .records import extract_corpus, load_extracted, save_extracted
-from .trainer import TrainConfig, load_trained, save_trained, train
 
 
 # one config file serves every subcommand: SynthConfig keys (optionally
 # synth.-prefixed) configure the corpus, TrainConfig keys the trainer
-CONFIG_SECTIONS = {"synth": corpus_mod.SynthConfig, "train": TrainConfig}
+CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
 
 
-def _load_configs(path, seed=None) -> tuple[corpus_mod.SynthConfig, TrainConfig]:
+def _load_configs(path, seed=None) -> tuple[SynthConfig, TrainConfig]:
     """The corpus and trainer configs of a config file; ``--seed`` sets both."""
     values = read_config(path, CONFIG_SECTIONS) if path else {name: {} for name in CONFIG_SECTIONS}
     if seed is not None:
         for section in values.values():
             section["seed"] = seed
-    return corpus_mod.SynthConfig(**values["synth"]), TrainConfig(**values["train"])
+    return SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
 def _write_table(path, table: str, key: str, value: str) -> None:
@@ -44,16 +38,25 @@ def _write_table(path, table: str, key: str, value: str) -> None:
 
 
 def cmd_gen_corpus(args) -> int:
+    from .corpus import gen_corpus, write_corpus
+
     cfg, _ = _load_configs(args.config, args.seed)
-    corpus = corpus_mod.gen_corpus(cfg)
-    corpus_mod.write_corpus(corpus, args.output)
+    corpus = gen_corpus(cfg)
+    write_corpus(corpus, args.output)
     print(f"wrote {cfg.n_docs} documents to {args.output}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    with open(args.docs, encoding="utf-8") as fh:
-        text = fh.read()
+    from .lines import utf8_fault
+    from .records import extract_corpus, save_extracted
+
+    try:
+        with open(args.docs, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        with open(args.docs, "rb") as fh:
+            raise ValueError(utf8_fault(args.docs, fh.read())) from None
     samples, counters = extract_corpus(text)
     save_extracted(samples, args.output)
     n_obs = sum(len(s.observations) for s in samples)
@@ -66,6 +69,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
+    from .datasets import build_dataset, save_dataset, scan_dataset_for_leaks
+    from .records import load_extracted
+
     samples = load_extracted(args.observations)
     instances = build_dataset(samples, args.variant)
     hits = scan_dataset_for_leaks(instances)
@@ -78,6 +84,9 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .datasets import load_dataset
+    from .trainer import save_trained, train
+
     _, cfg = _load_configs(args.config, args.seed)
     instances = load_dataset(args.dataset)
     trained = train(cfg, instances)
@@ -88,6 +97,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .datasets import load_dataset
+    from .metrics import evaluate
+    from .trainer import load_trained
+
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = evaluate(trained, instances)
@@ -100,6 +113,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .harness import run_ablation
+
     synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
     _write_table(args.output, report.to_table(), "config_digest", train_cfg.digest())
@@ -108,9 +123,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import audit, read_records
+
     extracted = read_records(args.extracted)
     gold = read_records(args.gold)
-    report = run_audit(extracted, gold)
+    report = audit(extracted, gold)
     lines = ["metric\tvalue"] + [f"{k}\t{v:.6f}" for k, v in report.as_rows()]
     body = "\n".join(lines) + f"\nn\t{report.n}\n"
     if args.output:
@@ -121,6 +138,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_uncertainty_report(args) -> int:
+    from .datasets import load_dataset
+    from .harness import run_uncertainty_report
+    from .trainer import load_trained
+
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = run_uncertainty_report(trained, instances)
@@ -131,6 +152,9 @@ def cmd_uncertainty_report(args) -> int:
 
 
 def cmd_score_responses(args) -> int:
+    from .datasets import load_dataset
+    from .metrics import score_prediction_file
+
     instances = load_dataset(args.dataset)
     report, retention = score_prediction_file(args.responses, instances)
     _write_table(args.output, report.to_table(), "retention", f"{retention:.6f}")

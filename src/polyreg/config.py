@@ -31,6 +31,9 @@ def finite(x) -> bool:
 # the least value of each TrainConfig field that has one
 _MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
 
+# the most dense parameter values a model may hold: 1 GiB of float64
+MAX_DENSE_PARAMS = 2**27
+
 
 @dataclass
 class TrainConfig:
@@ -82,6 +85,15 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n_blocks < 1:
             raise ValueError("at least one residual block required")
+        # every dense tensor is allocated up front: w0, the trunk's input
+        # projection, its blocks and regressor's 128-wide bottleneck
+        d, h = self.dim, self.hidden_dim
+        dense = d * d + h * d + self.n_blocks * h * h + 128 * h
+        if dense > MAX_DENSE_PARAMS:
+            raise ValueError(
+                f"dim {d}, hidden_dim {h} and n_blocks {self.n_blocks} make {dense} "
+                f"dense parameters, more than {MAX_DENSE_PARAMS}"
+            )
 
     def digest(self) -> str:
         return hashlib.sha256(

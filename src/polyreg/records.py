@@ -420,7 +420,10 @@ def load_extracted(path) -> list[ExtractedSample]:
 
 
 def _sample(line: str) -> tuple[str, ExtractedSample]:
-    row = json.loads(line)
+    try:
+        row = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if type(row) is not dict:
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     try:

@@ -222,6 +222,22 @@ def test_missing_file_gives_nonzero_exit_and_diagnostic(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_extract_names_a_corpus_byte_that_is_not_utf8(capsys, tmp_path):
+    docs = tmp_path / "corpus.txt"
+    docs.write_bytes(b"# doc 1\r\nPS film\n\xff")
+    code, out, err = _run(capsys, "extract", str(docs), "-o", str(tmp_path / "obs.jsonl"))
+    assert code == 1 and out == ""
+    assert err == f"error: {docs}:3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_build_dataset_names_a_deeply_nested_line(capsys, tmp_path):
+    obs = tmp_path / "deep.jsonl"
+    obs.write_text("[" * 100_000 + "\n")
+    code, out, err = _run(capsys, "build-dataset", str(obs), "-o", str(tmp_path / "train.tsv"))
+    assert code == 1 and out == ""
+    assert err == f"error: {obs}:1: JSON nested too deeply\n"
+
+
 def test_debug_reraises_and_default_prints_one_line(capsys, tmp_path):
     argv = ["train", str(tmp_path / "missing.tsv"), "-o", str(tmp_path / "model.ckpt")]
     code, out, err = _run(capsys, *argv)

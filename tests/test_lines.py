@@ -3,7 +3,10 @@
 ``lines.read_lines`` reads text with universal newlines, so ``\\r\\n`` and
 a lone ``\\r`` end a line as ``\\n`` does.  A reader that decoded bytes
 itself would leave a ``\\r`` at the end of every line of these files.
+A byte that is not UTF-8 is an error naming the file and its line.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -79,3 +82,23 @@ def test_a_lone_carriage_return_ends_a_config_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"seed = 4\rn_docs = 60\n")
     assert read_config(path, CONFIG_SECTIONS) == {"synth": {"seed": 4, "n_docs": 60}, "train": {"seed": 4}}
+
+
+@pytest.mark.parametrize("write", [_observations, _dataset, _audit, _responses, _config])
+def test_a_file_of_one_byte_that_is_not_utf8_is_named(tmp_path, samples, write):
+    load = write(samples, tmp_path / "good")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:1: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+        load(bad)
+
+
+@pytest.mark.parametrize("write", [_observations, _dataset, _audit, _responses, _config])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, samples, write):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    load = write(samples, good)
+    lines = good.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xc3(" + lines[2][1:]
+    bad.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:3: byte 0xc3 is not UTF-8"):
+        load(bad)

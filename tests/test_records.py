@@ -547,6 +547,8 @@ def _record_line(**changes):
         (_observation_line(canonical_value=10**400), f"canonical_value {10**400!r} is not a finite number or null"),
         (_observation_line(value=-(10**400)), f"value {-(10**400)!r} is not a finite number or null"),
         (_observation_line(kind="range", value=None, lo=3.0, hi=1.0), "range requires lo < hi, got 3.0..1.0"),
+        # json.loads raises RecursionError, not ValueError, on deep nesting
+        ("[" * 100_000, "JSON nested too deeply"),
     ],
     ids=[
         "bad_json",
@@ -592,6 +594,7 @@ def _record_line(**changes):
         "huge_int_canonical_value",
         "huge_negative_int_value",
         "range_lo_past_hi",
+        "deeply_nested_array",
     ],
 )
 def test_load_extracted_names_file_and_line_of_a_malformed_record(tmp_path, line, message):

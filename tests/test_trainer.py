@@ -1,9 +1,12 @@
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from polyreg.trainer import (
 from polyreg.metrics import evaluate, predict
 
 REG = default_registry()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TG = REG.lookup("Tg").head_id
 TS = REG.lookup("tensile_strength").head_id
@@ -509,6 +513,51 @@ def test_vocab_size_is_capped_where_bucket_ids_fit_int64():
     assert ids.dtype == np.int64 and (ids >= 0).all()
     with pytest.raises(ValueError, match=r"vocab_size must be at most 2\*\*63"):
         TrainConfig(vocab_size=2**63 + 1)
+
+
+# a model too large to allocate must be refused before any allocation, so
+# each case runs in a child whose address space is capped at 2 GiB: one
+# that allocates fails fast instead of filling the host's memory
+_BOUNDED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from polyreg.trainer import TrainConfig, load_trained
+try:
+    {call}
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("TrainConfig(n_blocks=10**400)", r"^dim 64, hidden_dim 128 and n_blocks 1000+ make \d+ dense parameters"),
+        ("TrainConfig(hidden_dim=10**6)", r"^dim 64, hidden_dim 1000000 and n_blocks 2 make 2000192004096 dense"),
+        ("load_trained(sys.argv[1])", r"^checkpoint {path}: bad config: .* n_blocks 1000000000 make \d+ dense"),
+    ],
+    ids=["huge_n_blocks", "huge_hidden_dim", "checkpoint_with_huge_n_blocks"],
+)
+def test_a_model_past_the_size_bound_is_refused_before_allocating(tmp_path, call, message):
+    pytest.importorskip("resource")  # the child caps its address space with it
+    path = tmp_path / "model.ckpt"
+    config = {**asdict(TrainConfig()), "n_blocks": 10**9}
+    save_checkpoint(path, {"a": np.ones(2)}, {"config": config, "config_digest": "", "loss_trace": []})
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD.format(call=call), str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert re.match(message.format(path=re.escape(str(path))), done.stdout), done.stdout
+    assert "more than 134217728" in done.stdout
+
+
+def test_the_size_bound_is_2_to_the_27_dense_values():
+    # dim 2 and hidden_dim 1 hold 4 + 2 + n_blocks + 128 values
+    TrainConfig(dim=2, rank=1, hidden_dim=1, n_blocks=2**27 - 134)
+    with pytest.raises(ValueError, match="make 134217729 dense parameters, more than 134217728"):
+        TrainConfig(dim=2, rank=1, hidden_dim=1, n_blocks=2**27 - 133)
 
 
 # ---- checkpoints ----------------------------------------------------------
