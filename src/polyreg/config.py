@@ -34,6 +34,9 @@ _MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, r
 # the most dense parameter values a model may hold: 1 GiB of float64
 MAX_DENSE_PARAMS = 2**27
 
+# the width of the regressor's bottleneck, between its trunk and its heads
+BOTTLENECK_DIM = 128
+
 
 @dataclass
 class TrainConfig:
@@ -86,9 +89,9 @@ class TrainConfig:
         if self.n_blocks < 1:
             raise ValueError("at least one residual block required")
         # every dense tensor is allocated up front: w0, the trunk's input
-        # projection, its blocks and regressor's 128-wide bottleneck
+        # projection, its blocks and the regressor's bottleneck
         d, h = self.dim, self.hidden_dim
-        dense = d * d + h * d + self.n_blocks * h * h + 128 * h
+        dense = d * d + h * d + self.n_blocks * h * h + BOTTLENECK_DIM * h
         if dense > MAX_DENSE_PARAMS:
             raise ValueError(
                 f"dim {d}, hidden_dim {h} and n_blocks {self.n_blocks} make {dense} "

@@ -51,6 +51,11 @@ _HEAD_SCALE = {
 }
 
 
+# the most documents a corpus may hold, all drawn at once: a (heads, n_docs)
+# float64 array of 22 heads is then 176 MiB; the paper's 276,400 fit
+MAX_DOCS = 2**20
+
+
 @dataclass
 class SynthConfig:
     seed: int = 0
@@ -67,6 +72,8 @@ class SynthConfig:
         # one document has no spread to z-score its labels by
         if self.n_docs < 2:
             raise ValueError(f"n_docs must be at least 2, got {self.n_docs}")
+        if self.n_docs > MAX_DOCS:
+            raise ValueError(f"n_docs must be at most MAX_DOCS = {MAX_DOCS}, got {self.n_docs}")
         heads = list(self.heads)
         if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
             raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")

@@ -27,7 +27,7 @@ PROMPT_BLOCK = 256
 
 
 class LeakageDetected(Exception):
-    """A built prompt still contains an observed target value."""
+    """A built prompt still contains a target value: an observation or a label."""
 
 
 @dataclass
@@ -56,11 +56,13 @@ def build_dataset(
     """Turn extracted samples into masked prompt instances.
 
     Multiple observations of one head average to a single label; limit
-    observations (no canonical value) never become labels.  The samples
-    go PROMPT_BLOCK at a time: one set of target representations per
-    block feeds both the mask and the leakage guard, which re-scans every
-    built prompt and refuses to emit leaks.  The earliest failing sample
-    raises, whether its prompt leaks or has no sample text.
+    observations (no canonical value) never become labels.  Every
+    observation and every label is a target.  The samples go
+    PROMPT_BLOCK at a time: one set of target representations per block
+    feeds both the mask and the leakage guard, which re-scans every built
+    prompt and refuses to emit leaks, so scan_dataset_for_leaks finds
+    none in what this returns.  The earliest failing sample raises,
+    whether its prompt leaks or has no sample text.
 
     ``variant`` may be a tuple of VARIANTS names, which gives
     ``{variant: instances}`` from one pass: each sample text and each
@@ -96,6 +98,8 @@ def build_dataset(
                 else:
                     with np.errstate(over="ignore"):  # refused just below, naming the head
                         label = np.mean(head_values)
+                    heads.append(head_id)  # a mean is a target too
+                    values.append(label)
                 if not math.isfinite(label):  # two finite values can sum past the float range
                     raise ValueError(
                         f"sample {sample.sample_id!r}: head {head_id} label {float(label)!r} is not finite"
@@ -157,13 +161,19 @@ def _unescape(text: str) -> str:
 
 
 def save_dataset(instances: list[PromptInstance], path) -> None:
-    """Write instances as TSV; ids and variants must be free of tabs and
-    newlines, which the format does not escape outside the prompt text, and
-    a present label must be finite, as load_dataset requires."""
-    for inst in instances:
-        for name, value in (("sample_id", inst.sample_id), ("variant", inst.variant)):
-            if "\t" in value or "\n" in value or "\r" in value:
-                raise ValueError(f"{path}: {name} {value!r} contains a tab or a newline")
+    """Write instances as TSV, refusing before the file is opened what
+    load_dataset would: a sample_id holding a tab or a newline, which the
+    format does not escape outside the prompt text, or repeating an earlier
+    one, a variant not in VARIANTS, or a present label that is not finite."""
+    first_line: dict[str, int] = {}
+    for lineno, inst in enumerate(instances, 2):  # line 1 is the header
+        sid = inst.sample_id
+        if "\t" in sid or "\n" in sid or "\r" in sid:
+            raise ValueError(f"{path}:{lineno}: sample_id {sid!r} contains a tab or a newline")
+        if inst.variant not in VARIANTS:
+            raise ValueError(f"{path}:{lineno}: variant {inst.variant!r} is not one of {', '.join(VARIANTS)}")
+        if first_line.setdefault(sid, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: sample_id {sid!r} repeats line {first_line[sid]}")
     for start in range(0, len(instances), PROMPT_BLOCK):
         block = instances[start : start + PROMPT_BLOCK]
         labels = np.array([inst.labels for inst in block])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SynthConfig, gen_corpus
-from .datasets import LeakageDetected, PromptInstance, build_dataset, scan_dataset_for_leaks
+from .datasets import PromptInstance, build_dataset
 from .metrics import EvalReport, evaluate
 from .prompts import VARIANTS
 from .records import extract_corpus
@@ -78,10 +78,10 @@ def prepare_variant_datasets(
 ):
     """Generate, extract and build both prompt variants on a shared split.
 
-    Each part's two variants come from one build_dataset pass.  The
-    leakage guard runs on every built dataset; a nonzero hit count raises
-    LeakageDetected, naming the variant and the part, before any
-    training.
+    Each part's two variants come from one build_dataset pass, whose
+    leakage guard masks every observation and label and raises
+    LeakageDetected, naming the sample, before any training.  Both
+    variants of a part hold the same samples.
     """
     registry = registry or default_registry()
     corpus = gen_corpus(synth_cfg, registry)
@@ -89,14 +89,7 @@ def prepare_variant_datasets(
     train_samples, test_samples = split_samples(samples, split_seed)
     train_sets = build_dataset(train_samples, VARIANTS, registry)
     test_sets = build_dataset(test_samples, VARIANTS, registry)
-    datasets = {}
-    for variant in VARIANTS:
-        datasets[variant] = (train_sets[variant], test_sets[variant])
-        for part, built in zip(("train", "test"), datasets[variant]):
-            hits = scan_dataset_for_leaks(built, registry)
-            if hits:
-                raise LeakageDetected(f"{variant} {part} set: {hits} surviving target values")
-    return datasets
+    return {variant: (train_sets[variant], test_sets[variant]) for variant in VARIANTS}
 
 
 def run_ablation(
@@ -111,15 +104,12 @@ def run_ablation(
     """
     registry = registry or default_registry()
     datasets = prepare_variant_datasets(synth_cfg, train_cfg.seed, registry)
+    split_hash = _sample_id_hash(datasets["sample_only"][1])  # one split serves both variants
     reports: dict[str, EvalReport] = {}
-    split_hashes = set()
     for variant, (train_set, test_set) in datasets.items():
         cfg = replace(train_cfg, variant=variant)
         trained = train(cfg, train_set, registry)
         reports[variant] = evaluate(trained, test_set, registry)
-        split_hashes.add(_sample_id_hash(test_set))
-    if len(split_hashes) != 1:
-        raise AssertionError("ablation variants evaluated on different held-out splits")
     with_syn = {h.head_id: h for h in reports["sample_synthesis"].heads}
     without = {h.head_id: h for h in reports["sample_only"].heads}
     rows = []
@@ -136,7 +126,7 @@ def run_ablation(
                 r2_sample_only=b.primary_r2,
             )
         )
-    return AblationReport(rows=rows, split_hash=split_hashes.pop())
+    return AblationReport(rows=rows, split_hash=split_hash)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Prompt assembly and target-label masking.
 
 Prompts are built from a ``[Sample]`` block and (in the full variant) a
-``[Synthesis]`` block.  Every numeric mention of an observed target value
-is scrubbed to the literal token ``[MASKED]``, matched across all
+``[Synthesis]`` block.  Every numeric mention of a target (an observed
+value or a label) is scrubbed to ``[MASKED]``, matched across all
 registered units of the head's dimension with a ±0.5% relative tolerance.
 
 Masking and the leakage scan work on a block of prompts at a time:

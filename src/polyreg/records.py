@@ -336,16 +336,20 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
 
     A value load_extracted would refuse (a non-finite number, an id or a
     text that is not a ``str``, ...) raises a ValueError naming the path,
-    the sample id and the field before the file is opened.  Each line is
+    the sample id and the field before the file is opened, as does a
+    sample_id an earlier sample holds, naming both lines.  Each line is
     the encoder's bytes for the layout above, laid out by hand: keys in
     sorted order, strings through encode_basestring_ascii, numbers (exact
     floats and ints, once checked) through repr and None as null."""
-    for s in samples:
+    first_line: dict[str, int] = {}
+    for lineno, s in enumerate(samples, 1):
         fault = _sample_fault(s.sample_id, s.sample_text, s.synthesis_text)
         for o in s.observations:
             fault = fault or _fault(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
         if fault:
             raise ValueError(f"{path}: sample {s.sample_id!r}: {fault}")
+        if first_line.setdefault(s.sample_id, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: sample_id {s.sample_id!r} repeats line {first_line[s.sample_id]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
             observations = []

@@ -16,7 +16,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import BOTTLENECK_DIM, TrainConfig
 from .registry import N_HEADS
 
 _UFUNCS = "scipy.special._special_ufuncs"
@@ -61,7 +61,6 @@ def _load_erf():
 # Eager on purpose: a lazy scipy.special import moved its 0.25 s into train (default_vocab 14,302 -> 9,534 samples/s).
 erf = _load_erf()
 
-BOTTLENECK_DIM = 128
 LN_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -1,6 +1,9 @@
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from polyreg.datasets import PromptInstance, save_dataset
 from polyreg.registry import N_HEADS, default_registry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def _run(capsys, *argv):
@@ -112,6 +116,49 @@ def test_gen_corpus_rejects_an_invalid_corpus_config(capsys, tmp_path, line):
     assert code == 1
     assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
     assert not corpus.exists()
+
+
+# the corpus must be refused before any array is drawn, so the run is a
+# child whose address space is capped at 2 GiB: one that draws 10**9
+# documents fails fast instead of filling the host's memory
+_BOUNDED_GEN_CORPUS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from polyreg.cli import main
+sys.exit(main(["gen-corpus", "--config", sys.argv[1], "-o", sys.argv[2]]))
+"""
+
+
+def test_gen_corpus_refuses_n_docs_past_the_bound_before_drawing(tmp_path):
+    pytest.importorskip("resource")  # the child caps its address space with it
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("n_docs = 1000000000\n")
+    corpus = tmp_path / "corpus.txt"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_GEN_CORPUS, str(cfg), str(corpus)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert done.stderr == f"error: {cfg}: n_docs must be at most MAX_DOCS = 1048576, got 1000000000\n"
+    assert not corpus.exists()
+
+
+def test_build_dataset_masks_the_mean_label_of_a_head_reported_twice(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(
+        "== SAMPLE s1 ==\nSample: film tested at 105 MPa preload.\n"
+        "tensile strength = 100 MPa; tensile strength = 110 MPa\n",
+        encoding="utf-8",
+    )
+    obs, dataset = tmp_path / "obs.jsonl", tmp_path / "ds.tsv"
+    assert _run(capsys, "extract", str(corpus), "-o", str(obs))[0] == 0
+    code, out, err = _run(capsys, "build-dataset", str(obs), "-o", str(dataset))
+    assert (code, err) == (0, "")
+    assert "wrote 1 prompt instances" in out
+    row = dataset.read_text(encoding="utf-8").splitlines()[1].split("\t")
+    assert row[2] == "[Sample]\\nfilm tested at [MASKED] MPa preload.\\n[Synthesis]\\n"
+    assert "105" in row[3:]  # the label
 
 
 def _tg_dataset(path) -> None:

@@ -3,7 +3,7 @@ import pytest
 
 from polyreg.cli import CONFIG_SECTIONS, _load_configs
 from polyreg.config import read_config
-from polyreg.corpus import SynthConfig
+from polyreg.corpus import MAX_DOCS, SynthConfig
 from polyreg.trainer import TrainConfig
 
 
@@ -71,11 +71,19 @@ def test_bad_lines_name_the_file(tmp_path, text, message):
         (dict(gamma=10**400), "gamma must be finite, got 1000"),  # too large for a float
         (dict(tail_skew=-(10**400)), "tail_skew must be finite, got -1000"),
         (dict(heads=(5, 6), eta={5: 0.1, 6: 10**400}), r"eta must be finite, got \{5: 0\.1, 6: 1000"),
+        (dict(n_docs=2**20 + 1), "n_docs must be at most MAX_DOCS = 1048576, got 1048577"),
+        (dict(n_docs=10**400), "n_docs must be at most MAX_DOCS = 1048576, got 1000"),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SynthConfig(**kwargs)
+
+
+def test_synth_config_accepts_the_papers_corpus_size_and_the_bound():
+    # constructing a config draws nothing
+    assert SynthConfig(n_docs=276_400).n_docs == 276_400
+    assert SynthConfig(n_docs=MAX_DOCS).n_docs == 2**20
 
 
 def test_synth_config_accepts_numpy_scalars():

@@ -297,7 +297,8 @@ def test_target_values_rejects_an_unknown_head_id(head_id):
 
 
 def _reference_build(samples, variant, mask=True):
-    """build_dataset one prompt at a time, with the per-pair loop."""
+    """build_dataset one prompt at a time, with the per-pair loop: every
+    observation and every label is a target."""
     instances = []
     for sample in samples:
         labels = np.full(N_HEADS, np.nan)
@@ -307,7 +308,7 @@ def _reference_build(samples, variant, mask=True):
             labels[h] = np.mean([v for g, v in targets if g == h])
             label_mask[h] = True
         text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
-        reps = _reference_values(targets)
+        reps = _reference_values(targets + [(h, labels[h]) for h in np.flatnonzero(label_mask)])
         if mask:
             text = _reference_mask(text, reps)
         hits = _reference_hits(text, reps)
@@ -405,7 +406,7 @@ def _pair_samples():
         # the sample text holds the synthesis header itself
         ExtractedSample("header", "film 105 °C\n[Synthesis]\n105 °C", "cured 105 °C", [_point("header", _TG, 105.0, "°C")]),
         ExtractedSample("no_synthesis", "film at 120 °C", "", [_point("no_synthesis", _TG, 120.0, "°C")]),
-        # a head observed twice: its label is the mean, each value a target
+        # a head observed twice: its label, the mean, is a target as each value is
         ExtractedSample(
             "twice",
             "Tg 100 or 120, mean 110 °C",
@@ -445,7 +446,7 @@ def test_pair_build_gives_each_variants_build_bitwise(tmp_path):
     assert texts == {
         "header": "[Sample]\nfilm [MASKED] °C\n[Synthesis]\n[MASKED] °C\n[Synthesis]\ncured [MASKED] °C",
         "no_synthesis": "[Sample]\nfilm at [MASKED] °C\n[Synthesis]\n",
-        "twice": "[Sample]\nTg [MASKED] or [MASKED], mean 110 °C\n[Synthesis]\nannealed [MASKED] °C",
+        "twice": "[Sample]\nTg [MASKED] or [MASKED], mean [MASKED] °C\n[Synthesis]\nannealed [MASKED] °C",
         "limit": "[Sample]\nstrength above 50 MPa\n[Synthesis]\ndrawn at 50 MPa",
         "unit": "[Sample]\nstrength [MASKED] GPa\n[Synthesis]\nannealed [MASKED] K",
         "signed": "[Sample]\nfilm quenched\n[Synthesis]\n[MASKED] °C quench, then +5 °C",
@@ -475,6 +476,38 @@ def test_pair_build_raises_on_a_leak_in_the_synthesis_part_alone(monkeypatch):
     for variants in ("sample_synthesis", VARIANTS):
         with pytest.raises(LeakageDetected, match=r"^sample s1: surviving targets \['105'\]$"):
             build_dataset([sample], variants)
+
+
+# a head reported one to three times, each value and the mean restated in
+# either text, next to numbers that are no target
+_reported_values = st.lists(st.floats(-500, 5000, allow_nan=False), min_size=1, max_size=3)
+_unrelated = st.one_of(st.integers(-300, 3000).map(str), st.floats(-1e4, 1e4, allow_nan=False).map("{:g}".format))
+
+
+@st.composite
+def _reporting_samples(draw):
+    samples = []
+    for i in range(draw(st.integers(1, 4))):
+        observations, mentions = [], draw(st.lists(_unrelated, max_size=4))
+        for head, unit in draw(st.lists(st.sampled_from([(_TG, "°C"), (_TS, "MPa")]), unique=True, max_size=2)):
+            values = draw(_reported_values)
+            observations += [_point(f"s{i}", head, v, unit) for v in values]
+            mean = float(np.mean(values))
+            mentions += [f"{v:g} {unit}" for v in values] + [f"mean {mean:g} {unit}", repr(mean)]
+        mentions = draw(st.permutations(mentions))
+        cut = draw(st.integers(0, len(mentions)))
+        samples.append(ExtractedSample(f"s{i}", " ".join(["film", *mentions[:cut]]), ", ".join(mentions[cut:]), observations))
+    return samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reporting_samples())
+def test_scan_finds_nothing_in_what_build_dataset_returns(samples):
+    # every label, a reported head's mean, is masked as its values are
+    for variant in ("sample_synthesis", "sample_only"):
+        assert scan_dataset_for_leaks(build_dataset(samples, variant)) == 0
+    for built in build_dataset(samples, VARIANTS).values():
+        assert scan_dataset_for_leaks(built) == 0
 
 
 @pytest.mark.parametrize("in_synthesis", [False, True], ids=["sample_part", "synthesis_part"])
@@ -560,6 +593,19 @@ def test_save_dataset_rejects_tab_or_newline_in_ids(tmp_path, field, bad):
     path = tmp_path / "ds.tsv"
     with pytest.raises(ValueError, match=field):
         save_dataset([inst], path)
+    assert not path.exists()
+
+
+def test_save_dataset_refuses_a_repeated_sample_id_or_an_unknown_variant(tmp_path):
+    a, b = build_dataset(extract_document(_doc()), "sample_only")
+    path = tmp_path / "ds.tsv"
+    b.sample_id = "s1"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: sample_id 's1' repeats line 2$"):
+        save_dataset([a, b], path)
+    assert not path.exists()
+    b.sample_id, b.variant = "s2", "bogus"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: variant 'bogus' is not one of sample_synthesis, sample_only$"):
+        save_dataset([a, b], path)
     assert not path.exists()
 
 

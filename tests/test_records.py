@@ -798,6 +798,21 @@ def test_save_extracted_refuses_what_load_extracted_would_before_writing(tmp_pat
     assert path.read_text() == "kept\n"
 
 
+def test_save_extracted_refuses_a_repeated_sample_id_before_writing(tmp_path):
+    path = tmp_path / "obs.jsonl"
+    path.write_text("kept\n")
+    samples = [ExtractedSample("s1", "PS film"), ExtractedSample("s2", "PE film"), ExtractedSample("s1", "PP film")]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: sample_id 's1' repeats line 1$"):
+        save_extracted(samples, path)
+    assert path.read_text() == "kept\n"
+    # load_extracted gives the same message for the lines the writer would have written
+    save_extracted(samples[:2], path)
+    save_extracted(samples[2:], tmp_path / "last.jsonl")
+    path.write_text(path.read_text() + (tmp_path / "last.jsonl").read_text())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: sample_id 's1' repeats line 1$"):
+        load_extracted(path)
+
+
 # ---- the records' __init__ ------------------------------------------------
 
 
