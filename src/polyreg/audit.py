@@ -9,7 +9,7 @@ precision requires all four to be simultaneously correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .lines import read_lines
@@ -39,13 +39,8 @@ class AuditReport:
     strict_precision: float
 
     def as_rows(self) -> list[tuple[str, float]]:
-        return [
-            ("sample_assoc_precision", self.sample_assoc_precision),
-            ("property_precision", self.property_precision),
-            ("value_precision", self.value_precision),
-            ("unit_precision", self.unit_precision),
-            ("strict_precision", self.strict_precision),
-        ]
+        """(name, precision) of every field but ``n``, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "n"]
 
 
 def _values_match(a: float, b: float) -> bool:
@@ -63,31 +58,20 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
     """Score extracted records against gold annotations."""
     ext = {r.record_id: r for r in extracted}
     ref = {r.record_id: r for r in gold}
-    if set(ext) != set(ref):
-        raise MismatchedIds("extracted and gold record ids differ")
+    if ext.keys() != ref.keys():
+        rid = min(ext.keys() ^ ref.keys())
+        where = "extracted records but not in the gold" if rid in ext else "gold records but not in the extracted"
+        raise MismatchedIds(f"record {rid!r} is in the {where}")
     n = len(ref)
     if n == 0:
         raise MismatchedIds("empty record sets")
-    sample_ok = prop_ok = value_ok = unit_ok = strict_ok = 0
-    for rid, g in ref.items():
-        e = ext[rid]
-        s = e.sample_id == g.sample_id
-        p = e.head == g.head
-        v = _values_match(e.value, g.value)
-        u = _units_match(e.unit, g.unit)
-        sample_ok += s
-        prop_ok += p
-        value_ok += v
-        unit_ok += u
-        strict_ok += s and p and v and u
-    return AuditReport(
-        n=n,
-        sample_assoc_precision=sample_ok / n,
-        property_precision=prop_ok / n,
-        value_precision=value_ok / n,
-        unit_precision=unit_ok / n,
-        strict_precision=strict_ok / n,
-    )
+    # one row per gold record, in AuditReport's field order: sample, property, value, unit
+    checks = [
+        (e.sample_id == g.sample_id, e.head == g.head, _values_match(e.value, g.value), _units_match(e.unit, g.unit))
+        for e, g in zip(map(ext.get, ref), ref.values())
+    ]
+    counts = [sum(column) for column in zip(*checks)] + [sum(map(all, checks))]  # strict: all four
+    return AuditReport(n, *(count / n for count in counts))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lines import read_lines
 from .records import ExtractedSample, finite_label
-from .prompts import VARIANTS, build_prompt, leakage_hits, mask_labels, target_values
+from .prompts import VARIANTS, EmptySample, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
 
 
@@ -118,7 +118,10 @@ def build_dataset(
         for sample, sample_text, synthesis_text, hits, (labels, mask) in zip(
             block, sample_texts, synthesis_texts, leaks, rows
         ):
-            text = build_prompt(sample_text, synthesis_text, first)  # an EmptySample outranks its leak
+            try:  # an EmptySample outranks its leak
+                text = build_prompt(sample_text, synthesis_text, first)
+            except EmptySample as err:
+                raise EmptySample(f"sample {sample.sample_id}: {err}") from None
             if hits:
                 raise LeakageDetected(f"sample {sample.sample_id}: surviving targets {hits}")
             built[first].append(PromptInstance(sample.sample_id, first, text, labels, mask))

@@ -37,6 +37,8 @@ _SPLITMIX_MUL2 = 0x94D049BB133111EB
 # half-width of the uniform row init: std 0.1
 _INIT_HALF_WIDTH = 0.1 * np.sqrt(3.0)
 
+# the unsigned number branch is kept apart from records._NUM_RE on purpose: it
+# fixes the token hashes, so a change to the extraction grammar moves no checkpoint byte
 _TOKEN_RE = re.compile(
     r"(\[(?:Sample|Synthesis|MASKED)\])"
     r"|(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"

@@ -289,9 +289,14 @@ def _macro_report(heads: list[HeadResult], **fields) -> EvalReport:
 
 
 def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> EvalReport:
-    """Score a trained model on held-out prompt instances."""
+    """Score a trained model on held-out prompt instances.  Raises
+    ``ValueError`` if an instance's variant is not the model's."""
     if not instances:
         raise ValueError("evaluate: the instance list is empty")
+    trained_on = trained.model.cfg.variant
+    wrong = next((inst.variant for inst in instances if inst.variant != trained_on), None)
+    if wrong is not None:
+        raise ValueError(f"evaluate: an instance has variant {wrong!r}, but the model was trained on {trained_on!r}")
     registry = registry or default_registry()
     preds = predict(trained, instances)
     labels = np.array([i.labels for i in instances])

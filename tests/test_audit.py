@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polyreg.audit import (
     AuditRecord,
+    AuditReport,
     MismatchedIds,
     audit,
     load_bundled_fixture,
@@ -50,8 +53,10 @@ def test_unit_spelling_variants_count_as_match():
 def test_mismatched_id_sets_raise():
     gold = [_record(0), _record(1)]
     extracted = [_record(0), _record(2)]
-    with pytest.raises(MismatchedIds):
+    with pytest.raises(MismatchedIds, match="^record 'r001' is in the gold records but not in the extracted$"):
         audit(extracted, gold)
+    with pytest.raises(MismatchedIds, match="^record 'r002' is in the extracted records but not in the gold$"):
+        audit(extracted, gold[:1])
     with pytest.raises(MismatchedIds):
         audit([], [])
 
@@ -84,6 +89,46 @@ def test_strict_precision_bounded_by_components():
         report = audit(extracted, gold)
         for _, value in report.as_rows()[:4]:
             assert report.strict_precision <= value + 1e-12
+
+
+def test_as_rows_names_every_report_field_but_n_in_order():
+    names = [f.name for f in dataclasses.fields(AuditReport)]
+    assert names[0] == "n"
+    assert [name for name, _ in audit([_record(0)], [_record(0)]).as_rows()] == names[1:]
+
+
+METRICS = ["sample_assoc_precision", "property_precision", "value_precision", "unit_precision", "strict_precision"]
+
+
+def test_precisions_equal_a_per_record_reference_count():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        gold = [_record(i) for i in range(int(rng.integers(1, 60)))]
+        extracted = [
+            AuditRecord(
+                r.record_id,
+                r.sample_id + "x" if rng.random() < 0.3 else r.sample_id,
+                "Tm" if rng.random() < 0.3 else r.head,
+                r.value * 1.001 if rng.random() < 0.3 else r.value,
+                rng.choice(["°C", "degC", "K", "MPa"]) if rng.random() < 0.5 else r.unit,
+            )
+            for r in gold
+        ]
+        rng.shuffle(extracted)  # audit pairs records by id, not by position
+        by_id = {r.record_id: r for r in extracted}
+        counts = np.zeros(5, dtype=int)
+        for g in gold:
+            e = by_id[g.record_id]
+            ok = [
+                e.sample_id == g.sample_id,
+                e.head == g.head,
+                abs(e.value - g.value) <= 1e-9 * abs(g.value),
+                e.unit in ("°C", "degC"),  # every gold unit is °C
+            ]
+            counts += ok + [all(ok)]
+        report = audit(extracted, gold)
+        assert report.n == len(gold)
+        assert report.as_rows() == list(zip(METRICS, counts / len(gold)))
 
 
 def test_records_round_trip(tmp_path):

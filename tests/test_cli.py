@@ -37,6 +37,31 @@ def test_audit_subcommand_prints_strict_precision(capsys, tmp_path):
     assert "n\t120" in body
 
 
+def test_audit_writes_the_pinned_table_for_the_bundled_fixture(capsys, tmp_path):
+    out_path = tmp_path / "audit.tsv"
+    assert _run(capsys, "audit", *map(str, bundled_fixture_paths()), "-o", str(out_path))[0] == 0
+    assert out_path.read_bytes() == (
+        b"metric\tvalue\n"
+        b"sample_assoc_precision\t1.000000\n"
+        b"property_precision\t0.908333\n"
+        b"value_precision\t0.941667\n"
+        b"unit_precision\t0.941667\n"
+        b"strict_precision\t0.841667\n"
+        b"n\t120\n"
+    )
+
+
+def test_audit_names_a_record_the_gold_lacks(capsys, tmp_path):
+    extracted, gold = bundled_fixture_paths()
+    extra = tmp_path / "extracted.tsv"
+    extra.write_text(extracted.read_text(encoding="utf-8") + "zz9\ts1\tTg\t100\t°C\n", encoding="utf-8")
+    out_path = tmp_path / "audit.tsv"
+    code, out, err = _run(capsys, "audit", str(extra), str(gold), "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: record 'zz9' is in the extracted records but not in the gold\n"
+    assert not out_path.exists()
+
+
 def test_pipeline_end_to_end(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     cfg = tmp_path / "synth.cfg"
@@ -161,6 +186,21 @@ def test_build_dataset_masks_the_mean_label_of_a_head_reported_twice(capsys, tmp
     assert "105" in row[3:]  # the label
 
 
+def test_build_dataset_names_a_sample_without_sample_text(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(
+        "== SAMPLE s1 ==\nSynthesis: cured 2 h.\nTg = 105 °C\n"
+        "== SAMPLE s2 ==\nSample: film.\nTg = 90 °C\n",
+        encoding="utf-8",
+    )
+    obs, dataset = tmp_path / "obs.jsonl", tmp_path / "ds.tsv"
+    assert _run(capsys, "extract", str(corpus), "-o", str(obs))[0] == 0
+    code, out, err = _run(capsys, "build-dataset", str(obs), "-o", str(dataset))
+    assert (code, out) == (1, "")
+    assert err == "error: sample s1: sample description must be non-empty\n"
+    assert not dataset.exists()
+
+
 def _tg_dataset(path) -> None:
     """Four samples, each labelled with one Tg."""
     tg = default_registry().lookup("Tg").head_id
@@ -191,6 +231,25 @@ def test_score_responses_subcommand(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "head_id\tname\tn\tr2_linear\tr2_log\tmae\trmse\tprimary"
     assert lines[1:] == ["0\tTg\t3\t0.999598\t0.999330\t1\t1\tlinear", "# retention\t0.800000"]
+
+
+def test_eval_refuses_a_dataset_of_another_variant(capsys, tmp_path):
+    dataset, ckpt = tmp_path / "only.tsv", tmp_path / "model.ckpt"
+    _tg_dataset(dataset)
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(
+        "variant = sample_only\nepochs = 0\nvocab_size = 1024\ndim = 16\nrank = 4\nhidden_dim = 16\nn_blocks = 1\n"
+    )
+    assert _run(capsys, "train", str(dataset), "--config", str(train_cfg), "-o", str(ckpt))[0] == 0
+    other = tmp_path / "synthesis.tsv"
+    other.write_text(dataset.read_text(encoding="utf-8").replace("\tsample_only\t", "\tsample_synthesis\t"))
+    report = tmp_path / "eval.tsv"
+    code, out, err = _run(capsys, "eval", str(ckpt), str(other), "-o", str(report))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: evaluate: an instance has variant 'sample_synthesis', but the model was trained on 'sample_only'\n"
+    )
+    assert not report.exists()
 
 
 def test_score_responses_names_a_malformed_line(capsys, tmp_path):

@@ -346,7 +346,8 @@ def test_evaluate_normalizes_a_linear_head_below_zero_as_it_is(monkeypatch):
     mu, sigma = np.full(N_HEADS, np.nan), np.full(N_HEADS, np.nan)
     mu[tg], sigma[tg] = -60.0, 45.0
     table = LabelTransforms(mu, sigma, np.zeros(N_HEADS), valid)
-    trained = TrainedModel(PropertyModel(TrainConfig(seed=0, dim=16, rank=4, hidden_dim=16)), table)
+    cfg = TrainConfig(seed=0, dim=16, rank=4, hidden_dim=16, variant="sample_only")
+    trained = TrainedModel(PropertyModel(cfg), table)
     preds = np.full((y.size, N_HEADS), np.nan)
     preds[:, tg] = p
     labels = np.zeros((y.size, N_HEADS))

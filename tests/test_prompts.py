@@ -307,7 +307,10 @@ def _reference_build(samples, variant, mask=True):
         for h in {h for h, _ in targets}:
             labels[h] = np.mean([v for g, v in targets if g == h])
             label_mask[h] = True
-        text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
+        try:
+            text = build_prompt(sample.sample_text, sample.synthesis_text, variant)
+        except EmptySample as err:
+            raise EmptySample(f"sample {sample.sample_id}: {err}") from None
         reps = _reference_values(targets + [(h, labels[h]) for h in np.flatnonzero(label_mask)])
         if mask:
             text = _reference_mask(text, reps)
