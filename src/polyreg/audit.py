@@ -9,6 +9,7 @@ precision requires all four to be simultaneously correct.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -17,7 +18,7 @@ from .units import normalize_unit
 
 
 class MismatchedIds(Exception):
-    """Extracted and gold record id sets differ."""
+    """Extracted and gold record id sets differ, or one repeats an id."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ def audit(extracted: list[AuditRecord], gold: list[AuditRecord]) -> AuditReport:
     """Score extracted records against gold annotations."""
     ext = {r.record_id: r for r in extracted}
     ref = {r.record_id: r for r in gold}
+    for side, records, by_id in (("extracted", extracted, ext), ("gold", gold, ref)):
+        if len(by_id) < len(records):  # the dict kept only the last of a repeated id
+            rid = next(rid for rid, count in Counter(r.record_id for r in records).items() if count > 1)
+            raise MismatchedIds(f"record {rid!r} repeats in the {side} records")
     if ext.keys() != ref.keys():
         rid = min(ext.keys() ^ ref.keys())
         where = "extracted records but not in the gold" if rid in ext else "gold records but not in the extracted"

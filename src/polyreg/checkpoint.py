@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .lines import replacing
+
 MAGIC = b"POLYREG\x00"
 VERSION = 2
 
@@ -26,27 +28,16 @@ class VersionMismatch(Exception):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> None:
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
     meta = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<Q", len(meta)))
-    chunks.append(meta)
-    chunks.append(struct.pack("<I", len(tensors)))
+    chunks = [MAGIC, struct.pack("<IQ", VERSION, len(meta)), meta, struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         # ascontiguousarray promotes 0-d arrays to 1-d, so keep the shape
         arr = np.ascontiguousarray(arr).reshape(np.shape(arr))
-        name_b = name.encode("utf-8")
-        dtype_b = arr.dtype.str.encode("ascii")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<H", len(dtype_b)))
-        chunks.append(dtype_b)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        data = arr.tobytes()
-        chunks.append(struct.pack("<Q", len(data)))
-        chunks.append(data)
+        name_b, dtype_b, data = name.encode("utf-8"), arr.dtype.str.encode("ascii"), arr.tobytes()
+        chunks += [struct.pack("<H", len(name_b)), name_b, struct.pack("<H", len(dtype_b)), dtype_b]
+        chunks += [struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(data)), data]  # ndim, shape, size
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 

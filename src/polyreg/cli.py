@@ -14,6 +14,7 @@ import sys
 
 from .config import TrainConfig, read_config
 from .corpus import SynthConfig
+from .lines import replacing
 from .prompts import VARIANTS
 
 
@@ -31,10 +32,9 @@ def _load_configs(path, seed=None) -> tuple[SynthConfig, TrainConfig]:
     return SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
-def _write_table(path, table: str, key: str, value: str) -> None:
+def _write_table(fh, table: str, key: str, value: str) -> None:
     """A report table followed by one ``# key<TAB>value`` footer line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{table}# {key}\t{value}\n")
+    fh.write(f"{table}# {key}\t{value}\n")
 
 
 def cmd_gen_corpus(args) -> int:
@@ -49,15 +49,16 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_extract(args) -> int:
     from .lines import utf8_fault
-    from .records import extract_corpus, save_extracted
+    from .records import MalformedDocument, extract_corpus, save_extracted
 
     try:
         with open(args.docs, encoding="utf-8") as fh:
-            text = fh.read()
+            samples, counters = extract_corpus(fh.read())
     except UnicodeDecodeError:
         with open(args.docs, "rb") as fh:
             raise ValueError(utf8_fault(args.docs, fh.read())) from None
-    samples, counters = extract_corpus(text)
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"{args.docs}:{exc.line}: {exc}", exc.line) from None
     save_extracted(samples, args.output)
     n_obs = sum(len(s.observations) for s in samples)
     print(
@@ -100,9 +101,10 @@ def cmd_eval(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = evaluate(trained, instances)
-    _write_table(args.output, report.to_table(), "config_digest", trained.model.cfg.digest())
-    with open(args.output + ".json", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    # both files are written before either replaces its target
+    with replacing(args.output) as table, replacing(args.output + ".json") as js:
+        _write_table(table, report.to_table(), "config_digest", trained.model.cfg.digest())
+        js.write(report.to_json() + "\n")
     macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
     print(f"evaluated {len(report.heads)} heads; macro primary R2 = {macro}")
     return 0
@@ -113,7 +115,8 @@ def cmd_ablate(args) -> int:
 
     synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
-    _write_table(args.output, report.to_table(), "config_digest", train_cfg.digest())
+    with replacing(args.output) as fh:
+        _write_table(fh, report.to_table(), "config_digest", train_cfg.digest())
     print(f"ablation mean delta = {report.mean_delta:.4f} over {len(report.rows)} heads")
     return 0
 
@@ -124,11 +127,9 @@ def cmd_audit(args) -> int:
     extracted = read_records(args.extracted)
     gold = read_records(args.gold)
     report = audit(extracted, gold)
-    lines = ["metric\tvalue"] + [f"{k}\t{v:.6f}" for k, v in report.as_rows()]
-    body = "\n".join(lines) + f"\nn\t{report.n}\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        with replacing(args.output) as fh:
+            fh.writelines(["metric\tvalue\n", *(f"{k}\t{v:.6f}\n" for k, v in report.as_rows()), f"n\t{report.n}\n"])
     print(f"strict precision {report.strict_precision:.3f} ({report.n} records)")
     return 0
 
@@ -141,7 +142,8 @@ def cmd_uncertainty_report(args) -> int:
     trained = load_trained(args.checkpoint)
     instances = load_dataset(args.dataset)
     report = run_uncertainty_report(trained, instances)
-    _write_table(args.output, report.to_table(), "config_digest", trained.model.cfg.digest())
+    with replacing(args.output) as fh:
+        _write_table(fh, report.to_table(), "config_digest", trained.model.cfg.digest())
     sp = "NA" if report.spearman is None else f"{report.spearman:.4f}"
     print(f"uncertainty spearman = {sp}, calibration ratio = {report.calibration_ratio:.3f}")
     return 0
@@ -153,7 +155,8 @@ def cmd_score_responses(args) -> int:
 
     instances = load_dataset(args.dataset)
     report, retention = score_prediction_file(args.responses, instances)
-    _write_table(args.output, report.to_table(), "retention", f"{retention:.6f}")
+    with replacing(args.output) as fh:
+        _write_table(fh, report.to_table(), "retention", f"{retention:.6f}")
     macro = "NA" if report.macro_primary_r2 is None else f"{report.macro_primary_r2:.4f}"
     print(f"scored {len(report.heads)} heads; macro primary R2 = {macro}; retention = {retention:.3f}")
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import finite
+from .lines import replacing
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 MONOMERS = [
@@ -209,5 +210,5 @@ def gen_corpus(cfg: SynthConfig, registry: PropertyRegistry | None = None) -> Sy
 
 
 def write_corpus(corpus: SynthCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(corpus.text)

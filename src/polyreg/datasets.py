@@ -14,7 +14,7 @@ from operator import add
 
 import numpy as np
 
-from .lines import read_lines
+from .lines import read_lines, replacing
 from .records import ExtractedSample, finite_label
 from .prompts import VARIANTS, EmptySample, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
@@ -164,37 +164,26 @@ def _unescape(text: str) -> str:
 
 
 def save_dataset(instances: list[PromptInstance], path) -> None:
-    """Write instances as TSV, refusing before the file is opened what
-    load_dataset would: a sample_id holding a tab or a newline, which the
-    format does not escape outside the prompt text, or repeating an earlier
-    one, a variant not in VARIANTS, or a present label that is not finite."""
+    """Write instances as TSV, refusing row by row, and leaving ``path`` as it
+    was, what load_dataset would: a sample_id holding a tab or a newline,
+    which the format does not escape outside the prompt text, or repeating
+    an earlier one, a variant not in VARIANTS, or a present label not finite."""
     first_line: dict[str, int] = {}
-    for lineno, inst in enumerate(instances, 2):  # line 1 is the header
-        sid = inst.sample_id
-        if "\t" in sid or "\n" in sid or "\r" in sid:
-            raise ValueError(f"{path}:{lineno}: sample_id {sid!r} contains a tab or a newline")
-        if inst.variant not in VARIANTS:
-            raise ValueError(f"{path}:{lineno}: variant {inst.variant!r} is not one of {', '.join(VARIANTS)}")
-        if first_line.setdefault(sid, lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: sample_id {sid!r} repeats line {first_line[sid]}")
-    for start in range(0, len(instances), PROMPT_BLOCK):
-        block = instances[start : start + PROMPT_BLOCK]
-        labels = np.array([inst.labels for inst in block])
-        bad = np.array([inst.label_mask for inst in block]) & ~np.isfinite(labels)
-        if bad.any():
-            row, head = np.argwhere(bad)[0]
-            raise ValueError(
-                f"{path}: sample {block[row].sample_id!r}: label_{head} {float(labels[row, head])!r} is not finite"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        heads = "\t".join(f"label_{i}" for i in range(N_HEADS))
-        fh.write(f"sample_id\tvariant\ttext\t{heads}\n")
-        for inst in instances:
-            slots = "\t".join(
-                f"{value:.17g}" if present else "NA"
-                for value, present in zip(inst.labels.tolist(), inst.label_mask.tolist())
-            )
-            fh.write(f"{inst.sample_id}\t{inst.variant}\t{_escape(inst.text)}\t{slots}\n")
+    with replacing(path) as fh:
+        fh.write("sample_id\tvariant\ttext\t" + "\t".join(f"label_{i}" for i in range(N_HEADS)) + "\n")
+        for lineno, inst in enumerate(instances, 2):  # line 1 is the header
+            sid = inst.sample_id
+            if "\t" in sid or "\n" in sid or "\r" in sid:
+                raise ValueError(f"{path}:{lineno}: sample_id {sid!r} contains a tab or a newline")
+            if inst.variant not in VARIANTS:
+                raise ValueError(f"{path}:{lineno}: variant {inst.variant!r} is not one of {', '.join(VARIANTS)}")
+            if first_line.setdefault(sid, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: sample_id {sid!r} repeats line {first_line[sid]}")
+            slots = [f"{v:.17g}" if m else "NA" for v, m in zip(inst.labels.tolist(), inst.label_mask.tolist())]
+            if "nan" in slots or "inf" in slots or "-inf" in slots:  # how a non-finite label formats
+                head = next(h for h, slot in enumerate(slots) if slot in ("nan", "inf", "-inf"))
+                raise ValueError(f"{path}: sample {sid!r}: label_{head} {float(slots[head])!r} is not finite")
+            fh.write("\t".join([sid, inst.variant, _escape(inst.text), *slots]) + "\n")
 
 
 def load_dataset(path) -> list[PromptInstance]:

@@ -1,4 +1,7 @@
-"""The one reader of polyreg's line-oriented input files."""
+"""The one reader of polyreg's line-oriented input files, and the one writer of its files."""
+
+import os
+from contextlib import contextmanager
 
 
 def read_lines(path, parse, header=None, columns=None, key=None) -> list:
@@ -55,3 +58,27 @@ def utf8_fault(path, data: bytes) -> str:
         line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
     return f"{path}: not UTF-8"  # the file changed after the read that failed
+
+
+@contextmanager
+def replacing(path, binary=False):
+    """A new file (UTF-8 with ``\\n`` line ends unless ``binary``; mode 0o666 less the umask)
+    beside the file at ``path`` or its symlink's target, that replaces that file, keeping its
+    mode, if the ``with`` block ends cleanly, and is removed if not; a non-regular one is refused."""
+    target = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):  # stat follows /dev/stdout to a pipe
+        raise ValueError(f"{path}: not a regular file, which polyreg does not replace")
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # a missing or unwritable directory: name the path given
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        if os.path.exists(target):
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 
-from .lines import read_lines
+from .lines import read_lines, replacing
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
 
@@ -28,7 +28,11 @@ class ParseFailure(Exception):
 
 
 class MalformedDocument(Exception):
-    """Sample delimiters are missing or malformed."""
+    """Sample delimiters are missing or malformed at ``line`` (0: a document with no samples)."""
+
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(message)
+        self.line = line
 
 
 # The matches of [-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?, from a pattern that
@@ -253,15 +257,15 @@ def extract_document(
     current: ExtractedSample | None = None
     seen_ids: set[str] = set()
     offset = 0
-    for line in doc.splitlines(keepends=True):
+    for lineno, line in enumerate(doc.splitlines(keepends=True), 1):
         stripped = line.rstrip("\n")
         if "== SAMPLE" in stripped:
             m = _SAMPLE_RE.match(stripped.strip())
             if m is None:
-                raise MalformedDocument(f"malformed sample delimiter: {stripped!r}")
+                raise MalformedDocument(f"malformed sample delimiter: {stripped!r}", lineno)
             sid = m.group(1)
             if sid in seen_ids:
-                raise MalformedDocument(f"duplicate sample id {sid!r}")
+                raise MalformedDocument(f"duplicate sample id {sid!r}", lineno)
             seen_ids.add(sid)
             current = ExtractedSample(sample_id=sid)
             samples.append(current)
@@ -284,18 +288,23 @@ def extract_document(
 def split_corpus(text: str) -> Iterator[str]:
     """Yield the documents of a corpus file, split on ``== DOC <id> ==``
     header lines; a blank trailing document is dropped."""
-    current: list[str] = []
-    for line in text.splitlines(keepends=True):
+    return (doc for _, doc in _documents(text))
+
+
+def _documents(text: str) -> Iterator[tuple[int, str]]:
+    """split_corpus's documents, each after its header's line number (0 before the first)."""
+    current, header = [], 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
         if "== DOC " in line and line.strip().startswith("== DOC "):
             if current:
-                yield "".join(current)
-            current = []
+                yield header, "".join(current)
+            current, header = [], lineno
         else:
             current.append(line)
     if current:
         doc = "".join(current)
         if doc.strip():
-            yield doc
+            yield header, doc
 
 
 def extract_corpus(
@@ -303,18 +312,24 @@ def extract_corpus(
 ) -> tuple[list[ExtractedSample], ExtractionCounters]:
     """Extract every document in a corpus file, in document order.
 
-    Raises MalformedDocument when a sample id appears in more than one
-    document, as extract_document does for a repeat within one."""
+    Raises MalformedDocument when a sample id appears in more than one document, as
+    extract_document does for a repeat within one; its ``line`` counts in ``text``."""
     registry = registry or default_registry()
     counters = ExtractionCounters()
     samples: list[ExtractedSample] = []
     seen_ids: set[str] = set()
-    for doc in split_corpus(text):
+    for header, doc in _documents(text):
         if not doc.strip():
             continue
-        for sample in extract_document(doc, registry, counters):
+        try:
+            found = extract_document(doc, registry, counters)
+        except MalformedDocument as exc:
+            raise MalformedDocument(str(exc), max(header + exc.line, 1)) from None  # 0: no header, no sample
+        for sample in found:
             if sample.sample_id in seen_ids:
-                raise MalformedDocument(f"sample id {sample.sample_id!r} appears in more than one document")
+                delimiter = f"== SAMPLE {sample.sample_id} =="
+                line = header + next(i for i, row in enumerate(doc.splitlines(), 1) if row.strip() == delimiter)
+                raise MalformedDocument(f"sample id {sample.sample_id!r} appears in more than one document", line)
             seen_ids.add(sample.sample_id)
             samples.append(sample)
     return samples, counters
@@ -336,22 +351,21 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
 
     A value load_extracted would refuse (a non-finite number, an id or a
     text that is not a ``str``, ...) raises a ValueError naming the path,
-    the sample id and the field before the file is opened, as does a
+    the sample id and the field, and leaves ``path`` as it was, as does a
     sample_id an earlier sample holds, naming both lines.  Each line is
     the encoder's bytes for the layout above, laid out by hand: keys in
     sorted order, strings through encode_basestring_ascii, numbers (exact
     floats and ints, once checked) through repr and None as null."""
     first_line: dict[str, int] = {}
-    for lineno, s in enumerate(samples, 1):
-        fault = _sample_fault(s.sample_id, s.sample_text, s.synthesis_text)
-        for o in s.observations:
-            fault = fault or _fault(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
-        if fault:
-            raise ValueError(f"{path}: sample {s.sample_id!r}: {fault}")
-        if first_line.setdefault(s.sample_id, lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: sample_id {s.sample_id!r} repeats line {first_line[s.sample_id]}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in samples:
+    with replacing(path) as fh:
+        for lineno, s in enumerate(samples, 1):
+            fault = _sample_fault(s.sample_id, s.sample_text, s.synthesis_text)
+            for o in s.observations:
+                fault = fault or _fault(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
+            if fault:
+                raise ValueError(f"{path}: sample {s.sample_id!r}: {fault}")
+            if first_line.setdefault(s.sample_id, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: sample_id {s.sample_id!r} repeats line {first_line[s.sample_id]}")
             observations = []
             for o in s.observations:
                 kind, value, lo, hi, bound, direction, unit = _quantity_values(o.quantity)

@@ -61,6 +61,20 @@ def test_mismatched_id_sets_raise():
         audit([], [])
 
 
+def test_a_repeated_record_id_raises_naming_it_and_its_list():
+    gold = [_record(i) for i in range(3)]
+    # the repeat disagrees with the gold, so keeping only the last record
+    # would score it right and leave the other out of n
+    repeated = [_record(0), _record(1, head="Tm"), _record(1), _record(2), _record(2)]
+    with pytest.raises(MismatchedIds, match="^record 'r001' repeats in the extracted records$"):
+        audit(repeated, gold)
+    with pytest.raises(MismatchedIds, match="^record 'r001' repeats in the gold records$"):
+        audit(gold, repeated)
+    same = _record(0)
+    with pytest.raises(MismatchedIds, match="^record 'r000' repeats in the gold records$"):
+        audit([same], [same, same])
+
+
 def test_strict_precision_bounded_by_components():
     # random planted errors: strict can never exceed any component precision
     rng = np.random.default_rng(11)

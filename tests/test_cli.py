@@ -336,6 +336,29 @@ def test_extract_names_a_corpus_byte_that_is_not_utf8(capsys, tmp_path):
     assert err == f"error: {docs}:3: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
+_DOC = "== SAMPLE {} ==\nSample: PS film.\nTg = 100 °C\n"
+
+
+@pytest.mark.parametrize(
+    "corpus, line, message",
+    [
+        ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\n== SAMPLE a b ==\n", 6,
+         "malformed sample delimiter: '== SAMPLE a b =='"),
+        ("== DOC 0 ==\n" + _DOC.format("s1") + _DOC.format("s1"), 5, "duplicate sample id 's1'"),
+        ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\n" + _DOC.format("s2") + _DOC.format("s1"), 9,
+         "sample id 's1' appears in more than one document"),
+        ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\nSample: PS film.\n", 5,
+         "document contains no sample sections"),
+        ("PS film.\n== DOC 0 ==\n" + _DOC.format("s1"), 1, "document contains no sample sections"),
+    ],
+)
+def test_extract_names_the_corpus_line_of_a_malformed_document(capsys, tmp_path, corpus, line, message):
+    docs, obs = tmp_path / "corpus.txt", tmp_path / "obs.jsonl"
+    docs.write_text(corpus, encoding="utf-8")
+    assert _run(capsys, "extract", str(docs), "-o", str(obs)) == (1, "", f"error: {docs}:{line}: {message}\n")
+    assert not obs.exists()
+
+
 def test_build_dataset_names_a_deeply_nested_line(capsys, tmp_path):
     obs = tmp_path / "deep.jsonl"
     obs.write_text("[" * 100_000 + "\n")

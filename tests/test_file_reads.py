@@ -1,12 +1,18 @@
-"""Each input format of ``src/polyreg/`` has one reader.
+"""Each input format of ``src/polyreg/`` has one reader, and every file
+polyreg makes has one writer.
 
 A file read is a call in ``src/polyreg/*.py`` to ``open`` whose mode is
-not a constant holding ``w``, ``a`` or ``x``, or to a ``.read_text`` or
-``.read_bytes`` method.  Reads may sit only in the functions that own an
-input format: ``lines.read_lines`` for every line-oriented text file,
+not a constant holding ``w``, ``a``, ``x`` or ``+``, or to a ``.read_text``
+or ``.read_bytes`` method.  Reads may sit only in the functions that own
+an input format: ``lines.read_lines`` for every line-oriented text file,
 ``checkpoint.load_checkpoint`` for checkpoints and ``cli.cmd_extract`` for
 the corpus.  A new loader parses rows over ``read_lines``, so every input
 gets its ``path:line`` errors and any later per-file work in one place.
+
+A file write is a call to ``open`` whose mode is not a constant free of
+``w``, ``a``, ``x`` and ``+``, to ``os.open``, or to a ``.write_text`` or
+``.write_bytes`` method.  Only ``lines.replacing`` may write, so every
+file polyreg makes is all or nothing, UTF-8 with ``\\n`` line ends.
 """
 
 import ast
@@ -14,21 +20,41 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyreg"
 READERS = {"lines.read_lines", "checkpoint.load_checkpoint", "cli.cmd_extract"}
+WRITERS = {"lines.replacing"}
+
+
+def _mode_writes(call: ast.Call) -> bool | None:
+    """Whether an ``open`` call's mode writes; None when it is not a constant."""
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return None
+    return bool(set(mode.value) & set("wax+"))
+
+
+def _is_open(func) -> bool:
+    return isinstance(func, ast.Name) and func.id == "open"
 
 
 def _is_read(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute):
         return func.attr in ("read_text", "read_bytes")
-    if not (isinstance(func, ast.Name) and func.id == "open"):
-        return False
-    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
-    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) & set("wax"))
+    return _is_open(func) and not _mode_writes(call)
 
 
-def file_reads(module: str, source: str) -> list[str]:
-    """``module.function:line`` of each file read in ``source``; the
-    function is the chain of definitions around the call, dotted."""
+def _is_write(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        os_open = func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os"
+        return os_open or func.attr in ("write_text", "write_bytes")
+    return _is_open(func) and _mode_writes(call) is not False
+
+
+def _calls(module: str, source: str, picks) -> list[str]:
+    """``module.function:line`` of each call in ``source`` that ``picks``;
+    the function is the chain of definitions around the call, dotted."""
     found = []
 
     def visit(node, scope):
@@ -36,7 +62,7 @@ def file_reads(module: str, source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and _is_read(child):
+            if isinstance(child, ast.Call) and picks(child):
                 found.append(f"{'.'.join([module] + scope)}:{child.lineno}")
             visit(child, scope)
 
@@ -44,9 +70,26 @@ def file_reads(module: str, source: str) -> list[str]:
     return found
 
 
+def file_reads(module: str, source: str) -> list[str]:
+    return _calls(module, source, _is_read)
+
+
+def file_writes(module: str, source: str) -> list[str]:
+    return _calls(module, source, _is_write)
+
+
+def _sources():
+    return [(p.stem, p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+
+
 def test_only_the_format_readers_read_files():
-    reads = [r for p in sorted(SRC.glob("*.py")) for r in file_reads(p.stem, p.read_text(encoding="utf-8"))]
+    reads = [r for module, source in _sources() for r in file_reads(module, source)]
     assert {r.split(":")[0] for r in reads} == READERS, reads
+
+
+def test_only_replacing_writes_files():
+    writes = [w for module, source in _sources() for w in file_writes(module, source)]
+    assert {w.split(":")[0] for w in writes} == WRITERS, writes
 
 
 PLANTED = '''
@@ -66,6 +109,10 @@ class Store:
         open(path, "w", encoding="utf-8")
         open(path, mode="ab")
         path.write_text("")
+        path.write_bytes(b"")
+        os.open(path, os.O_WRONLY | os.O_CREAT)
+        open(path, "r+")
+        os.path.exists(path)
 '''
 
 
@@ -78,4 +125,19 @@ def test_the_checker_flags_reads_and_passes_writes():
         "planted.load:8",
         "planted.load:8",
         "planted.Store.save:14",
+    ]
+
+
+def test_the_checker_flags_writes_and_passes_reads():
+    # a mode that is not a constant (lines 7 and 14) may write, as may
+    # os.open whatever its flags
+    assert file_writes("planted", PLANTED) == [
+        "planted.load:7",
+        "planted.Store.save:14",
+        "planted.Store.save:15",
+        "planted.Store.save:16",
+        "planted.Store.save:17",
+        "planted.Store.save:18",
+        "planted.Store.save:19",
+        "planted.Store.save:20",
     ]
