@@ -46,10 +46,10 @@ def __getattr__(name):
         "prompts": ("build_prompt", "leakage_hits", "mask_labels", "target_values"),
         "datasets": ("PromptInstance", "build_dataset", "load_dataset", "save_dataset"),
         "model": ("PropertyModel",),
-        "config": ("TrainConfig",),
+        "config": ("SynthConfig", "TrainConfig"),
         "trainer": ("TrainedModel", "load_trained", "save_trained", "train"),
         "metrics": ("EvalReport", "evaluate", "r_squared", "strict_numeric_parse"),
-        "corpus": ("SynthConfig", "gen_corpus"),
+        "corpus": ("gen_corpus",),
         "harness": ("AblationReport", "run_ablation", "run_uncertainty_report"),
     }
     home = next((module for module, names in homes.items() if name in names), None)

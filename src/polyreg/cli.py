@@ -4,7 +4,8 @@ Subcommands: gen-corpus, extract, build-dataset, train, eval, ablate,
 audit, uncertainty-report, score-responses.  All exit 0 on success and 1
 with a one-line diagnostic on any error; ``polyreg --debug ...``
 re-raises it instead.  Each subcommand imports the stages it runs, so
-``polyreg extract`` never loads the model or the trainer.
+``polyreg extract`` never loads the model or the trainer; the parser, a
+config error, ``extract`` and ``audit`` load no numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import TrainConfig, read_config
-from .corpus import SynthConfig
+from .config import VARIANTS, SynthConfig, TrainConfig, read_config
 from .lines import replacing
-from .prompts import VARIANTS
 
 
 # one config file serves every subcommand: SynthConfig keys (optionally
@@ -24,7 +23,8 @@ CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
 
 
 def _load_configs(path, seed=None) -> tuple[SynthConfig, TrainConfig]:
-    """The corpus and trainer configs of a config file; ``--seed`` sets both."""
+    """The corpus and trainer configs of a config file; ``--seed`` sets both.
+    Read before a subcommand imports its stages, so a config error loads no numpy."""
     values = read_config(path, CONFIG_SECTIONS) if path else {name: {} for name in CONFIG_SECTIONS}
     if seed is not None:
         for section in values.values():
@@ -38,9 +38,9 @@ def _write_table(fh, table: str, key: str, value: str) -> None:
 
 
 def cmd_gen_corpus(args) -> int:
+    cfg, _ = _load_configs(args.config, args.seed)
     from .corpus import gen_corpus, write_corpus
 
-    cfg, _ = _load_configs(args.config, args.seed)
     corpus = gen_corpus(cfg)
     write_corpus(corpus, args.output)
     print(f"wrote {cfg.n_docs} documents to {args.output}")
@@ -81,10 +81,10 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _, cfg = _load_configs(args.config, args.seed)
     from .datasets import load_dataset
     from .trainer import save_trained, train
 
-    _, cfg = _load_configs(args.config, args.seed)
     instances = load_dataset(args.dataset)
     trained = train(cfg, instances)
     save_trained(trained, args.output)
@@ -111,9 +111,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     from .harness import run_ablation
 
-    synth_cfg, train_cfg = _load_configs(args.config, args.seed)
     report = run_ablation(train_cfg, synth_cfg)
     with replacing(args.output) as fh:
         _write_table(fh, report.to_table(), "config_digest", train_cfg.digest())

@@ -1,8 +1,8 @@
-"""The run config, and ``key = value`` files read into dataclass fields.
+"""The run configs, the prompt variants, and ``key = value`` files read
+into dataclass fields, all without numpy.
 
-``TrainConfig`` configures the model and its training alike.  One file
-may configure several dataclasses at once (the CLI reads the corpus's
-``SynthConfig`` and the ``TrainConfig`` from one file).  Each key is
+``SynthConfig`` configures the synthetic corpus and ``TrainConfig`` the
+model and its training; the CLI reads both from one file.  Each key is
 routed by field name; a key can also name its section, as in
 ``synth.n_docs``.  A key that no section has is an error that names the
 key, the file and the line, so a misspelled key never falls back
@@ -18,14 +18,60 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .lines import read_lines
-from .prompts import VARIANTS
+from .registry import N_HEADS
+
+VARIANTS = ("sample_synthesis", "sample_only")
 
 POOLING_MODES = ("mean", "attention")
+
+MECHANICAL_HEADS = tuple(range(5, 13))
 
 
 def finite(x) -> bool:
     """``math.isfinite(x)``, but False, not OverflowError, on a huge int."""
     return abs(x) <= sys.float_info.max if type(x) is int else math.isfinite(x)
+
+
+# the most documents a corpus may hold, all drawn at once: a (heads, n_docs)
+# float64 array of 22 heads is then 176 MiB; the paper's 276,400 fit
+MAX_DOCS = 2**20
+
+
+@dataclass
+class SynthConfig:
+    seed: int = 0
+    n_docs: int = 5000
+    heads: tuple[int, ...] = MECHANICAL_HEADS
+    eta: float | dict[int, float] = 0.08
+    gamma: float = 0.5
+    tail_skew: float = 0.6
+    obs_prob: float = 0.35
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        # one document has no spread to z-score its labels by
+        if self.n_docs < 2:
+            raise ValueError(f"n_docs must be at least 2, got {self.n_docs}")
+        if self.n_docs > MAX_DOCS:
+            raise ValueError(f"n_docs must be at most MAX_DOCS = {MAX_DOCS}, got {self.n_docs}")
+        heads = list(self.heads)
+        if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
+            raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")
+        unknown = sorted(set(self.eta) - set(heads)) if isinstance(self.eta, dict) else []
+        if unknown:
+            raise ValueError(f"eta names heads {unknown} that are not in heads {self.heads}")
+        etas = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
+        for name, values in (("eta", etas), ("gamma", [self.gamma]), ("tail_skew", [self.tail_skew])):
+            if not all(finite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.obs_prob <= 1:
+            raise ValueError(f"obs_prob must be in [0, 1], got {self.obs_prob}")
+
+    def eta_for(self, head_id: int) -> float:
+        if isinstance(self.eta, dict):
+            return float(self.eta.get(head_id, 0.08))
+        return float(self.eta)
 
 
 # the least value of each TrainConfig field that has one

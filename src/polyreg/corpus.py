@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import finite
+from .config import MAX_DOCS, MECHANICAL_HEADS, SynthConfig  # noqa: F401
 from .lines import replacing
-from .registry import N_HEADS, PropertyRegistry, default_registry
+from .registry import PropertyRegistry, default_registry
 
 MONOMERS = [
     "polyalphene", "polybetine", "polycurene", "polydexane", "polyethrene",
@@ -30,8 +30,6 @@ CURE_TIMES = [1, 2, 3, 5, 8]
 CURE_TEMPS = [120, 140, 160, 180, 200]
 ANNEAL_TEMPS = [60, 80, 100, 130, 150, 170]
 LOADINGS = [0, 5, 10, 15, 20]
-
-MECHANICAL_HEADS = tuple(range(5, 13))
 
 # group-level process sensitivity: mechanical full, thermal half
 _GROUP_STRENGTH = {
@@ -50,48 +48,6 @@ _HEAD_SCALE = {
     16: (0.9, 0.3), 17: (4.5, 0.5), 18: (4.9, 0.5), 19: (1.1, 0.8),
     20: (5.0, 25.0), 21: (1.5, 0.8),
 }
-
-
-# the most documents a corpus may hold, all drawn at once: a (heads, n_docs)
-# float64 array of 22 heads is then 176 MiB; the paper's 276,400 fit
-MAX_DOCS = 2**20
-
-
-@dataclass
-class SynthConfig:
-    seed: int = 0
-    n_docs: int = 5000
-    heads: tuple[int, ...] = MECHANICAL_HEADS
-    eta: float | dict[int, float] = 0.08
-    gamma: float = 0.5
-    tail_skew: float = 0.6
-    obs_prob: float = 0.35
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
-        # one document has no spread to z-score its labels by
-        if self.n_docs < 2:
-            raise ValueError(f"n_docs must be at least 2, got {self.n_docs}")
-        if self.n_docs > MAX_DOCS:
-            raise ValueError(f"n_docs must be at most MAX_DOCS = {MAX_DOCS}, got {self.n_docs}")
-        heads = list(self.heads)
-        if not heads or len(set(heads)) < len(heads) or not set(heads) <= set(range(N_HEADS)):
-            raise ValueError(f"heads must be distinct head ids in 0..{N_HEADS - 1}, got {self.heads}")
-        unknown = sorted(set(self.eta) - set(heads)) if isinstance(self.eta, dict) else []
-        if unknown:
-            raise ValueError(f"eta names heads {unknown} that are not in heads {self.heads}")
-        etas = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
-        for name, values in (("eta", etas), ("gamma", [self.gamma]), ("tail_skew", [self.tail_skew])):
-            if not all(finite(v) for v in values):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 <= self.obs_prob <= 1:
-            raise ValueError(f"obs_prob must be in [0, 1], got {self.obs_prob}")
-
-    def eta_for(self, head_id: int) -> float:
-        if isinstance(self.eta, dict):
-            return float(self.eta.get(head_id, 0.08))
-        return float(self.eta)
 
 
 @dataclass(slots=True)

@@ -1,6 +1,7 @@
 """The one reader of polyreg's line-oriented input files, and the one writer of its files."""
 
 import os
+import sys
 from contextlib import contextmanager
 
 
@@ -60,14 +61,26 @@ def utf8_fault(path, data: bytes) -> str:
     return f"{path}: not UTF-8"  # the file changed after the read that failed
 
 
+def _std_stats():
+    """``os.fstat`` of this process's stdout and stderr, skipping a stream with no file behind it."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            yield os.fstat(stream.fileno())
+        except (AttributeError, OSError, ValueError):  # None, a StringIO, a closed stream
+            pass
+
+
 @contextmanager
 def replacing(path, binary=False):
     """A new file (UTF-8 with ``\\n`` line ends unless ``binary``; mode 0o666 less the umask)
     beside the file at ``path`` or its symlink's target, that replaces that file, keeping its
-    mode, if the ``with`` block ends cleanly, and is removed if not; a non-regular one is refused."""
+    mode, if the ``with`` block ends cleanly, and is removed if not; a non-regular one, or
+    the one this process's stdout or stderr writes to, is refused."""
     target = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):  # stat follows /dev/stdout to a pipe
         raise ValueError(f"{path}: not a regular file, which polyreg does not replace")
+    if os.path.isfile(path) and any(os.path.samestat(os.stat(path), out) for out in _std_stats()):
+        raise ValueError(f"{path}: the same file as stdout or stderr, which polyreg does not replace")
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
     try:
         fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")

@@ -19,10 +19,9 @@ from itertools import chain, compress
 
 import numpy as np
 
+from .config import VARIANTS
 from .records import _NUM_RE
 from .registry import PropertyRegistry, default_registry
-
-VARIANTS = ("sample_synthesis", "sample_only")
 
 MASK_TOKEN = "[MASKED]"
 
@@ -73,16 +72,17 @@ def target_values(
     ``MASK_REL_TOL * max(|value|, 1e-12)``.
     """
     registry = registry or default_registry()
+    count, first, offsets, factors = map(
+        np.asarray, (registry.unit_count, registry.unit_first, registry.unit_offsets, registry.unit_factors)
+    )
     heads = np.asarray(heads, dtype=np.intp)
-    unknown = heads[(heads < 0) | (heads >= len(registry.unit_count))]
+    unknown = heads[(heads < 0) | (heads >= len(count))]
     if len(unknown):  # numpy would read a negative id as one counted from the end
         raise KeyError(f"unknown head_id {unknown[0]}")
-    per_target = registry.unit_count[heads]
-    unit = _ranges(registry.unit_first[heads], per_target)
+    per_target = count[heads]
+    unit = _ranges(first[heads], per_target)
     with np.errstate(over="ignore"):
-        reps = (
-            np.repeat(np.asarray(values, dtype=np.float64), per_target) - registry.unit_offsets[unit]
-        ) / registry.unit_factors[unit]
+        reps = (np.repeat(np.asarray(values, dtype=np.float64), per_target) - offsets[unit]) / factors[unit]
     bounds = np.concatenate(([0], np.cumsum(per_target)))[np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))]
     return BlockTargets(reps, MASK_REL_TOL * np.maximum(np.abs(reps), 1e-12), bounds)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from importlib import resources
-
-import numpy as np
+from itertools import accumulate
 
 from .lines import read_lines
 from .units import unit_def, units_for_dimension
@@ -58,12 +57,10 @@ class PropertyRegistry:
         # order) end to end: head h owns entries unit_first[h] up to
         # unit_first[h] + unit_count[h]
         units = [units_for_dimension(unit_def(s.canonical_unit).dimension) for s in self._specs]
-        self.unit_count = np.array([len(u) for u in units])
-        self.unit_first = np.cumsum(self.unit_count) - self.unit_count
-        self.unit_offsets = np.array([u.offset for head in units for u in head])
-        self.unit_factors = np.array([u.factor for head in units for u in head])
-        for table in (self.unit_count, self.unit_first, self.unit_offsets, self.unit_factors):
-            table.flags.writeable = False
+        self.unit_count = tuple(len(u) for u in units)
+        self.unit_first = tuple(accumulate(self.unit_count[:-1], initial=0))
+        self.unit_offsets = tuple(u.offset for head in units for u in head)
+        self.unit_factors = tuple(u.factor for head in units for u in head)
         # extraction resolves the same few clause left sides over and over;
         # a single string argument is its own cache key
         self.match_alias = lru_cache(maxsize=1024)(self._match_alias)

@@ -169,6 +169,39 @@ def test_gen_corpus_refuses_n_docs_past_the_bound_before_drawing(tmp_path):
     assert not corpus.exists()
 
 
+def _audit_with_stdout_to(out: Path, output: str) -> subprocess.CompletedProcess:
+    """``polyreg audit`` of the bundled fixture with ``-o output``, run in
+    ``out``'s directory with its stdout written to ``out``."""
+    code = "import sys; from polyreg.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["audit", *map(str, bundled_fixture_paths()), "-o", output]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(out, "wb") as stdout:
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=out.parent, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+
+
+@pytest.mark.parametrize("output", ["/dev/stdout", "out.txt"])
+def test_an_output_that_is_the_redirected_stdout_is_refused(tmp_path, output):
+    if output == "/dev/stdout" and not os.path.exists(output):
+        pytest.skip("no /dev/stdout")
+    out = tmp_path / "out.txt"
+    done = _audit_with_stdout_to(out, output)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {output}: the same file as stdout or stderr, which polyreg does not replace\n"
+    assert out.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_an_output_beside_the_redirected_stdout_is_written(tmp_path):
+    out = tmp_path / "out.txt"
+    done = _audit_with_stdout_to(out, "audit.tsv")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_text() == "strict precision 0.842 (120 records)\n"
+    assert (tmp_path / "audit.tsv").read_text().endswith("strict_precision\t0.841667\nn\t120\n")
+    assert sorted(os.listdir(tmp_path)) == ["audit.tsv", "out.txt"]
+
+
 def test_build_dataset_masks_the_mean_label_of_a_head_reported_twice(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(

@@ -2,7 +2,10 @@
 
 ``import polyreg`` imports each exported name's submodule on first use,
 and each ``polyreg`` subcommand imports only the stages it runs, so a
-subcommand pays for no stage it does not run.  No polyreg module loads
+subcommand pays for no stage it does not run.  The front end loads no
+numpy: the default registry, both run configs, extraction
+(``polyreg.records``), ``polyreg.audit``, the CLI's parser and the
+``extract`` and ``audit`` subcommands run without it.  No polyreg module loads
 ``scipy.stats`` (about a second) or, where scipy keeps erf in its
 ``_special_ufuncs`` extension, ``scipy.special`` (about 0.3 s with a
 second OpenBLAS); ``polyreg.trainer`` and ``polyreg.metrics`` load
@@ -24,8 +27,8 @@ DATA = SRC / "polyreg" / "data"
 # the package's exports by the submodule that defines each
 EXPORTS = {
     "audit": ["AuditRecord", "AuditReport", "audit", "load_bundled_fixture"],
-    "config": ["TrainConfig"],
-    "corpus": ["SynthConfig", "gen_corpus"],
+    "config": ["SynthConfig", "TrainConfig"],
+    "corpus": ["gen_corpus"],
     "datasets": ["PromptInstance", "build_dataset", "load_dataset", "save_dataset"],
     "harness": ["AblationReport", "run_ablation", "run_uncertainty_report"],
     "metrics": ["EvalReport", "evaluate", "r_squared", "strict_numeric_parse"],
@@ -93,6 +96,30 @@ def test_the_default_registry_loads_no_stage():
     assert loaded.isdisjoint({"concurrent.futures", "logging"})
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import polyreg; polyreg.default_registry()",
+        "import polyreg; polyreg.SynthConfig; polyreg.TrainConfig",
+        "import polyreg.config",
+        "import polyreg.records",
+        "import polyreg.audit",
+        "import polyreg.cli",
+    ],
+)
+def test_the_front_end_loads_no_numpy(code):
+    assert _fresh(f"{code}; import sys; print('numpy' in sys.modules)") == "False"
+
+
+def test_a_config_error_is_reported_without_numpy(tmp_path):
+    (tmp_path / "bad.cfg").write_text("n_docs = 1\n")
+    code = "import sys; from polyreg.cli import main; print(main(sys.argv[1:]), 'numpy' in sys.modules)"
+    for command in ("gen-corpus", "ablate"):
+        assert _fresh(code, command, "--config", "bad.cfg", "-o", "out.txt", cwd=tmp_path) == "1 False"
+    assert _fresh(code, "train", "data.tsv", "--config", "bad.cfg", "-o", "out.txt", cwd=tmp_path) == "1 False"
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
 def test_all_holds_the_exports():
     names = ast.literal_eval(_fresh("import polyreg; print(sorted(polyreg.__all__))"))
     assert names == sorted(name for names in EXPORTS.values() for name in names)
@@ -137,14 +164,14 @@ _CLI = (
     "import sys\n"
     "from polyreg.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, sorted(m for m in sys.modules if m.startswith('polyreg.')))\n"
+    "print(code, sorted(m for m in sys.modules if m.startswith('polyreg.') or m == 'numpy'))\n"
 )
 
 
 @pytest.fixture(scope="module")
 def cli_modules(tmp_path_factory):
-    """Subcommand -> the polyreg modules that a fresh process running it
-    on tiny inputs has loaded."""
+    """Subcommand -> the polyreg modules, and numpy if it is one, that a
+    fresh process running it on tiny inputs has loaded."""
     tmp = tmp_path_factory.mktemp("cli")
     (tmp / "run.cfg").write_text(
         "n_docs = 40\nobs_prob = 0.8\nepochs = 1\nvocab_size = 1024\ndim = 16\nrank = 4\nhidden_dim = 16\n"
@@ -177,3 +204,8 @@ def cli_modules(tmp_path_factory):
 )
 def test_a_subcommand_loads_only_its_stages(cli_modules, command, left_out):
     assert cli_modules[command].isdisjoint(f"polyreg.{m}" for m in left_out), sorted(cli_modules[command])
+
+
+@pytest.mark.parametrize("command", ["extract", "audit"])
+def test_a_text_subcommand_loads_no_numpy(cli_modules, command):
+    assert "numpy" not in cli_modules[command], sorted(cli_modules[command])

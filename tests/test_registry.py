@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyreg import registry as registry_mod
 from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry, load_registry
+from polyreg.units import unit_def, units_for_dimension
 
 REG = default_registry()
 
@@ -88,6 +89,19 @@ def test_a_copied_registry_resolves_through_its_own_cache():
         assert copied is not REG and [s.name for s in copied] == [s.name for s in REG]
         assert copied.match_alias("measured Tg").name == "Tg"
         assert copied.match_alias.__wrapped__.__self__ is copied
+
+
+@pytest.mark.parametrize("copier", [lambda r: r, lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy])
+def test_the_unit_tables_hold_each_heads_units_in_table_order(copier):
+    reg = copier(REG)
+    assert all(type(t) is tuple for t in (reg.unit_count, reg.unit_first, reg.unit_offsets, reg.unit_factors))
+    for spec in reg:
+        units = units_for_dimension(unit_def(spec.canonical_unit).dimension)
+        first, count = reg.unit_first[spec.head_id], reg.unit_count[spec.head_id]
+        assert count == len(units)
+        assert reg.unit_offsets[first : first + count] == tuple(u.offset for u in units)
+        assert reg.unit_factors[first : first + count] == tuple(u.factor for u in units)
+    assert reg.unit_first[-1] + reg.unit_count[-1] == len(reg.unit_offsets) == len(reg.unit_factors)
 
 
 def test_lookup_empty_alias_rejected():
