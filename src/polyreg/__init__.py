@@ -18,24 +18,10 @@ from .audit import audit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PropertyRegistry", "PropertySpec", "default_registry", "load_registry",
-    "ExtractedSample", "MalformedDocument", "ParseFailure", "PropertyObservation", "Quantity",
-    "extract_corpus", "extract_document", "parse_quantity", "to_canonical",
-    "AuditRecord", "AuditReport", "audit", "load_bundled_fixture",
-    "build_prompt", "leakage_hits", "mask_labels", "target_values",
-    "PromptInstance", "build_dataset", "load_dataset", "save_dataset",
-    "PropertyModel",
-    "TrainConfig", "TrainedModel", "load_trained", "save_trained", "train",
-    "EvalReport", "evaluate", "r_squared", "strict_numeric_parse",
-    "SynthConfig", "gen_corpus",
-    "AblationReport", "run_ablation", "run_uncertainty_report",
-]
-
 
 def __getattr__(name):
-    """An exported name or a submodule, imported on first use and kept in
-    the package namespace."""
+    """An exported name, ``__all__`` (those names) or a submodule, made or
+    imported on first use and kept in the package namespace."""
     homes = {
         "registry": ("PropertyRegistry", "PropertySpec", "default_registry", "load_registry"),
         "records": (
@@ -53,7 +39,9 @@ def __getattr__(name):
         "harness": ("AblationReport", "run_ablation", "run_uncertainty_report"),
     }
     home = next((module for module, names in homes.items() if name in names), None)
-    if home is not None:
+    if name == "__all__":
+        value = ["audit", *(export for names in homes.values() for export in names)]
+    elif home is not None:
         value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
     else:
         try:
@@ -67,4 +55,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

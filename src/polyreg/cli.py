@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .config import VARIANTS, SynthConfig, TrainConfig, read_config
-from .lines import replacing
+from .lines import replacing, text_file
 
 
 # one config file serves every subcommand: SynthConfig keys (optionally
@@ -48,15 +48,12 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .lines import utf8_fault
     from .records import MalformedDocument, extract_corpus, save_extracted
 
+    with text_file(args.docs) as fh:
+        text = fh.read()
     try:
-        with open(args.docs, encoding="utf-8") as fh:
-            samples, counters = extract_corpus(fh.read())
-    except UnicodeDecodeError:
-        with open(args.docs, "rb") as fh:
-            raise ValueError(utf8_fault(args.docs, fh.read())) from None
+        samples, counters = extract_corpus(text)
     except MalformedDocument as exc:
         raise MalformedDocument(f"{args.docs}:{exc.line}: {exc}", exc.line) from None
     save_extracted(samples, args.output)

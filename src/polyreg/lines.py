@@ -1,4 +1,4 @@
-"""The one reader of polyreg's line-oriented input files, and the one writer of its files."""
+"""The one opener of polyreg's text input files, and the one writer of its files."""
 
 import os
 import sys
@@ -8,10 +8,9 @@ from contextlib import contextmanager
 def read_lines(path, parse, header=None, columns=None, key=None) -> list:
     """``parse`` of each non-empty line of the UTF-8 text file at ``path``.
 
-    Universal newlines make ``\\r\\n`` and a lone ``\\r`` end a line as
-    ``\\n`` does, and ``parse`` gets the line without its end.  Lines are
-    numbered from 1, and a ``ValueError`` a line causes is raised again as
-    ``ValueError("path:line: message")``, as is a byte that is not UTF-8.
+    The file is opened by ``text_file``, and ``parse`` gets each line
+    without its end.  Lines are numbered from 1, and a ``ValueError`` a
+    line causes is raised again as ``ValueError("path:line: message")``.
     ``header``: the first line must start with it, ignoring case, and is
     not parsed.  ``columns``: ``parse`` gets the line split at tabs into
     exactly that many fields.  ``key``: ``parse`` returns ``(key value,
@@ -20,35 +19,45 @@ def read_lines(path, parse, header=None, columns=None, key=None) -> list:
     """
     results = []
     first_line = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if header is not None and not fh.readline().lower().startswith(header.lower()):
-                raise ValueError(f"{path}:1: expected a header line starting {header!r}")
-            for lineno, line in enumerate(fh, 1 + (header is not None)):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    if columns is not None:
-                        line = line.split("\t")
-                        if len(line) != columns:
-                            raise ValueError(f"expected {columns} columns, got {len(line)}")
-                    result = parse(line)
-                    if key is not None:
-                        value, result = result
-                        if value in first_line:
-                            raise ValueError(f"{key} {value!r} repeats line {first_line[value]}")
-                        first_line[value] = lineno
-                    results.append(result)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raise ValueError(utf8_fault(path, fh.read())) from None
+    with text_file(path) as fh:
+        if header is not None and not fh.readline().lower().startswith(header.lower()):
+            raise ValueError(f"{path}:1: expected a header line starting {header!r}")
+        for lineno, line in enumerate(fh, 1 + (header is not None)):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                if columns is not None:
+                    line = line.split("\t")
+                    if len(line) != columns:
+                        raise ValueError(f"expected {columns} columns, got {len(line)}")
+                result = parse(line)
+                if key is not None:
+                    value, result = result
+                    if value in first_line:
+                        raise ValueError(f"{key} {value!r} repeats line {first_line[value]}")
+                    first_line[value] = lineno
+                results.append(result)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return results
 
 
-def utf8_fault(path, data: bytes) -> str:
+@contextmanager
+def text_file(path):
+    """The UTF-8 text file at ``path``, open for reading with universal
+    newlines, so ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n`` does.  A
+    byte that is not UTF-8, met anywhere in the ``with`` block, raises
+    ``ValueError("path:line: ...")`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raise ValueError(_utf8_fault(path, fh.read())) from None
+
+
+def _utf8_fault(path, data: bytes) -> str:
     """``"path:line: ..."`` naming the first byte of ``data``, the bytes of
     the file at ``path``, that is not UTF-8, and its line as universal
     newlines count them."""

@@ -28,7 +28,8 @@ class ParseFailure(Exception):
 
 
 class MalformedDocument(Exception):
-    """Sample delimiters are missing or malformed at ``line`` (0: a document with no samples)."""
+    """Sample delimiters are missing, malformed or repeated at ``line``, which
+    extraction counts from 1 in the text it is given."""
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(message)
@@ -245,66 +246,69 @@ def _extract_clauses(
     return observations
 
 
+def _extract(text: str, registry: PropertyRegistry | None, counters: ExtractionCounters) -> list[ExtractedSample]:
+    """The samples of each document of ``text`` in order, in one walk over its lines."""
+    registry = registry or default_registry()
+    samples: list[ExtractedSample] = []
+    first_line: dict[str, int] = {}
+    for header, lines in _documents(text):
+        current: ExtractedSample | None = None
+        offset = 0
+        for lineno, line in enumerate(lines, header + 1):
+            if "== SAMPLE" in line:
+                m = _SAMPLE_RE.match(line.strip())
+                if m is None:
+                    raise MalformedDocument(f"malformed sample delimiter: {line!r}", lineno)
+                sid = m.group(1)
+                if first_line.setdefault(sid, lineno) != lineno:
+                    raise MalformedDocument(f"sample id {sid!r} repeats line {first_line[sid]}", lineno)
+                current = ExtractedSample(sample_id=sid)
+                samples.append(current)
+            elif current is not None:
+                body = line.strip()
+                if body.startswith("Sample:"):
+                    current.sample_text = (current.sample_text + " " + body[len("Sample:"):].strip()).strip()
+                elif body.startswith("Synthesis:"):
+                    current.synthesis_text = (current.synthesis_text + " " + body[len("Synthesis:"):].strip()).strip()
+                elif body:
+                    current.observations.extend(_extract_clauses(line, offset, current.sample_id, registry, counters))
+            offset += len(line) + 1
+        if current is None and any(line.strip() for line in lines):
+            raise MalformedDocument("document contains no sample sections", max(header, 1))
+    return samples
+
+
 def extract_document(
     doc: str,
     registry: PropertyRegistry | None = None,
     counters: ExtractionCounters | None = None,
 ) -> list[ExtractedSample]:
-    """Extract per-sample observations from one sample-delimited document."""
-    registry = registry or default_registry()
-    counters = counters if counters is not None else ExtractionCounters()
-    samples: list[ExtractedSample] = []
-    current: ExtractedSample | None = None
-    seen_ids: set[str] = set()
-    offset = 0
-    for lineno, line in enumerate(doc.splitlines(keepends=True), 1):
-        stripped = line.rstrip("\n")
-        if "== SAMPLE" in stripped:
-            m = _SAMPLE_RE.match(stripped.strip())
-            if m is None:
-                raise MalformedDocument(f"malformed sample delimiter: {stripped!r}", lineno)
-            sid = m.group(1)
-            if sid in seen_ids:
-                raise MalformedDocument(f"duplicate sample id {sid!r}", lineno)
-            seen_ids.add(sid)
-            current = ExtractedSample(sample_id=sid)
-            samples.append(current)
-        elif current is not None:
-            body = stripped.strip()
-            if body.startswith("Sample:"):
-                current.sample_text = (current.sample_text + " " + body[len("Sample:"):].strip()).strip()
-            elif body.startswith("Synthesis:"):
-                current.synthesis_text = (current.synthesis_text + " " + body[len("Synthesis:"):].strip()).strip()
-            elif body:
-                current.observations.extend(
-                    _extract_clauses(stripped, offset, current.sample_id, registry, counters)
-                )
-        offset += len(line)
-    if not samples:
-        raise MalformedDocument("document contains no sample sections")
-    return samples
+    """Extract per-sample observations from sample-delimited text, as
+    extract_corpus does; blank text holds none."""
+    return _extract(doc, registry, counters if counters is not None else ExtractionCounters())
 
 
 def split_corpus(text: str) -> Iterator[str]:
     """Yield the documents of a corpus file, split on ``== DOC <id> ==``
     header lines; a blank trailing document is dropped."""
-    return (doc for _, doc in _documents(text))
+    return ("\n".join(lines) for _, lines in _documents(text))
 
 
-def _documents(text: str) -> Iterator[tuple[int, str]]:
-    """split_corpus's documents, each after its header's line number (0 before the first)."""
+def _documents(text: str) -> Iterator[tuple[int, list[str]]]:
+    """split_corpus's documents, each as its lines split at ``\\n`` (a document
+    ending in one ends in ``""``), after its header's line number (0 before
+    the first)."""
     current, header = [], 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if "== DOC " in line and line.strip().startswith("== DOC "):
             if current:
-                yield header, "".join(current)
+                current.append("")
+                yield header, current
             current, header = [], lineno
         else:
             current.append(line)
-    if current:
-        doc = "".join(current)
-        if doc.strip():
-            yield header, doc
+    if any(line.strip() for line in current):
+        yield header, current
 
 
 def extract_corpus(
@@ -312,27 +316,13 @@ def extract_corpus(
 ) -> tuple[list[ExtractedSample], ExtractionCounters]:
     """Extract every document in a corpus file, in document order.
 
-    Raises MalformedDocument when a sample id appears in more than one document, as
-    extract_document does for a repeat within one; its ``line`` counts in ``text``."""
-    registry = registry or default_registry()
+    Lines end at ``\\n`` only and count from 1 in ``text``.  Raises
+    MalformedDocument at a malformed ``== SAMPLE`` delimiter, at one whose
+    sample id an earlier line holds (naming that line), and at the header
+    of a document that is not blank but holds no sample (line 1 before the
+    first header)."""
     counters = ExtractionCounters()
-    samples: list[ExtractedSample] = []
-    seen_ids: set[str] = set()
-    for header, doc in _documents(text):
-        if not doc.strip():
-            continue
-        try:
-            found = extract_document(doc, registry, counters)
-        except MalformedDocument as exc:
-            raise MalformedDocument(str(exc), max(header + exc.line, 1)) from None  # 0: no header, no sample
-        for sample in found:
-            if sample.sample_id in seen_ids:
-                delimiter = f"== SAMPLE {sample.sample_id} =="
-                line = header + next(i for i, row in enumerate(doc.splitlines(), 1) if row.strip() == delimiter)
-                raise MalformedDocument(f"sample id {sample.sample_id!r} appears in more than one document", line)
-            seen_ids.add(sample.sample_id)
-            samples.append(sample)
-    return samples, counters
+    return _extract(text, registry, counters), counters
 
 
 # ---- extracted-sample file IO (one JSON record per line) ------------------

@@ -377,9 +377,9 @@ _DOC = "== SAMPLE {} ==\nSample: PS film.\nTg = 100 °C\n"
     [
         ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\n== SAMPLE a b ==\n", 6,
          "malformed sample delimiter: '== SAMPLE a b =='"),
-        ("== DOC 0 ==\n" + _DOC.format("s1") + _DOC.format("s1"), 5, "duplicate sample id 's1'"),
+        ("== DOC 0 ==\n" + _DOC.format("s1") + _DOC.format("s1"), 5, "sample id 's1' repeats line 2"),
         ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\n" + _DOC.format("s2") + _DOC.format("s1"), 9,
-         "sample id 's1' appears in more than one document"),
+         "sample id 's1' repeats line 2"),
         ("== DOC 0 ==\n" + _DOC.format("s1") + "== DOC 1 ==\nSample: PS film.\n", 5,
          "document contains no sample sections"),
         ("PS film.\n== DOC 0 ==\n" + _DOC.format("s1"), 1, "document contains no sample sections"),
@@ -390,6 +390,16 @@ def test_extract_names_the_corpus_line_of_a_malformed_document(capsys, tmp_path,
     docs.write_text(corpus, encoding="utf-8")
     assert _run(capsys, "extract", str(docs), "-o", str(obs)) == (1, "", f"error: {docs}:{line}: {message}\n")
     assert not obs.exists()
+
+
+def test_extract_counts_corpus_lines_as_grep_does(capsys, tmp_path):
+    """U+2028 and a form feed end no line, so the bad delimiter is on line
+    4, as ``grep -n`` counts it; ``\\r\\n`` ends one."""
+    docs, obs = tmp_path / "corpus.txt", tmp_path / "obs.jsonl"
+    corpus = "== DOC 0 ==\r\n== SAMPLE s1 ==\nSample: PS film\u2028annealed\x0ctwice.\n== SAMPLE a b ==\n"
+    docs.write_bytes(corpus.encode())
+    error = f"error: {docs}:4: malformed sample delimiter: '== SAMPLE a b =='\n"
+    assert _run(capsys, "extract", str(docs), "-o", str(obs)) == (1, "", error)
 
 
 def test_build_dataset_names_a_deeply_nested_line(capsys, tmp_path):

@@ -4,10 +4,11 @@ polyreg makes has one writer.
 A file read is a call in ``src/polyreg/*.py`` to ``open`` whose mode is
 not a constant holding ``w``, ``a``, ``x`` or ``+``, or to a ``.read_text``
 or ``.read_bytes`` method.  Reads may sit only in the functions that own
-an input format: ``lines.read_lines`` for every line-oriented text file,
-``checkpoint.load_checkpoint`` for checkpoints and ``cli.cmd_extract`` for
-the corpus.  A new loader parses rows over ``read_lines``, so every input
-gets its ``path:line`` errors and any later per-file work in one place.
+an input format: ``lines.text_file`` for every text file (the corpus, and
+through ``lines.read_lines`` every line-oriented one) and
+``checkpoint.load_checkpoint`` for checkpoints.  A new loader parses rows
+over ``read_lines``, so every input gets its ``path:line`` errors and any
+later per-file work in one place.
 
 A file write is a call to ``open`` whose mode is not a constant free of
 ``w``, ``a``, ``x`` and ``+``, to ``os.open``, or to a ``.write_text`` or
@@ -19,7 +20,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyreg"
-READERS = {"lines.read_lines", "checkpoint.load_checkpoint", "cli.cmd_extract"}
+READERS = {"lines.text_file", "checkpoint.load_checkpoint"}
 WRITERS = {"lines.replacing"}
 
 

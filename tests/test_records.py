@@ -431,6 +431,99 @@ def test_extract_corpus_rejects_a_sample_id_repeated_in_a_later_document():
     assert [s.sample_id for s in samples] == ["s1", "s2"]
 
 
+@pytest.mark.parametrize(
+    "text, line, first",
+    [
+        ("== SAMPLE a ==\nx\n== SAMPLE a ==\ny\n", 3, 1),
+        ("== DOC 0 ==\n== SAMPLE a ==\nTg = 100 °C\n== DOC 1 ==\n\n== SAMPLE a ==\n", 6, 2),
+    ],
+    ids=["within_a_document", "across_documents"],
+)
+@pytest.mark.parametrize("extract", [extract_document, extract_corpus])
+def test_a_repeated_sample_id_names_both_lines(extract, text, line, first):
+    with pytest.raises(MalformedDocument, match=f"^sample id 'a' repeats line {first}$") as caught:
+        extract(text)
+    assert caught.value.line == line
+
+
+def test_blank_text_holds_no_samples():
+    assert extract_document("") == extract_document(" \n\n") == []
+    assert extract_corpus("\n== DOC 0 ==\n \n") == ([], ExtractionCounters())
+
+
+# str.splitlines also ends a line at each of these; extraction, like
+# read_lines and grep -n, ends one at \n only
+_NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_ENDS])
+def test_only_a_newline_ends_a_line(char):
+    text = f"== DOC 0 ==\n== SAMPLE s1 ==\nSample: PS film{char}annealed twice.\nTg = 100 °C{char}\n== SAMPLE s2 =="
+    [sample, _], _ = extract_corpus(text + "\n")
+    assert sample.sample_text == f"PS film{char}annealed twice."
+    [obs] = sample.observations
+    doc = next(split_corpus(text))
+    assert doc[slice(*obs.source_span)] == f"Tg = 100 °C{char}"
+    with pytest.raises(MalformedDocument) as caught:
+        extract_corpus(text + " x\n")
+    assert caught.value.line == 5
+
+
+# measurement clauses, each with the text its span must slice, and
+# clauses that carry no observation
+_MEASURED = ["Tg = 105 °C", " tensile strength = 50 MPa", "  Tm = 160 - 170 °C ", "uts = >20 MPa"]
+_NOISE = ["", " no value here", "hardness = 80", "Tg = hot"]
+_FILLER = st.text(alphabet="ab \u2028\x0c\r", max_size=6)
+
+
+@st.composite
+def _corpora(draw):
+    """A corpus text with, for each document, the sample ids it holds and
+    each sample's measurement clauses in order.  Documents follow an
+    optional header-less one (the preamble), under headers that may be
+    indented, with blank documents between; each sample repeats its
+    ``Sample:`` and ``Synthesis:`` lines among its clause lines."""
+    parts, docs, n_ids = [], [], itertools.count()
+    has_preamble = draw(st.booleans())
+    for i in range(draw(st.integers(1, 4))):
+        if i or not has_preamble:
+            if draw(st.booleans()):
+                parts.append(f"== DOC b{i} ==\n" + draw(st.sampled_from(["", "\n", "  \n\n"])))
+            parts.append(draw(st.sampled_from(["", "  "])) + f"== DOC {i} ==" + draw(st.sampled_from(["", " "])) + "\n")
+        doc = {}
+        for _ in range(draw(st.integers(1, 3))):
+            sid = f"s{next(n_ids)}"
+            parts.append(draw(st.sampled_from(["", " "])) + f"== SAMPLE {sid} ==\n")
+            doc[sid] = []
+            for kind in draw(st.lists(st.sampled_from(["sample", "synthesis", "clauses", "blank"]), max_size=6)):
+                if kind == "sample":
+                    parts.append(f" Sample: {draw(_FILLER)}\n")
+                elif kind == "synthesis":
+                    parts.append(f"Synthesis: {draw(_FILLER)}\n")
+                elif kind == "blank":
+                    parts.append("\n")
+                else:
+                    clauses = draw(st.lists(st.sampled_from(_MEASURED + _NOISE), min_size=1, max_size=4))
+                    doc[sid] += [c for c in clauses if c in _MEASURED]
+                    parts.append(";".join(clauses + draw(st.lists(_FILLER, max_size=1))) + "\n")
+        docs.append(doc)
+    return "".join(parts), docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpora())
+def test_each_source_span_slices_its_clause_from_its_document(corpus):
+    text, docs = corpus
+    samples, _ = extract_corpus(text, REG)
+    texts = [doc for doc in split_corpus(text) if doc.strip()]
+    assert len(texts) == len(docs)
+    by_id = {s.sample_id: s for s in samples}
+    assert list(by_id) == [sid for doc in docs for sid in doc]
+    for doc_text, doc in zip(texts, docs):
+        for sid, clauses in doc.items():
+            assert [doc_text[slice(*o.source_span)] for o in by_id[sid].observations] == clauses
+
+
 def test_limit_observation_has_no_canonical_value():
     doc = "== SAMPLE s1 ==\ntensile strength = >200 MPa\n"
     obs = extract_document(doc)[0].observations
