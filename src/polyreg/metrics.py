@@ -116,7 +116,7 @@ def strict_numeric_parse(text: str, head: PropertySpec | None = None) -> float |
 
     Ranges, hedged prose and multiple numbers are rejected (None).  With a
     head, the value converts to the head's canonical unit; an unknown or
-    incompatible unit also rejects.
+    incompatible unit also rejects, as does a value that overflows it.
     """
     if not isinstance(text, str):
         return None
@@ -134,9 +134,10 @@ def strict_numeric_parse(text: str, head: PropertySpec | None = None) -> float |
     if q.unit is None:
         return q.value  # bare number read in the head's canonical unit
     try:
-        return convert(q.value, q.unit, head.canonical_unit)
+        value = convert(q.value, q.unit, head.canonical_unit)
     except IncompatibleUnit:
         return None
+    return value if np.isfinite(value) else None  # "1e308 GPa" is inf MPa
 
 
 # ---- report ---------------------------------------------------------------
@@ -248,32 +249,39 @@ def predict(trained, instances) -> np.ndarray:
 MIN_HEAD_N = 2  # scored pairs a head needs to appear in a report
 
 
-def _head_result(spec: PropertySpec, y: np.ndarray, p: np.ndarray, rmse_normalized=None) -> HeadResult:
-    """Per-head scores of the (target, prediction) pairs ``y``, ``p``."""
-    try:
-        r2_lin, _ = r_squared(y, p, "linear")
-    except ZeroVariance:
-        r2_lin = None
-    try:
-        r2_log, excluded = r_squared(y, p, "log10")
-    except ZeroVariance:
-        r2_log, excluded = None, 0
-    return HeadResult(
-        head_id=spec.head_id,
-        name=spec.name,
-        n=int(y.size),
-        r2_linear=r2_lin,
-        r2_log=r2_log,
-        mae=mae(y, p),
-        rmse=rmse(y, p),
-        rmse_normalized=rmse_normalized,
-        primary_metric="log" if spec.log_space else "linear",
-        log_excluded=excluded,
-    )
-
-
-def _macro_report(heads: list[HeadResult], **fields) -> EvalReport:
-    """An ``EvalReport`` of ``heads`` with the macro R² means filled in."""
+def _scored(instances, preds, registry: PropertyRegistry, transforms=None) -> EvalReport:
+    """The report of canonical-unit predictions ``preds`` (n, 22; NaN for
+    none) against the labels of ``instances``: each head with at least
+    MIN_HEAD_N labelled rows of finite prediction, scored in instance order.
+    With ``transforms``, RMSE is also read in normalized space, where a
+    log-space head keeps only its positive labels and clips its predictions
+    at 1e-300; a linear head's are taken as they are."""
+    labels = np.array([i.labels for i in instances], dtype=np.float64).reshape(-1, N_HEADS)
+    masks = np.array([i.label_mask for i in instances], dtype=bool).reshape(-1, N_HEADS)
+    heads: list[HeadResult] = []
+    for t in range(N_HEADS):
+        idx = np.flatnonzero(masks[:, t] & np.isfinite(preds[:, t]))
+        if idx.size < MIN_HEAD_N:
+            continue
+        y, p = labels[idx, t], preds[idx, t]
+        rmse_norm = None
+        if transforms is not None:
+            y_n, p_n = (y[y > 0], np.maximum(p[y > 0], 1e-300)) if transforms.log_space[t] else (y, p)
+            if y_n.size >= 2:
+                rmse_norm = rmse(transforms.normalize(t, y_n), transforms.normalize(t, p_n))
+        try:
+            r2_lin, _ = r_squared(y, p, "linear")
+        except ZeroVariance:
+            r2_lin = None
+        try:
+            r2_log, excluded = r_squared(y, p, "log10")
+        except ZeroVariance:
+            r2_log, excluded = None, 0
+        spec = registry.spec(t)
+        primary = "log" if spec.log_space else "linear"
+        heads.append(
+            HeadResult(t, spec.name, int(y.size), r2_lin, r2_log, mae(y, p), rmse(y, p), rmse_norm, primary, excluded)
+        )
 
     def mean(values):
         values = [v for v in values if v is not None]
@@ -284,7 +292,6 @@ def _macro_report(heads: list[HeadResult], **fields) -> EvalReport:
         macro_r2_linear=mean(h.r2_linear for h in heads),
         macro_r2_log=mean(h.r2_log for h in heads),
         macro_primary_r2=mean(h.primary_r2 for h in heads),
-        **fields,
     )
 
 
@@ -298,28 +305,10 @@ def evaluate(trained, instances, registry: PropertyRegistry | None = None) -> Ev
     if wrong is not None:
         raise ValueError(f"evaluate: an instance has variant {wrong!r}, but the model was trained on {trained_on!r}")
     registry = registry or default_registry()
-    preds = predict(trained, instances)
-    labels = np.array([i.labels for i in instances])
-    masks = np.array([i.label_mask for i in instances])
+    report = _scored(instances, predict(trained, instances), registry, trained.transforms)
     sigma = sigma_from_rho(trained.model.params["rho"])
-    tr = trained.transforms
-    heads: list[HeadResult] = []
-    for t in np.flatnonzero(tr.valid):
-        idx = np.flatnonzero(masks[:, t] & np.isfinite(preds[:, t]))
-        if idx.size < MIN_HEAD_N:
-            continue
-        y, p = labels[idx, t], preds[idx, t]
-        keep = y > 0 if tr.log_space[t] else np.ones_like(y, dtype=bool)
-        # log10 needs positive predictions; a linear head's are taken as they are
-        p_kept = np.maximum(p[keep], 1e-300) if tr.log_space[t] else p[keep]
-        rmse_norm = (
-            rmse(tr.normalize(t, y[keep]), tr.normalize(t, p_kept))
-            if keep.sum() >= 2
-            else None
-        )
-        heads.append(_head_result(registry.spec(t), y, p, rmse_norm))
-    report = _macro_report(heads, sigma={h.head_id: float(sigma[h.head_id]) for h in heads})
-    usable = [h for h in heads if h.rmse_normalized is not None]
+    report.sigma = {h.head_id: float(sigma[h.head_id]) for h in report.heads}
+    usable = [h for h in report.heads if h.rmse_normalized is not None]
     if len(usable) >= 3:
         svec = np.array([report.sigma[h.head_id] for h in usable])
         rvec = np.array([h.rmse_normalized for h in usable])
@@ -340,13 +329,14 @@ def score_prediction_file(
 
     Responses pass through strict numeric parsing; the retention fraction
     (parsed / total) is returned alongside the report, which scores the
-    parsed responses whose sample has a label for the head.  A line without
+    parsed responses whose sample has a label for the head, in the order of
+    ``instances`` whatever the order of the file's lines.  A line without
     the three tab-separated columns, with a head the registry does not know
     or a sample not in ``instances``, or a second response for one sample
     and head raises ``ValueError`` naming the file and the line.
     """
     registry = registry or default_registry()
-    by_sample = {inst.sample_id: inst for inst in instances}
+    row = {inst.sample_id: i for i, inst in enumerate(instances)}
 
     def response(line: str):
         parts = line.split("\t", 2)
@@ -356,20 +346,15 @@ def score_prediction_file(
         spec = registry.lookup(head_name)
         if spec is None:
             raise ValueError(f"unknown head {head_name!r}")
-        if sid not in by_sample:
+        if sid not in row:
             raise ValueError(f"sample {sid!r} is not in the dataset")
-        return (sid, spec.name), (by_sample[sid], spec.head_id, strict_numeric_parse(text, spec))
+        return (sid, spec.name), (row[sid], spec.head_id, strict_numeric_parse(text, spec))
 
     parsed = read_lines(path, response, header="sample_id", key="sample_id and head")
-    values: dict[int, list[tuple[float, float]]] = {}
-    for inst, t, value in parsed:
-        if value is not None and inst.label_mask[t]:
-            values.setdefault(t, []).append((inst.labels[t], value))
-    heads = [
-        _head_result(registry.spec(t), np.array([y for y, _ in pairs]), np.array([p for _, p in pairs]))
-        for t, pairs in sorted(values.items())
-        if len(pairs) >= MIN_HEAD_N
-    ]
+    preds = np.full((len(instances), N_HEADS), np.nan)
+    for i, t, value in parsed:
+        if value is not None:
+            preds[i, t] = value
     kept = sum(value is not None for _, _, value in parsed)
     retention = kept / len(parsed) if parsed else 0.0
-    return _macro_report(heads), retention
+    return _scored(instances, preds, registry), retention

@@ -11,11 +11,10 @@ import numpy as np
 
 from . import objective as obj
 from .checkpoint import CorruptCheckpoint, VersionMismatch, load_checkpoint, save_checkpoint
-from .config import TrainConfig
+from .config import TrainConfig, finite
 from .datasets import PromptInstance
 from .encoder import RowGrad
 from .model import PropertyModel, encode, make_batch
-from .records import _finite
 from .registry import N_HEADS, PropertyRegistry, default_registry
 
 
@@ -210,7 +209,7 @@ def load_trained(path) -> TrainedModel:
     if metadata.get("config_digest") != cfg.digest():
         raise ValueError(f"checkpoint {path}: config_digest does not match its config")
     trace = metadata.get("loss_trace", [])
-    if not isinstance(trace, list) or not all(x is not None and _finite(x) for x in trace):
+    if not isinstance(trace, list) or not all(type(x) in (int, float) and finite(x) for x in trace):
         raise ValueError(f"checkpoint {path}: loss_trace is not a list of finite numbers")
     expected = _shapes(fresh) | {name: (N_HEADS,) for name in _TRANSFORM_TENSORS}
     found = _shapes(tensors)

@@ -266,6 +266,38 @@ def test_score_responses_subcommand(capsys, tmp_path):
     assert lines[1:] == ["0\tTg\t3\t0.999598\t0.999330\t1\t1\tlinear", "# retention\t0.800000"]
 
 
+def test_score_responses_writes_the_pinned_table(capsys, tmp_path):
+    # Tg scores in full; Tm's two equal labels leave both its R² columns NA
+    reg = default_registry()
+    tg, tm = reg.lookup("Tg").head_id, reg.lookup("Tm").head_id
+    instances = []
+    for i, (y_tg, y_tm) in enumerate([(60.0, 150.0), (100.0, 150.0), (140.0, None), (180.0, None)]):
+        labels = np.full(N_HEADS, np.nan)
+        labels[tg], labels[tm] = y_tg, np.nan if y_tm is None else y_tm
+        instances.append(PromptInstance(f"s{i}", "sample_only", "[Sample]\nx", labels, ~np.isnan(labels)))
+    dataset = tmp_path / "dataset.tsv"
+    save_dataset(instances, dataset)
+    responses = tmp_path / "responses.tsv"
+    responses.write_text(
+        "sample_id\thead\tresponse\n"
+        "s0\tTg\t58.5 °C\n"
+        "s0\tTm\t148\n"
+        "s1\tTg\t104\n"
+        "s1\tmelting point\t425.15 K\n"
+        "s2\tTg\tno answer\n"
+        "s3\tTg\t177.25\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "scores.tsv"
+    assert _run(capsys, "score-responses", str(responses), str(dataset), "-o", str(out_path))[0] == 0
+    assert out_path.read_bytes() == (
+        b"head_id\tname\tn\tr2_linear\tr2_log\tmae\trmse\tprimary\n"
+        b"0\tTg\t3\t0.996543\t0.996003\t2.75\t2.93329\tlinear\n"
+        b"1\tTm\t2\tNA\tNA\t2\t2\tlinear\n"
+        b"# retention\t0.833333\n"
+    )
+
+
 def test_eval_refuses_a_dataset_of_another_variant(capsys, tmp_path):
     dataset, ckpt = tmp_path / "only.tsv", tmp_path / "model.ckpt"
     _tg_dataset(dataset)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -211,23 +212,26 @@ def test_strict_parse_rejections():
     assert strict_numeric_parse("", tg) is None
     assert strict_numeric_parse("105 MPa", tg) is None  # wrong dimension
     assert strict_numeric_parse(None, tg) is None
+    assert strict_numeric_parse("1e308 GPa", REG.lookup("tensile_strength")) is None  # inf MPa
 
 
 # ---- prediction-file scoring ----------------------------------------------
 
 
-def _instances():
+def _instances(labels=None):
+    """Samples s0, s1, ...: ``labels`` maps a head name to one label a
+    sample, None for no label; four Tg labels by default."""
     from polyreg.datasets import PromptInstance
     from polyreg.registry import N_HEADS
 
+    labels = labels or {"Tg": [60.0, 100.0, 140.0, 180.0]}
     out = []
-    tg = REG.lookup("Tg").head_id
-    for i, value in enumerate([60.0, 100.0, 140.0, 180.0]):
-        labels = np.full(N_HEADS, np.nan)
-        mask = np.zeros(N_HEADS, dtype=bool)
-        labels[tg] = value
-        mask[tg] = True
-        out.append(PromptInstance(f"s{i}", "sample_only", "[Sample]\nx", labels, mask))
+    for i in range(len(next(iter(labels.values())))):
+        values = np.full(N_HEADS, np.nan)
+        for name, column in labels.items():
+            if column[i] is not None:
+                values[REG.lookup(name).head_id] = column[i]
+        out.append(PromptInstance(f"s{i}", "sample_only", "[Sample]\nx", values, ~np.isnan(values)))
     return out
 
 
@@ -248,6 +252,56 @@ def test_score_prediction_file(tmp_path):
     assert head.n == 3
     assert head.primary_metric == "linear"
     assert head.r2_linear > 0.99
+
+
+def test_an_answer_that_overflows_the_heads_unit_is_rejected(tmp_path):
+    # 1e308 GPa is inf MPa: the line counts against retention and is not scored
+    instances = _instances({"tensile_strength": [20.0, 40.0, 60.0, 80.0]})
+    rows = ["sample_id\thead\tresponse", "s0\ttensile_strength\t21 MPa", "s1\tuts\t0.039 GPa", "s2\tuts\t62"]
+    three, four = tmp_path / "three.tsv", tmp_path / "four.tsv"
+    three.write_text("\n".join(rows) + "\n")
+    four.write_text("\n".join(rows + ["s3\ttensile_strength\t1e308 GPa"]) + "\n")
+    report, retention = score_prediction_file(four, instances)
+    assert retention == 0.75
+    assert [(h.name, h.n) for h in report.heads] == [("tensile_strength", 3)]
+    assert report.to_json() == score_prediction_file(three, instances)[0].to_json()
+
+
+def test_the_order_of_a_response_files_lines_does_not_change_its_report(tmp_path):
+    # each head's pairs are summed in instance order, whatever the line order
+    rng = np.random.default_rng(0)
+    labels = {
+        "Tg": list(rng.uniform(-50.0, 250.0, 12)),
+        "Tm": [None, None] + list(rng.uniform(100.0, 300.0, 10)),
+        "tensile_strength": list(rng.uniform(5.0, 90.0, 12)),
+    }
+    lines = [
+        f"s{i}\t{name}\t{float(y * rng.uniform(0.7, 1.3))!r}"
+        for name, column in labels.items()
+        for i, y in enumerate(column)
+        if y is not None
+    ]
+    instances = _instances(labels)
+
+    def scored(order):
+        path = tmp_path / "responses.tsv"
+        path.write_text("sample_id\thead\tresponse\n" + "".join(lines[j] + "\n" for j in order))
+        return score_prediction_file(path, instances)
+
+    first, retention = scored(range(len(lines)))
+    assert retention == 1.0 and [h.n for h in first.heads] == [12, 10, 12]
+    for order in [range(len(lines) - 1, -1, -1)] + [rng.permutation(len(lines)) for _ in range(6)]:
+        report, kept = scored(order)
+        assert kept == retention
+        assert report.to_json() == first.to_json()
+        assert [asdict(h) for h in report.heads] == [asdict(h) for h in first.heads]
+
+
+def test_a_header_only_file_against_no_samples_scores_no_head(tmp_path):
+    path = tmp_path / "responses.tsv"
+    path.write_text("sample_id\thead\tresponse\n")
+    report, retention = score_prediction_file(path, [])
+    assert (report.heads, report.macro_primary_r2, retention) == ([], None, 0.0)
 
 
 def test_score_prediction_file_requires_header(tmp_path):
