@@ -13,23 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import VARIANTS, SynthConfig, TrainConfig, read_config
+from .config import VARIANTS, load_configs
 from .lines import replacing, text_file
-
-
-# one config file serves every subcommand: SynthConfig keys (optionally
-# synth.-prefixed) configure the corpus, TrainConfig keys the trainer
-CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
-
-
-def _load_configs(path, seed=None) -> tuple[SynthConfig, TrainConfig]:
-    """The corpus and trainer configs of a config file; ``--seed`` sets both.
-    Read before a subcommand imports its stages, so a config error loads no numpy."""
-    values = read_config(path, CONFIG_SECTIONS) if path else {name: {} for name in CONFIG_SECTIONS}
-    if seed is not None:
-        for section in values.values():
-            section["seed"] = seed
-    return SynthConfig(**values["synth"]), TrainConfig(**values["train"])
 
 
 def _write_table(fh, table: str, key: str, value: str) -> None:
@@ -38,7 +23,7 @@ def _write_table(fh, table: str, key: str, value: str) -> None:
 
 
 def cmd_gen_corpus(args) -> int:
-    cfg, _ = _load_configs(args.config, args.seed)
+    cfg, _ = load_configs(args.config, args.seed)
     from .corpus import gen_corpus, write_corpus
 
     corpus = gen_corpus(cfg)
@@ -78,7 +63,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, cfg = _load_configs(args.config, args.seed)
+    _, cfg = load_configs(args.config, args.seed)
     from .datasets import load_dataset
     from .trainer import save_trained, train
 
@@ -108,7 +93,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    synth_cfg, train_cfg = _load_configs(args.config, args.seed)
+    synth_cfg, train_cfg = load_configs(args.config, args.seed)
     from .harness import run_ablation
 
     report = run_ablation(train_cfg, synth_cfg)

@@ -2,8 +2,8 @@
 into dataclass fields, all without numpy.
 
 ``SynthConfig`` configures the synthetic corpus and ``TrainConfig`` the
-model and its training; the CLI reads both from one file.  Each key is
-routed by field name; a key can also name its section, as in
+model and its training; ``load_configs`` reads both from one file.  Each
+key is routed by field name; a key can also name its section, as in
 ``synth.n_docs``.  A key that no section has is an error that names the
 key, the file and the line, so a misspelled key never falls back
 silently to a default.
@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .lines import read_lines
 from .registry import N_HEADS
@@ -75,7 +75,7 @@ class SynthConfig:
 
 
 # the least value of each TrainConfig field that has one
-_MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1)
+_MINIMUMS = dict(seed=0, batch_size=1, epochs=0, lr=0, rho_lr=0, vocab_size=1, rank=1, hidden_dim=1, n_blocks=1)
 
 # the most dense parameter values a model may hold: 1 GiB of float64
 MAX_DENSE_PARAMS = 2**27
@@ -132,8 +132,6 @@ class TrainConfig:
             raise ValueError(f"unknown pooling mode {self.pooling_mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n_blocks < 1:
-            raise ValueError("at least one residual block required")
         # every dense tensor is allocated up front: w0, the trunk's input
         # projection, its blocks and the regressor's bottleneck
         d, h = self.dim, self.hidden_dim
@@ -168,8 +166,11 @@ def _parse_float_or_map(raw: str) -> float | dict[int, float]:
     """``0.1``, or per-key values as ``5:0.1,6:0.2``."""
     if ":" not in raw:
         return float(raw)
-    pairs = (pair.split(":") for pair in raw.split(","))
-    return {int(k): float(v) for k, v in pairs}
+    pairs = [pair.split(":") for pair in raw.split(",")]
+    etas = {int(k): float(v) for k, v in pairs}
+    if len(etas) < len(pairs):  # a head named twice
+        raise ValueError(raw)
+    return etas
 
 
 # value parser by field annotation (the config modules postpone annotations)
@@ -183,18 +184,24 @@ _PARSERS = {
 }
 
 
-def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
-    """Keyword arguments for each dataclass in ``sections`` (name -> class).
+# the config each section prefix of a key names
+_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
 
-    A plain key goes to every section whose dataclass has a field of that
-    name, so a shared field such as ``seed`` reaches them all;
-    ``<section>.<key>`` goes to that section alone.  Text after ``#`` is a
-    comment.  Unknown keys, lines without ``=`` and unparsable values
-    raise ``ValueError`` naming the file and the line, and values no
-    section's dataclass accepts raise it naming the file.
+
+def load_configs(path=None, seed=None) -> tuple[SynthConfig, TrainConfig]:
+    """The corpus and trainer configs of the ``key = value`` file ``path``
+    (none when it is empty), with ``seed`` given to both.
+
+    A plain key goes to every config with a field of that name, so a
+    shared field such as ``seed`` reaches them all; ``<section>.<key>``
+    goes to that section alone.  Text after ``#`` is a comment.  Unknown
+    keys, lines without ``=`` and unparsable values raise ``ValueError``
+    naming the file and the line, and a value a config refuses raises it
+    naming the file; a refused ``seed`` argument names no file.  Each
+    config is built once from the file's values, and again with ``seed``.
     """
-    known = {name: {f.name: f.type for f in fields(cls)} for name, cls in sections.items()}
-    values: dict[str, dict] = {name: {} for name in sections}
+    known = {name: {f.name: f.type for f in fields(cls)} for name, cls in _SECTIONS.items()}
+    values: dict[str, dict] = {name: {} for name in _SECTIONS}
 
     def assign(line: str) -> None:
         line = line.split("#", 1)[0].strip()
@@ -204,7 +211,7 @@ def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
             raise ValueError(f"expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         section, _, name = key.rpartition(".")
-        targets = [section] if section else list(sections)
+        targets = [section] if section else list(_SECTIONS)
         hits = [s for s in targets if name in known.get(s, {})]
         if not hits:
             raise ValueError(f"unknown config key {key!r}")
@@ -214,10 +221,12 @@ def read_config(path, sections: dict[str, type]) -> dict[str, dict]:
             except ValueError:
                 raise ValueError(f"bad value {raw!r} for {key!r}") from None
 
-    read_lines(path, assign)
-    for name, cls in sections.items():
-        try:
-            cls(**values[name])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return values
+    if path:
+        read_lines(path, assign)
+    try:
+        synth, train = (cls(**values[name]) for name, cls in _SECTIONS.items())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if seed is None:
+        return synth, train
+    return replace(synth, seed=seed), replace(train, seed=seed)

@@ -15,7 +15,7 @@ from operator import add
 import numpy as np
 
 from .lines import read_lines, replacing
-from .records import ExtractedSample, finite_label
+from .records import ExtractedSample
 from .prompts import VARIANTS, EmptySample, build_prompt, leakage_hits, mask_labels, target_values
 from .registry import N_HEADS, PropertyRegistry
 
@@ -197,5 +197,8 @@ def _instance(parts: list[str]) -> tuple[str, PromptInstance]:
     if variant not in VARIANTS:
         raise ValueError(f"variant {variant!r} is not one of {', '.join(VARIANTS)}")
     mask = [slot != "NA" for slot in slots]
-    labels = [finite_label(float(slot)) if present else np.nan for slot, present in zip(slots, mask)]
+    labels = [float(slot) if present else np.nan for slot, present in zip(slots, mask)]
+    for label, present in zip(labels, mask):
+        if present and not math.isfinite(label):
+            raise ValueError(f"label {label!r} is not finite")
     return sid, PromptInstance(sid, variant, _unescape(text), labels, mask)

@@ -126,6 +126,8 @@ def run_ablation(
                 r2_sample_only=b.primary_r2,
             )
         )
+    if not rows:  # a mean over no head is NaN
+        raise ValueError("ablation needs at least 1 head scored in both variants")
     return AblationReport(rows=rows, split_hash=split_hash)
 
 

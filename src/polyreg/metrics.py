@@ -16,9 +16,9 @@ from . import regressor as reg
 from .lines import read_lines
 from .model import encode, make_batch
 from .objective import sigma_from_rho
-from .records import _NUM_RE, ParseFailure, parse_quantity
+from .records import _NUM_RE, ParseFailure, parse_quantity, to_canonical
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
-from .units import IncompatibleUnit, convert
+from .units import IncompatibleUnit
 
 
 class ZeroVariance(Exception):
@@ -129,15 +129,12 @@ def strict_numeric_parse(text: str, head: PropertySpec | None = None) -> float |
         return None
     if q.kind != "point":
         return None
-    if head is None:
-        return q.value
-    if q.unit is None:
-        return q.value  # bare number read in the head's canonical unit
+    if head is None or q.unit is None:
+        return q.value  # a bare number is read in the head's canonical unit
     try:
-        value = convert(q.value, q.unit, head.canonical_unit)
-    except IncompatibleUnit:
+        return to_canonical(q, head)
+    except (IncompatibleUnit, ParseFailure):  # "1e308 GPa" is inf MPa
         return None
-    return value if np.isfinite(value) else None  # "1e308 GPa" is inf MPa
 
 
 # ---- report ---------------------------------------------------------------

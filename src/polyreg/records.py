@@ -13,11 +13,11 @@ import json
 import math
 import operator
 import re
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 
+from .config import finite
 from .lines import read_lines, replacing
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
 from .units import IncompatibleUnit, convert, normalize_unit
@@ -194,13 +194,6 @@ def to_canonical(q: Quantity, head: PropertySpec) -> float | None:
     return value
 
 
-def finite_label(value: float | None) -> float | None:
-    """``value`` unless it is a non-finite number, which raises ValueError."""
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"label {value!r} is not finite")
-    return value
-
-
 _SAMPLE_RE = re.compile(r"^== SAMPLE (\S+) ==$")
 
 
@@ -333,7 +326,6 @@ def extract_corpus(
 _quantity_values = operator.attrgetter(*_QUANTITY_FIELDS)
 _sample_values = operator.itemgetter("sample_id", "sample_text", "synthesis_text", "observations")
 _observation_values = operator.itemgetter("head_id", *_QUANTITY_FIELDS, "canonical_value", "span")
-_MAX = sys.float_info.max
 
 
 def save_extracted(samples: list[ExtractedSample], path) -> None:
@@ -377,10 +369,8 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is None or a finite exact float or int (not a bool).
-    ``-_MAX <= x <= _MAX`` also turns down an int too large for a float,
-    on which math.isfinite raises OverflowError."""
-    return x is None or (type(x) is float or type(x) is int) and -_MAX <= x <= _MAX
+    """Whether ``x`` is None or a finite exact float or int (not a bool)."""
+    return x is None or type(x) in (int, float) and finite(x)
 
 
 def _fault(head_id, kind, value, lo, hi, bound, direction, unit, canonical_value, span) -> str | None:

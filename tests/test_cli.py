@@ -334,7 +334,7 @@ def test_score_responses_names_a_malformed_line(capsys, tmp_path):
     [
         ("rank = 64", "rank < dim"),
         ("pooling_mode = max", "unknown pooling mode 'max'"),
-        ("n_blocks = 0", "at least one residual block"),
+        ("n_blocks = 0", "n_blocks must be at least 1, got 0"),
     ],
 )
 def test_train_rejects_an_invalid_config_before_reading_the_dataset(capsys, tmp_path, line, message):
@@ -385,6 +385,16 @@ def test_ablate_accepts_corpus_and_trainer_keys_in_one_config(capsys, tmp_path):
     assert code == 0, err
     assert "ablation mean delta" in out
     assert out_path.read_text().startswith("head_id\t")
+
+
+def test_ablate_refuses_a_run_that_scores_no_head(capsys, tmp_path):
+    cfg = tmp_path / "ablate.cfg"
+    cfg.write_text("n_docs = 5\nepochs = 1\nvocab_size = 256\ndim = 16\nrank = 4\nhidden_dim = 16\n")
+    out_path = tmp_path / "ablation.tsv"
+    code, out, err = _run(capsys, "ablate", "--config", str(cfg), "--seed", "1", "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: ablation needs at least 1 head scored in both variants\n"
+    assert not out_path.exists()
 
 
 def test_missing_file_gives_nonzero_exit_and_diagnostic(capsys, tmp_path):

@@ -1,8 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from polyreg.cli import CONFIG_SECTIONS, _load_configs
-from polyreg.config import read_config
+from polyreg.config import load_configs
 from polyreg.corpus import MAX_DOCS, SynthConfig
 from polyreg.trainer import TrainConfig
 
@@ -19,19 +20,23 @@ def test_keys_are_routed_by_field_name(tmp_path):
         "# corpus\nn_docs = 60\nsynth.gamma = 0.25\nheads = 5, 6\neta = 5:0.1,6:0.2\n"
         "seed = 4\nepochs = 3  # trainer\nfreeze_trunk = yes\npooling_mode = attention\n",
     )
-    synth, train = _load_configs(path)
+    synth, train = load_configs(path)
     assert synth == SynthConfig(seed=4, n_docs=60, gamma=0.25, heads=(5, 6), eta={5: 0.1, 6: 0.2})
     assert train == TrainConfig(seed=4, epochs=3, freeze_trunk=True, pooling_mode="attention")
 
 
 def test_command_line_seed_overrides_both(tmp_path):
-    synth, train = _load_configs(_write(tmp_path, "seed = 4\n"), seed=9)
+    synth, train = load_configs(_write(tmp_path, "seed = 4\n"), seed=9)
     assert synth.seed == train.seed == 9
-    synth, train = _load_configs(None, seed=2)
+    synth, train = load_configs(None, seed=2)
     assert (synth, train) == (SynthConfig(seed=2), TrainConfig(seed=2))
     # as gen-corpus and train read --seed: the field is named, not numpy's error
-    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
-        _load_configs(None, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        load_configs(None, seed=-1)
+    # the file's own seed is checked before --seed replaces it
+    path = _write(tmp_path, "seed = -1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: seed must be at least 0, got -1$"):
+        load_configs(path, seed=9)
 
 
 @pytest.mark.parametrize(
@@ -42,12 +47,13 @@ def test_command_line_seed_overrides_both(tmp_path):
         ("epochs\n", "expected 'key = value'"),
         ("n_docs = many\n", "bad value 'many' for 'n_docs'"),
         ("freeze_trunk = maybe\n", "bad value 'maybe' for 'freeze_trunk'"),
+        ("eta = 5:0.1,5:0.2\n", r"bad value '5:0\.1,5:0\.2' for 'eta'"),
     ],
 )
 def test_bad_lines_name_the_file(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(ValueError, match=message) as err:
-        read_config(path, CONFIG_SECTIONS)
+        load_configs(path)
     assert str(err.value).startswith(f"{path}:1: ")
 
 
@@ -99,11 +105,14 @@ def test_default_config_digest_is_pinned():
 
 
 def test_every_config_field_has_a_parser(tmp_path):
-    lines = [f"synth.{k} = {v}" for k, v in (
+    synth_values = (
         ("seed", 1), ("n_docs", 2), ("heads", "5"), ("eta", 0.1), ("gamma", 0.2),
         ("tail_skew", 0.3), ("obs_prob", 0.4),
-    )]
+    )
+    lines = [f"synth.{k} = {v}" for k, v in synth_values]
     lines += [f"train.{k} = {v}" for k, v in vars(TrainConfig()).items()]
-    values = read_config(_write(tmp_path, "\n".join(lines) + "\n"), CONFIG_SECTIONS)
-    assert set(values["synth"]) == set(vars(SynthConfig()))
-    assert TrainConfig(**values["train"]) == TrainConfig()
+    synth, train = load_configs(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert {k for k, _ in synth_values} == set(vars(SynthConfig()))
+    # every value differs from its field's default, so each was read
+    assert synth == SynthConfig(seed=1, n_docs=2, heads=(5,), eta=0.1, gamma=0.2, tail_skew=0.3, obs_prob=0.4)
+    assert train == TrainConfig()

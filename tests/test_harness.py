@@ -177,6 +177,13 @@ def test_run_ablation_structure():
     assert "# mean_delta" in table and "# split_hash" in table
 
 
+def test_run_ablation_refuses_a_run_that_scores_no_head():
+    # one held-out sample: no head reaches MIN_HEAD_N, and a mean over none is NaN
+    synth = SynthConfig(seed=1, n_docs=5)
+    with pytest.raises(ValueError, match="^ablation needs at least 1 head scored in both variants$"):
+        run_ablation(_fast_train_cfg(seed=1, epochs=1), synth)
+
+
 def test_run_uncertainty_report_structure():
     synth = SynthConfig(seed=0, n_docs=200, obs_prob=0.8)
     datasets = prepare_variant_datasets(synth, split_seed=0)

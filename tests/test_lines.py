@@ -25,8 +25,8 @@ import pytest
 
 from polyreg.audit import bundled_fixture_paths, read_records
 from polyreg.checkpoint import save_checkpoint
-from polyreg.cli import CONFIG_SECTIONS, main
-from polyreg.config import TrainConfig, read_config
+from polyreg.cli import main
+from polyreg.config import TrainConfig, load_configs
 from polyreg.corpus import SynthConfig, gen_corpus, write_corpus
 from polyreg.datasets import build_dataset, load_dataset, save_dataset
 from polyreg.lines import replacing
@@ -82,7 +82,7 @@ def _responses(samples, path):
 
 def _config(samples, path):
     path.write_text("# corpus\nn_docs = 60\nheads = 5, 6\n\nepochs = 3  # trainer\n", encoding="utf-8")
-    return lambda p: read_config(p, CONFIG_SECTIONS)
+    return load_configs
 
 
 @pytest.mark.parametrize("write", [_observations, _dataset, _audit, _responses, _config])
@@ -96,7 +96,7 @@ def test_a_crlf_file_loads_as_its_lf_original(tmp_path, samples, write):
 def test_a_lone_carriage_return_ends_a_config_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"seed = 4\rn_docs = 60\n")
-    assert read_config(path, CONFIG_SECTIONS) == {"synth": {"seed": 4, "n_docs": 60}, "train": {"seed": 4}}
+    assert load_configs(path) == (SynthConfig(seed=4, n_docs=60), TrainConfig(seed=4))
 
 
 @pytest.mark.parametrize("write", [_observations, _dataset, _audit, _responses, _config])

@@ -20,7 +20,7 @@ from polyreg.checkpoint import (
     save_checkpoint,
 )
 from polyreg import encoder as enc
-from polyreg.cli import _load_configs
+from polyreg.config import load_configs
 from polyreg.datasets import PromptInstance
 from polyreg.model import PropertyModel, encode, make_batch
 from polyreg.registry import N_HEADS, default_registry
@@ -450,7 +450,7 @@ def test_config_round_trip(tmp_path):
     cfg = _small_cfg(epochs=7, lr=5e-4, freeze_trunk=True, pooling_mode="attention")
     path = tmp_path / "train.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in vars(cfg).items()))
-    loaded = _load_configs(path)[1]
+    loaded = load_configs(path)[1]
     assert loaded == cfg
     assert loaded.digest() == cfg.digest()
 
@@ -459,7 +459,7 @@ def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("learning_rate = 0.1\n")
     with pytest.raises(ValueError):
-        _load_configs(path)
+        load_configs(path)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +467,7 @@ def test_config_rejects_unknown_key(tmp_path):
     [
         ("rank = 64", "rank < dim"),
         ("pooling_mode = max", "unknown pooling mode 'max'"),
-        ("n_blocks = 0", "at least one residual block"),
+        ("n_blocks = 0", "n_blocks must be at least 1, got 0"),
         ("batch_size = 0", "batch_size must be at least 1, got 0"),
         ("batch_size = -3", "batch_size must be at least 1, got -3"),
         ("epochs = -2", "epochs must be at least 0, got -2"),
@@ -498,7 +498,7 @@ def test_config_rejects_an_invalid_combination(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=message) as err:
-        _load_configs(path)
+        load_configs(path)
     assert str(path) in str(err.value)
 
 
