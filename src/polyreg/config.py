@@ -195,10 +195,11 @@ def load_configs(path=None, seed=None) -> tuple[SynthConfig, TrainConfig]:
     A plain key goes to every config with a field of that name, so a
     shared field such as ``seed`` reaches them all; ``<section>.<key>``
     goes to that section alone.  Text after ``#`` is a comment.  Unknown
-    keys, lines without ``=`` and unparsable values raise ``ValueError``
-    naming the file and the line, and a value a config refuses raises it
-    naming the file; a refused ``seed`` argument names no file.  Each
-    config is built once from the file's values, and again with ``seed``.
+    keys, lines without ``=``, unparsable values and a second value for a
+    field raise ``ValueError`` naming the file and the line, and a value a
+    config refuses raises it naming the file; a refused ``seed`` argument
+    names no file.  Each config is built once from the file's values, and
+    again with ``seed``.
     """
     known = {name: {f.name: f.type for f in fields(cls)} for name, cls in _SECTIONS.items()}
     values: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -216,6 +217,8 @@ def load_configs(path=None, seed=None) -> tuple[SynthConfig, TrainConfig]:
         if not hits:
             raise ValueError(f"unknown config key {key!r}")
         for s in hits:
+            if name in values[s]:
+                raise ValueError(f"{key!r} sets {s}.{name}, which an earlier line set")
             try:
                 values[s][name] = _PARSERS[known[s][name]](raw)
             except ValueError:

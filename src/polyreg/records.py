@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .config import finite
 from .lines import read_lines, replacing
 from .registry import N_HEADS, PropertyRegistry, PropertySpec, default_registry
-from .units import IncompatibleUnit, convert, normalize_unit
+from .units import IncompatibleUnit, normalize_unit
 
 
 class ParseFailure(Exception):
@@ -169,26 +169,24 @@ def parse_quantity(text: str) -> Quantity:
 
 
 def to_canonical(q: Quantity, head: PropertySpec) -> float | None:
-    """Convert a quantity to the head's canonical unit.
+    """Convert a quantity to the head's canonical unit, its dimension's base unit.
 
     Points convert directly, ranges convert endpoint-wise and collapse to
-    the midpoint, limits give None (they carry no regression label).
-    Raises IncompatibleUnit on a dimension mismatch and ParseFailure when
-    the converted value overflows to a non-finite one.
+    the midpoint, limits give None (they carry no regression label), and
+    no unit is dimensionless.  Raises IncompatibleUnit on an unknown unit
+    or a dimension mismatch and ParseFailure when the converted value
+    overflows to a non-finite one.
     """
     if q.kind == "limit":
         return None
-    unit = q.unit
-    if unit is None and normalize_unit(head.canonical_unit).dimension != "dimensionless":
-        raise IncompatibleUnit(f"head {head.name} requires a {head.canonical_unit} compatible unit")
-    if unit is None:
-        unit = "-"
+    unit = normalize_unit(q.unit)
+    dimension = normalize_unit(head.canonical_unit).dimension
+    if unit is None or unit.dimension != dimension:
+        raise IncompatibleUnit(f"{q.unit!r} is not a {dimension} unit for head {head.name}")
     if q.kind == "point":
-        value = convert(q.value, unit, head.canonical_unit)
+        value = unit.to_canonical(q.value)
     else:
-        lo = convert(q.lo, unit, head.canonical_unit)
-        hi = convert(q.hi, unit, head.canonical_unit)
-        value = 0.5 * (lo + hi)
+        value = 0.5 * (unit.to_canonical(q.lo) + unit.to_canonical(q.hi))
     if not math.isfinite(value):
         raise ParseFailure(f"{head.name} is not finite in {head.canonical_unit}: {value}")
     return value
@@ -332,18 +330,21 @@ def save_extracted(samples: list[ExtractedSample], path) -> None:
     """Write one JSON line per sample, the one load_extracted reads.
 
     A value load_extracted would refuse (a non-finite number, an id or a
-    text that is not a ``str``, ...) raises a ValueError naming the path,
-    the sample id and the field, and leaves ``path`` as it was, as does a
-    sample_id an earlier sample holds, naming both lines.  Each line is
-    the encoder's bytes for the layout above, laid out by hand: keys in
-    sorted order, strings through encode_basestring_ascii, numbers (exact
-    floats and ints, once checked) through repr and None as null."""
+    text that is not a ``str``, ...) or an observation's sample_id that is
+    not its sample's (the file does not store it) raises a ValueError
+    naming the path, the sample id and the field, and leaves ``path`` as
+    it was, as does a sample_id an earlier sample holds, naming both
+    lines.  Each line is the encoder's bytes for the layout above, laid
+    out by hand: keys in sorted order, strings through
+    encode_basestring_ascii, numbers (exact floats and ints, once checked)
+    through repr and None as null."""
     first_line: dict[str, int] = {}
     with replacing(path) as fh:
         for lineno, s in enumerate(samples, 1):
             fault = _sample_fault(s.sample_id, s.sample_text, s.synthesis_text)
             for o in s.observations:
                 fault = fault or _fault(o.head_id, *_quantity_values(o.quantity), o.canonical_value, o.source_span)
+                fault = fault or o.sample_id != s.sample_id and f"observation sample_id {o.sample_id!r} differs"
             if fault:
                 raise ValueError(f"{path}: sample {s.sample_id!r}: {fault}")
             if first_line.setdefault(s.sample_id, lineno) != lineno:

@@ -1,9 +1,9 @@
 """Registry of the 22 regression heads.
 
-Each head has a canonical name, a property group, a canonical unit, a
-log-space flag and a set of lowercase aliases.  The table ships as a
-TSV data file so aliases can be edited without code changes; it is read
-by ``lines.read_lines`` like every other line-oriented input.
+Each head has a canonical name, a property group, a canonical unit (its
+dimension's base unit), a log-space flag and a set of lowercase aliases.
+The table ships as a TSV data file so aliases can be edited without code
+changes; ``lines.read_lines`` reads it, naming the line of a refused row.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from importlib import resources
 from itertools import accumulate
 
 from .lines import read_lines
-from .units import unit_def, units_for_dimension
+from .units import normalize_unit, units_for_dimension
 
 GROUPS = ("thermal", "mechanical", "electrical_transport", "physicochemical")
 
@@ -56,7 +56,7 @@ class PropertyRegistry:
         # every head's registered units (those of its dimension, in table
         # order) end to end: head h owns entries unit_first[h] up to
         # unit_first[h] + unit_count[h]
-        units = [units_for_dimension(unit_def(s.canonical_unit).dimension) for s in self._specs]
+        units = [units_for_dimension(normalize_unit(s.canonical_unit).dimension) for s in self._specs]
         self.unit_count = tuple(len(u) for u in units)
         self.unit_first = tuple(accumulate(self.unit_count[:-1], initial=0))
         self.unit_offsets = tuple(u.offset for head in units for u in head)
@@ -114,6 +114,10 @@ def _spec(parts: list[str]) -> tuple[int, PropertySpec]:
         raise ValueError(f"unknown group {group!r}")
     if log_flag not in ("0", "1"):
         raise ValueError(f"log_space must be 0 or 1, got {log_flag!r}")
+    # masking restates each label in every unit of its dimension from the base unit
+    base = normalize_unit(unit)
+    if base is None or base.factor != 1.0 or base.offset != 0.0:
+        raise ValueError(f"canonical unit {unit!r} is not a known dimension's base unit")
     alias_set = frozenset(a.strip() for a in aliases.split("|") if a.strip())
     spec = PropertySpec(int(head_id), name, group, unit, log_flag == "1", alias_set)
     return spec.head_id, spec

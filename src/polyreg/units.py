@@ -1,8 +1,8 @@
 """Unit normalization and conversion to canonical head units.
 
 Every registered unit is an (dimension, factor, offset) triple so that
-canonical = value * factor + offset.  Temperature conversions are affine;
-everything else is multiplicative.
+canonical = value * factor + offset, in its dimension's base unit (factor 1,
+offset 0).  Temperature conversions are affine; the rest are multiplicative.
 """
 
 from __future__ import annotations
@@ -109,24 +109,6 @@ def normalize_unit(text: str | None) -> UnitDef | None:
     return _BY_KEY.get(_fold(text or ""))
 
 
-def unit_def(symbol: str) -> UnitDef:
-    unit = normalize_unit(symbol)
-    if unit is None:
-        raise KeyError(f"unknown unit {symbol!r}")
-    return unit
-
-
 def units_for_dimension(dimension: str) -> list[UnitDef]:
     return list(_BY_DIMENSION.get(dimension, []))
 
-
-def convert(value: float, unit: str, head_unit: str) -> float:
-    """Convert value in `unit` to the head's canonical unit."""
-    src = normalize_unit(unit)
-    dst = unit_def(head_unit)
-    if src is None:
-        raise IncompatibleUnit(f"unknown unit {unit!r}")
-    if src.dimension != dst.dimension:
-        raise IncompatibleUnit(f"{src.symbol} is not a {dst.dimension} unit")
-    # dst is canonical (factor 1, offset 0) for all registry heads
-    return (src.to_canonical(value) - dst.offset) / dst.factor

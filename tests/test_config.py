@@ -48,13 +48,21 @@ def test_command_line_seed_overrides_both(tmp_path):
         ("n_docs = many\n", "bad value 'many' for 'n_docs'"),
         ("freeze_trunk = maybe\n", "bad value 'maybe' for 'freeze_trunk'"),
         ("eta = 5:0.1,5:0.2\n", r"bad value '5:0\.1,5:0\.2' for 'eta'"),
+        ("n_docs = 50\nn_docs = 60\n", "'n_docs' sets synth.n_docs, which an earlier line set"),
+        ("synth.seed = 2\nseed = 5\n", "'seed' sets synth.seed, which an earlier line set"),
     ],
 )
 def test_bad_lines_name_the_file(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(ValueError, match=message) as err:
         load_configs(path)
-    assert str(err.value).startswith(f"{path}:1: ")
+    # the last line is the bad one
+    assert str(err.value).startswith(f"{path}:{len(text.splitlines())}: ")
+
+
+def test_each_section_takes_its_own_seed(tmp_path):
+    synth, train = load_configs(_write(tmp_path, "synth.seed = 1\ntrain.seed = 2\n"))
+    assert (synth.seed, train.seed) == (1, 2)
 
 
 @pytest.mark.parametrize(

@@ -464,6 +464,26 @@ def test_pair_build_variants_own_their_label_arrays():
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
+def test_extraction_and_masking_agree_on_every_heads_units():
+    """A label extracted from any unit of its head's dimension is masked
+    wherever the prompt restates it, in every unit of that dimension."""
+    lines, restated = [], {}
+    for spec in REG:
+        units = units_for_dimension(normalize_unit(spec.canonical_unit).dimension)
+        for k, unit in enumerate(units):
+            sid = f"{spec.name}-{k}"
+            label = unit.to_canonical(12.5)
+            restated[sid] = "; ".join(f"{(label - u.offset) / u.factor:.6g} {u.symbol}" for u in units)
+            lines += [f"== SAMPLE {sid} ==", f"Sample: film at {restated[sid]}.", "Synthesis: cured 7 h."]
+            lines.append(f"{spec.name} = 12.5 {unit.symbol}")
+    samples = extract_document("\n".join(lines))
+    assert [s.sample_id for s in samples] == list(restated)
+    assert all(len(s.observations) == 1 for s in samples)
+    masked = {i.sample_id: i.text for i in build_dataset(samples, "sample_synthesis")}
+    for sid, text in restated.items():
+        assert masked[sid] == f"[Sample]\nfilm at {_NUM_RE.sub(MASK_TOKEN, text)}.\n[Synthesis]\ncured 7 h."
+
+
 @pytest.mark.parametrize("variants", [(), ("sample_only", "sample_only"), ("sample_only", "both")])
 def test_build_dataset_rejects_an_empty_repeated_or_unknown_variant_tuple(variants):
     with pytest.raises(ValueError, match="unknown or repeated variant"):

@@ -862,6 +862,8 @@ def _point(value=2.0, **changes):
         (ExtractedSample(7), "sample_id 7 is not a string"),
         (ExtractedSample("s2", sample_text=None), "sample_text None is not a string"),
         (ExtractedSample("s2", synthesis_text=b"x"), "synthesis_text b'x' is not a string"),
+        # the file holds no observation's sample_id: the reader would give it the sample's
+        (ExtractedSample("s2", observations=[_point(sample_id="s1")]), "observation sample_id 's1' differs"),
     ],
     ids=[
         "nan_value",
@@ -880,6 +882,7 @@ def _point(value=2.0, **changes):
         "int_sample_id",
         "null_sample_text",
         "bytes_synthesis_text",
+        "other_samples_observation",
     ],
 )
 def test_save_extracted_refuses_what_load_extracted_would_before_writing(tmp_path, sample, message):

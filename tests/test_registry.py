@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyreg import registry as registry_mod
 from polyreg.registry import GROUPS, N_HEADS, _fold, default_registry, load_registry
-from polyreg.units import unit_def, units_for_dimension
+from polyreg.units import normalize_unit, units_for_dimension
 
 REG = default_registry()
 
@@ -96,7 +96,7 @@ def test_the_unit_tables_hold_each_heads_units_in_table_order(copier):
     reg = copier(REG)
     assert all(type(t) is tuple for t in (reg.unit_count, reg.unit_first, reg.unit_offsets, reg.unit_factors))
     for spec in reg:
-        units = units_for_dimension(unit_def(spec.canonical_unit).dimension)
+        units = units_for_dimension(normalize_unit(spec.canonical_unit).dimension)
         first, count = reg.unit_first[spec.head_id], reg.unit_count[spec.head_id]
         assert count == len(units)
         assert reg.unit_offsets[first : first + count] == tuple(u.offset for u in units)
@@ -162,8 +162,22 @@ def _set_column(lineno, column, value):
         (lambda lines: lines.__setitem__(6, lines[6].rsplit("\t", 1)[0]), "7: expected 6 columns, got 5"),
         (_set_column(2, 0, "zero"), "2: invalid literal for int() with base 10: 'zero'"),
         (_set_column(4, 0, "3"), "5: head_id 3 repeats line 4"),
+        # masking restates labels from the base unit, so no other canonical unit loads
+        (_set_column(2, 3, "K"), "2: canonical unit 'K' is not a known dimension's base unit"),
+        (_set_column(2, 3, "GPa"), "2: canonical unit 'GPa' is not a known dimension's base unit"),
+        (_set_column(2, 3, "mm"), "2: canonical unit 'mm' is not a known dimension's base unit"),
     ],
-    ids=["unknown_group", "log_flag_two", "log_flag_word", "five_columns", "head_id_not_int", "head_id_repeated"],
+    ids=[
+        "unknown_group",
+        "log_flag_two",
+        "log_flag_word",
+        "five_columns",
+        "head_id_not_int",
+        "head_id_repeated",
+        "offset_unit",
+        "scaled_unit",
+        "unknown_unit",
+    ],
 )
 def test_a_malformed_table_row_names_the_file_and_line(tmp_path, monkeypatch, edit, message):
     path = _table_copy(tmp_path, monkeypatch, edit)
